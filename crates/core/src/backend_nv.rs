@@ -12,21 +12,24 @@
 //! idx_block: count u64 | per index (stride 24): kind | column | desc
 //! ```
 //!
-//! `kind` 0 = persistent hash (desc = `NvHashIndex` descriptor), 1 =
-//! persistent ordered skip list (desc = `NvOrderedIndex` descriptor). Both
-//! are re-attached on restart in O(1) — no index is ever rebuilt on this
-//! backend, matching the paper's "table *and index* structures on NVM".
+//! `kind` is [`IndexKind`] as `u64`: 0 = persistent hash (desc = `NvHashIndex`
+//! descriptor), 1 = persistent ordered skip list (desc = `NvOrderedIndex`
+//! descriptor). Both are re-attached on restart in O(1) — no index is ever
+//! rebuilt on this backend, matching the paper's "table *and index*
+//! structures on NVM".
 
 use std::sync::Arc;
 
-use index::{NvHashIndex, NvOrderedIndex};
-use nvm::{AllocatorRecovery, LatencyModel, NvmHeap, NvmRegion};
+use index::{IndexCheck, IndexKind, NvIndex, TableIndex};
+use nvm::{NvmHeap, NvmRegion};
 use storage::mvcc::TS_INF;
 use storage::nv::{read_string, store_string, NvTable};
-use storage::{Schema, TableStore, VTable};
+use storage::{MergeStats, RowId, Schema, TableStore, VTable, Value};
+use txn::{CommitPublish, Transaction, TxnManager};
 
+use crate::engine::{as_stores, Engine};
 use crate::error::{EngineError, Result};
-use crate::shadow_wal::ShadowWal;
+use crate::redo_log::RedoLog;
 use crate::txn_registry::TxnRegistry;
 use crate::{MAX_INDEXES_PER_TABLE, MAX_TABLES};
 
@@ -48,27 +51,18 @@ const IDX_ENTRIES: u64 = 8;
 const IDX_ENTRY_STRIDE: u64 = 24;
 const IDX_BLOCK_SIZE: u64 = IDX_ENTRIES + MAX_INDEXES_PER_TABLE as u64 * IDX_ENTRY_STRIDE;
 
-pub(crate) const KIND_HASH: u64 = 0;
-pub(crate) const KIND_ORDERED: u64 = 1;
-
-/// Per-table index sets — all persistent on this backend.
-pub(crate) struct NvTableIndexes {
-    /// Persistent hash indexes (attached, never rebuilt).
-    pub hash: Vec<NvHashIndex>,
-    /// Persistent ordered (skip-list) indexes (attached, never rebuilt).
-    pub ordered: Vec<NvOrderedIndex>,
-}
-
 /// The NVM durability backend.
 pub struct NvBackend {
     pub(crate) heap: NvmHeap,
     catalog: u64,
     pub(crate) tables: Vec<NvTable>,
     pub(crate) names: Vec<String>,
-    pub(crate) indexes: Vec<NvTableIndexes>,
+    /// Per table, its persistent indexes in catalogue-entry order: entry
+    /// `i` of a table's index block describes `indexes[t][i]`.
+    pub(crate) indexes: Vec<Vec<NvIndex>>,
     pub(crate) registry: TxnRegistry,
     /// Shadow redo log (recovery rung 2); None on the plain NVM backend.
-    pub(crate) shadow: Option<ShadowWal>,
+    pub(crate) shadow: Option<RedoLog>,
 }
 
 /// Catalogue decode with per-table failure isolation — the raw material of
@@ -89,7 +83,7 @@ pub(crate) struct AttachParts {
 
 /// One persistent index registration read from the catalogue.
 pub(crate) struct IndexEntrySpec {
-    pub kind: u64,
+    pub kind: IndexKind,
     pub column: usize,
     pub desc: u64,
     /// Catalogue offset of this entry (for the desc swap on rebuild).
@@ -114,7 +108,8 @@ impl AttachParts {
         for i in 0..icount {
             let ib = idx_block + IDX_ENTRIES + i * IDX_ENTRY_STRIDE;
             out.push(IndexEntrySpec {
-                kind: r.read_pod(ib)?,
+                kind: IndexKind::from_tag(r.read_pod(ib)?)
+                    .ok_or_else(|| EngineError::Catalog("unknown index kind".into()))?,
                 column: r.read_pod::<u64>(ib + 8)? as usize,
                 desc: r.read_pod(ib + 16)?,
                 entry_base: ib,
@@ -153,7 +148,7 @@ impl AttachParts {
 
     /// Assemble the backend once every table slot is healthy and the index
     /// sets are attached.
-    pub fn into_backend(self, indexes: Vec<NvTableIndexes>) -> Result<NvBackend> {
+    pub fn into_backend(self, indexes: Vec<Vec<NvIndex>>) -> Result<NvBackend> {
         let mut tables = Vec::with_capacity(self.tables.len());
         for t in self.tables {
             tables.push(t?);
@@ -171,11 +166,6 @@ impl AttachParts {
 }
 
 impl NvBackend {
-    /// Format a fresh region and create an empty catalogue.
-    pub fn create(capacity: u64, latency: LatencyModel) -> Result<NvBackend> {
-        Self::create_on_region(Arc::new(NvmRegion::new(capacity, latency)))
-    }
-
     /// Format a caller-built region (simulated or file-backed) and create
     /// an empty catalogue on it.
     pub fn create_on_region(region: Arc<NvmRegion>) -> Result<NvBackend> {
@@ -201,14 +191,6 @@ impl NvBackend {
         })
     }
 
-    /// Re-open an existing region after a (simulated) power failure: run the
-    /// allocator recovery scan, then re-attach the catalogue, tables (probe
-    /// rebuild), and indexes. Returns the backend plus the allocator report.
-    pub fn open(region: Arc<NvmRegion>) -> Result<(NvBackend, AllocatorRecovery)> {
-        let (heap, alloc_report) = NvmHeap::open(region)?;
-        Ok((Self::attach(heap)?, alloc_report))
-    }
-
     /// Re-attach catalogue, tables, and indexes over an already-recovered
     /// heap (the restart path times this separately from the allocator
     /// scan). The first per-table failure is a hard error — this is the
@@ -217,18 +199,11 @@ impl NvBackend {
         let parts = Self::attach_parts(heap)?;
         let mut indexes = Vec::with_capacity(parts.tables.len());
         for t in 0..parts.tables.len() {
-            let mut set = NvTableIndexes {
-                hash: Vec::new(),
-                ordered: Vec::new(),
-            };
+            let mut list = Vec::new();
             for e in parts.index_entries(t)? {
-                match e.kind {
-                    KIND_HASH => set.hash.push(NvHashIndex::open(&parts.heap, e.desc)?),
-                    KIND_ORDERED => set.ordered.push(NvOrderedIndex::open(&parts.heap, e.desc)?),
-                    _ => return Err(EngineError::Catalog("unknown index kind".into())),
-                }
+                list.push(NvIndex::open(&parts.heap, e.kind, e.desc)?);
             }
-            indexes.push(set);
+            indexes.push(list);
         }
         parts.into_backend(indexes)
     }
@@ -274,47 +249,6 @@ impl NvBackend {
             registry,
             last_cts,
         })
-    }
-
-    /// Rebuild one table's NVM tree from a replayed DRAM image (rung 2).
-    /// Physical row ids are reproduced in order, so surviving registry
-    /// entries and freshly rebuilt indexes stay aligned.
-    pub(crate) fn rebuild_table_from(heap: &NvmHeap, src: &VTable) -> Result<NvTable> {
-        let mut nt = NvTable::create(heap, src.schema().clone())?;
-        for row in 0..src.row_count() {
-            let values = src.row_values(row)?;
-            let begin = src.begin_ts(row)?;
-            let got = nt.insert_version(&values, begin)?;
-            if got != row {
-                return Err(EngineError::Catalog(
-                    "row id drift during WAL table rebuild".into(),
-                ));
-            }
-            let end = src.end_ts(row)?;
-            if end != TS_INF {
-                nt.commit_invalidate(row, end)?;
-            }
-        }
-        Ok(nt)
-    }
-
-    /// Counts of (persistently re-attached, DRAM-rebuilt) indexes. On this
-    /// backend every index is persistent, so nothing is ever rebuilt.
-    pub fn index_counts(&self) -> (u64, u64) {
-        let attached = self
-            .indexes
-            .iter()
-            .map(|s| (s.hash.len() + s.ordered.len()) as u64)
-            .sum();
-        (attached, 0)
-    }
-
-    /// A cloneable durable-publish handle for the commit protocol.
-    pub fn publisher(&self) -> NvPublisher {
-        NvPublisher {
-            heap: self.heap.clone(),
-            catalog: self.catalog,
-        }
     }
 
     /// The shared region (crash injection, stats, clock).
@@ -388,17 +322,6 @@ impl NvBackend {
         self.registry.slot_tid_extent(slot)
     }
 
-    /// Recovery attempt counter still recorded in the catalogue (0 after
-    /// a completed recovery; a successful [`NvBackend::create`] also
-    /// starts at 0).
-    pub fn recovery_attempts(&self) -> Result<u64> {
-        // pmlint: observe(recovery-progress)
-        Ok(self
-            .heap
-            .region()
-            .load_u64_acquire(self.catalog + CAT_PROGRESS)?)
-    }
-
     /// Durably set the clean-shutdown marker. Called by
     /// [`Database::shutdown`](crate::Database::shutdown) after the last
     /// transaction; the next open clears it and skips the undo pass.
@@ -429,59 +352,80 @@ impl NvBackend {
             .load_u64_acquire(self.catalog + CAT_LAST_CTS)?)
     }
 
-    /// Durably publish a commit timestamp — the commit's linearization
-    /// point (one 8-byte persist).
-    pub fn publish_cts(&self, cts: u64) -> Result<()> {
-        let r = self.heap.region();
-        // pmlint: publish(catalog-cts)
-        r.store_u64_release(self.catalog + CAT_LAST_CTS, cts)?;
-        r.persist(self.catalog + CAT_LAST_CTS, 8)?;
-        Ok(())
+    fn idx_block(&self, table: usize) -> Result<u64> {
+        let base = self.catalog + CAT_ENTRIES + table as u64 * CAT_ENTRY_STRIDE;
+        Ok(self.heap.region().read_pod(base + 16)?)
+    }
+
+    /// Index↔table agreement over every persistent index, folded into one
+    /// check, plus the number of indexes walked.
+    pub(crate) fn verify_indexes(&self) -> Result<(IndexCheck, u64)> {
+        let (mut check, mut n) = (IndexCheck::default(), 0);
+        for (table, list) in self.tables.iter().zip(&self.indexes) {
+            for idx in list {
+                check.absorb(&idx.verify_against(table)?);
+                n += 1;
+            }
+        }
+        Ok((check, n))
+    }
+}
+
+impl Engine for NvBackend {
+    fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    fn table_mut(&mut self, t: usize) -> &mut dyn TableStore {
+        &mut self.tables[t]
+    }
+
+    fn tables_mut(&mut self) -> Vec<&mut dyn TableStore> {
+        as_stores(&mut self.tables)
+    }
+
+    fn log_mut(&mut self) -> &mut Option<RedoLog> {
+        &mut self.shadow
+    }
+
+    fn log(&self) -> Option<&RedoLog> {
+        self.shadow.as_ref()
+    }
+
+    /// The row id an insert will get is deterministic (next physical
+    /// slot), so recovery can be told about it before the row materializes.
+    fn note_write(&mut self, tid: u64, t: usize, row: RowId, invalidate: bool) -> Result<()> {
+        if invalidate {
+            self.registry.record_invalidate(tid, t, row)
+        } else {
+            self.registry.record_insert(tid, t, row)
+        }
+    }
+
+    fn release(&mut self, tid: u64) -> Result<()> {
+        self.registry.release(tid)
     }
 
     /// Run the commit protocol: stamp the transaction's writes, sync the
     /// shadow log (when configured) and only then durably publish the
     /// commit timestamp to NVM — the ordering that keeps the shadow log a
     /// superset of the published state.
-    pub(crate) fn commit_txn(
-        &mut self,
-        mgr: &mut txn::TxnManager,
-        tx: &mut txn::Transaction,
-    ) -> Result<u64> {
-        let NvBackend {
-            heap,
-            catalog,
-            tables,
-            registry,
-            shadow,
-            ..
-        } = self;
+    fn commit(&mut self, mgr: &mut TxnManager, tx: &mut Transaction) -> Result<u64> {
         let mut publisher = ShadowedNvPublisher {
-            heap: heap.clone(),
-            catalog: *catalog,
-            shadow: shadow.as_mut(),
+            heap: self.heap.clone(),
+            catalog: self.catalog,
+            shadow: self.shadow.as_mut(),
         };
-        let cts = {
-            let mut refs: Vec<&mut dyn TableStore> = tables
-                .iter_mut()
-                .map(|t| t as &mut dyn TableStore)
-                .collect();
-            mgr.commit(tx, &mut refs, &mut publisher)?
-        };
-        registry.release(tx.tid)?;
+        let cts = mgr.commit(tx, &mut as_stores(&mut self.tables), &mut publisher)?;
+        self.registry.release(tx.tid)?;
         Ok(cts)
     }
 
     /// Create a table and durably register it.
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<usize> {
+    fn create_table(&mut self, name: &str, schema: Schema) -> Result<usize> {
         if self.tables.len() >= MAX_TABLES {
             return Err(EngineError::Catalog(format!(
                 "table limit {MAX_TABLES} reached"
-            )));
-        }
-        if self.names.iter().any(|n| n == name) {
-            return Err(EngineError::Catalog(format!(
-                "duplicate table name {name:?}"
             )));
         }
         let table = NvTable::create(&self.heap, schema)?;
@@ -504,96 +448,50 @@ impl NvBackend {
 
         self.tables.push(table);
         self.names.push(name.to_owned());
-        self.indexes.push(NvTableIndexes {
-            hash: Vec::new(),
-            ordered: Vec::new(),
-        });
-        // Re-baseline the shadow checkpoint so rung 2 knows the new table
-        // even when its NVM root is unreadable. DDL is a quiesced point, so
-        // the full-state export is valid. A crash between the NVM publish
-        // above and this write loses only an empty table from the fallback
-        // path.
-        let cts = self.last_cts()?;
-        let NvBackend {
-            shadow,
-            names,
-            tables,
-            ..
-        } = self;
-        if let Some(sw) = shadow {
-            sw.checkpoint_full(names, tables, cts)?;
-        }
+        self.indexes.push(Vec::new());
         Ok(t as usize)
     }
 
-    fn idx_block(&self, table: usize) -> Result<u64> {
-        let base = self.catalog + CAT_ENTRIES + table as u64 * CAT_ENTRY_STRIDE;
-        Ok(self.heap.region().read_pod(base + 16)?)
-    }
-
-    /// Create and durably register a persistent hash index over `column`,
+    /// Create and durably register a persistent index over `column`,
     /// populated from the table's current rows.
-    pub fn create_hash_index(&mut self, table: usize, column: usize) -> Result<()> {
-        let total = self.indexes[table].hash.len() + self.indexes[table].ordered.len();
-        if total >= MAX_INDEXES_PER_TABLE {
+    fn create_index(&mut self, table: usize, column: usize, kind: IndexKind) -> Result<()> {
+        if self.indexes[table].len() >= MAX_INDEXES_PER_TABLE {
             return Err(EngineError::Catalog("index limit reached".into()));
         }
-        let nbuckets = (self.tables[table].row_count() * 2).max(1024);
-        let idx = NvHashIndex::build_from(&self.heap, &self.tables[table], column, nbuckets)?;
+        let idx = NvIndex::build(&self.heap, kind, &self.tables[table], column)?;
         let idx_block = self.idx_block(table)?;
         let r = self.heap.region();
         // pmlint: observe(index-count)
         let count: u64 = r.load_u64_acquire(idx_block + IDX_COUNT)?;
         let ib = idx_block + IDX_ENTRIES + count * IDX_ENTRY_STRIDE;
-        r.write_pod(ib, &KIND_HASH)?;
+        r.write_pod(ib, &(kind as u64))?;
         r.write_pod(ib + 8, &(column as u64))?;
         r.write_pod(ib + 16, &idx.desc_offset())?;
         r.persist(ib, IDX_ENTRY_STRIDE)?;
         // pmlint: publish(index-count)
         r.store_u64_release(idx_block + IDX_COUNT, count + 1)?;
         r.persist(idx_block + IDX_COUNT, 8)?;
-        self.indexes[table].hash.push(idx);
+        self.indexes[table].push(idx);
         Ok(())
     }
 
-    /// Create and durably register a persistent ordered (skip-list) index
-    /// over `column`, populated from the table's current rows.
-    pub fn create_ordered_index(&mut self, table: usize, column: usize) -> Result<()> {
-        let total = self.indexes[table].hash.len() + self.indexes[table].ordered.len();
-        if total >= MAX_INDEXES_PER_TABLE {
-            return Err(EngineError::Catalog("index limit reached".into()));
-        }
-        let oi = NvOrderedIndex::build_from(&self.heap, &self.tables[table], column)?;
-        let idx_block = self.idx_block(table)?;
-        let r = self.heap.region();
-        // pmlint: observe(index-count)
-        let count: u64 = r.load_u64_acquire(idx_block + IDX_COUNT)?;
-        let ib = idx_block + IDX_ENTRIES + count * IDX_ENTRY_STRIDE;
-        r.write_pod(ib, &KIND_ORDERED)?;
-        r.write_pod(ib + 8, &(column as u64))?;
-        r.write_pod(ib + 16, &oi.desc_offset())?;
-        r.persist(ib, IDX_ENTRY_STRIDE)?;
-        // pmlint: publish(index-count)
-        r.store_u64_release(idx_block + IDX_COUNT, count + 1)?;
-        r.persist(idx_block + IDX_COUNT, 8)?;
-        self.indexes[table].ordered.push(oi);
-        Ok(())
+    fn index_insert(&mut self, t: usize, values: &[Value], row: RowId) -> Result<()> {
+        Ok(index::insert_all(&mut self.indexes[t], values, row)?)
     }
 
-    /// Notify indexes of a new row version.
-    pub fn index_insert(
-        &mut self,
-        table: usize,
-        values: &[storage::Value],
-        row: u64,
-    ) -> Result<()> {
-        for idx in &self.indexes[table].hash {
-            idx.insert(&values[idx.column()], row)?;
+    /// Re-baseline the shadow checkpoint from a deep copy of every table
+    /// (only valid at quiesced points: DDL, the end of recovery).
+    fn checkpoint(&mut self, last_cts: u64) -> Result<u64> {
+        let Some(shadow) = &mut self.shadow else {
+            return Ok(0);
+        };
+        let mut exported = Vec::with_capacity(self.tables.len());
+        for t in &self.tables {
+            let mut copy = VTable::new(t.schema().clone());
+            copy_versions(t, &mut copy)?;
+            exported.push(copy);
         }
-        for idx in &self.indexes[table].ordered {
-            idx.insert(&values[idx.column()], row)?;
-        }
-        Ok(())
+        shadow.checkpoint(&self.names, &exported.iter().collect::<Vec<_>>(), last_cts)
     }
 
     /// Merge a table and rebuild its indexes (row ids shift), in the
@@ -604,60 +502,28 @@ impl NvBackend {
     /// capacity failure at any point unwinds to a clean abort — old table
     /// and old indexes fully intact. (A crash between the pair swap and
     /// the descriptor swaps leaks the new indexes until the next merge.)
-    pub fn merge_table(
-        &mut self,
-        table: usize,
-        snapshot: u64,
-    ) -> Result<storage::table_ops::MergeStats> {
+    fn merge_table(&mut self, table: usize, snapshot: u64) -> Result<MergeStats> {
         // Phase 1: plan (read-only) and build replacement indexes against
         // the plan. Post-merge row ids are positions in the survivor list.
         let plan = self.tables[table].merge_plan(snapshot)?;
         let idx_block = self.idx_block(table)?;
-        let r = self.heap.region().clone();
-        // Walk the catalogue entries so slot positions stay aligned.
-        // pmlint: observe(index-count)
-        let icount: u64 = r.load_u64_acquire(idx_block + IDX_COUNT)?;
-        let mut new_hash: Vec<NvHashIndex> = Vec::new();
-        let mut new_ordered: Vec<NvOrderedIndex> = Vec::new();
-        let destroy_new = |hash: Vec<NvHashIndex>, ordered: Vec<NvOrderedIndex>| {
-            for idx in hash {
-                let _ = idx.destroy();
-            }
-            for idx in ordered {
+        let mut built: Vec<NvIndex> = Vec::with_capacity(self.indexes[table].len());
+        let destroy = |built: Vec<NvIndex>| {
+            for idx in built {
                 let _ = idx.destroy();
             }
         };
-        for i in 0..icount {
-            let ib = idx_block + IDX_ENTRIES + i * IDX_ENTRY_STRIDE;
-            let kind: u64 = r.read_pod(ib)?;
-            let column: u64 = r.read_pod(ib + 8)?;
-            let built: Result<()> = (|| {
-                match kind {
-                    KIND_HASH => {
-                        let nbuckets = (plan.rows().len() as u64 * 2).max(1024);
-                        new_hash.push(NvHashIndex::build_from_rows(
-                            &self.heap,
-                            column as usize,
-                            nbuckets,
-                            plan.rows(),
-                        )?);
-                    }
-                    KIND_ORDERED => {
-                        let dtype = self.tables[table].schema().column(column as usize)?.dtype;
-                        new_ordered.push(NvOrderedIndex::build_from_rows(
-                            &self.heap,
-                            column as usize,
-                            dtype,
-                            plan.rows(),
-                        )?);
-                    }
-                    _ => {}
+        for old in &self.indexes[table] {
+            let (kind, column) = old.key();
+            let new = self.tables[table].schema().column(column).and_then(|c| {
+                NvIndex::build_from_rows(&self.heap, kind, column, c.dtype, plan.rows())
+            });
+            match new {
+                Ok(idx) => built.push(idx),
+                Err(e) => {
+                    destroy(built);
+                    return Err(e.into());
                 }
-                Ok(())
-            })();
-            if let Err(e) = built {
-                destroy_new(new_hash, new_ordered);
-                return Err(e);
             }
         }
 
@@ -665,66 +531,55 @@ impl NvBackend {
         // execution, so a rung-2 replay reproduces the post-merge row-id
         // space that later records use.
         if let Some(sw) = &mut self.shadow {
-            if let Err(e) = sw.log_merge_synced(table, snapshot) {
-                destroy_new(new_hash, new_ordered);
+            if let Err(e) = sw.log_merge(table, snapshot) {
+                destroy(built);
                 return Err(e);
             }
         }
         let stats = match self.tables[table].merge_from_plan(plan) {
             Ok(stats) => stats,
             Err(e) => {
-                destroy_new(new_hash, new_ordered);
+                destroy(built);
                 // The log now carries a merge record for a merge that never
                 // executed; re-baseline the checkpoint so bounded replay
                 // starts past it (best-effort — a wedged log already forces
                 // read-only until reclamation recreates it).
-                if let Some(sw) = &mut self.shadow {
-                    let _ = sw.checkpoint_full(&self.names, &self.tables, snapshot);
-                }
+                let _ = self.checkpoint(snapshot);
                 return Err(e.into());
             }
         };
 
         // Phase 3: publish the replacement indexes — descriptor stores and
-        // frees only, no allocation left to fail.
-        let mut hash_new = new_hash.into_iter();
-        let mut ordered_new = new_ordered.into_iter();
-        let mut hash_slot = 0usize;
-        let mut ordered_slot = 0usize;
-        for i in 0..icount {
-            let ib = idx_block + IDX_ENTRIES + i * IDX_ENTRY_STRIDE;
-            let kind: u64 = r.read_pod(ib)?;
-            match kind {
-                KIND_HASH => {
-                    let Some(new_idx) = hash_new.next() else {
-                        return Err(EngineError::Unsupported(
-                            "index catalogue changed during merge",
-                        ));
-                    };
-                    r.write_pod(ib + 16, &new_idx.desc_offset())?;
-                    r.persist(ib + 16, 8)?;
-                    let old = std::mem::replace(&mut self.indexes[table].hash[hash_slot], new_idx);
-                    old.destroy()?;
-                    hash_slot += 1;
-                }
-                KIND_ORDERED => {
-                    let Some(new_idx) = ordered_new.next() else {
-                        return Err(EngineError::Unsupported(
-                            "index catalogue changed during merge",
-                        ));
-                    };
-                    r.write_pod(ib + 16, &new_idx.desc_offset())?;
-                    r.persist(ib + 16, 8)?;
-                    let old =
-                        std::mem::replace(&mut self.indexes[table].ordered[ordered_slot], new_idx);
-                    old.destroy()?;
-                    ordered_slot += 1;
-                }
-                _ => {}
-            }
+        // frees only, no allocation left to fail. Catalogue entry `i`
+        // describes list slot `i`.
+        let r = self.heap.region().clone();
+        for (i, new) in built.into_iter().enumerate() {
+            let ib = idx_block + IDX_ENTRIES + i as u64 * IDX_ENTRY_STRIDE;
+            r.write_pod(ib + 16, &new.desc_offset())?;
+            r.persist(ib + 16, 8)?;
+            std::mem::replace(&mut self.indexes[table][i], new).destroy()?;
         }
         Ok(stats)
     }
+}
+
+/// Copy every physical version of quiesced `src` into empty `dst`,
+/// preserving row ids, begin/end timestamps and tombstones — so registry
+/// entries, log records and indexes that name a row stay aligned.
+pub(crate) fn copy_versions(src: &dyn TableStore, dst: &mut dyn TableStore) -> Result<()> {
+    for row in 0..src.row_count() {
+        let got = dst.insert_version(&src.row_values(row)?, src.begin_ts(row)?)?;
+        if got != row {
+            return Err(EngineError::Catalog(
+                "row id drift during table copy".into(),
+            ));
+        }
+        let end = src.end_ts(row)?;
+        if end != TS_INF {
+            dst.commit_invalidate(row, end)?;
+        }
+    }
+    Ok(())
 }
 
 /// Durably bump the catalogue's recovery-progress word and return the new
@@ -777,39 +632,19 @@ pub(crate) fn begin_recovery_attempt(heap: &NvmHeap) -> Result<u64> {
     Ok(attempt)
 }
 
-/// Durable commit publish for the NVM backend: one 8-byte persist of the
-/// global commit timestamp in the catalogue.
-pub struct NvPublisher {
-    heap: NvmHeap,
-    catalog: u64,
-}
-
-impl txn::CommitPublish for NvPublisher {
-    fn publish(&mut self, cts: u64, _txn: &txn::Transaction) -> txn::Result<()> {
-        let r = self.heap.region();
-        // pmlint: publish(catalog-cts)
-        r.store_u64_release(self.catalog + CAT_LAST_CTS, cts)
-            .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
-        r.persist(self.catalog + CAT_LAST_CTS, 8)
-            .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
-        Ok(())
-    }
-}
-
-/// Commit publish used by [`NvBackend::commit_txn`]: shadow-log sync first
+/// Commit publish of the NVM engine: shadow-log sync first
 /// (when configured), then the one-persist NVM publish. The order is the
 /// rung-2 invariant — a commit the NVM image claims must be in the log.
 struct ShadowedNvPublisher<'a> {
     heap: NvmHeap,
     catalog: u64,
-    shadow: Option<&'a mut ShadowWal>,
+    shadow: Option<&'a mut RedoLog>,
 }
 
-impl txn::CommitPublish for ShadowedNvPublisher<'_> {
+impl CommitPublish for ShadowedNvPublisher<'_> {
     fn publish(&mut self, cts: u64, txn: &txn::Transaction) -> txn::Result<()> {
         if let Some(sw) = self.shadow.as_deref_mut() {
-            sw.log_commit_synced(txn.tid, cts)
-                .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
+            sw.publish(cts, txn)?;
         }
         let r = self.heap.region();
         // pmlint: publish(catalog-cts)

@@ -4,19 +4,6 @@ use std::path::PathBuf;
 
 use nvm::LatencyModel;
 
-/// Which index structure to create.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Hash group-key index (point lookups). On the NVM backend this is a
-    /// persistent multi-version index; on the others it is a rebuilt DRAM
-    /// index.
-    Hash,
-    /// Ordered group-key index (range lookups). On the NVM backend this is
-    /// a persistent crash-safe skip list (re-attached on restart); on the
-    /// others a DRAM B-tree map rebuilt after recovery.
-    Ordered,
-}
-
 /// Configuration of the log-based baseline.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
@@ -145,6 +132,15 @@ impl DurabilityConfig {
             capacity,
             latency,
             wal: Some(WalConfig::temp()),
+        }
+    }
+
+    /// The shadow-log configuration, on the NVM modes that have one.
+    pub(crate) fn shadow_wal(&self) -> Option<&WalConfig> {
+        match self {
+            DurabilityConfig::NvmWithWal { wal, .. } => Some(wal),
+            DurabilityConfig::NvmFile { wal, .. } => wal.as_ref(),
+            _ => None,
         }
     }
 

@@ -1,31 +1,26 @@
 //! The `Database` façade.
 
-use index::{NvHashIndex, NvOrderedIndex};
-use nvm::{CrashPoint, CrashPolicy, NvmHeap};
+use std::sync::Arc;
+
+use index::{IndexKind, NvIndex, Probe};
+use nvm::{CrashPoint, CrashPolicy, NvmHeap, NvmRegion};
 use storage::mvcc;
 use storage::nv::MediaExtent;
 use storage::{RowId, ScanResult, Schema, TableStore, Value};
 use txn::{Transaction, TxnManager};
-use wal::LogWriter;
 
-use crate::backend_nv::{NvBackend, NvTableIndexes, KIND_HASH, KIND_ORDERED};
-use crate::backend_vol::VolatileBackend;
-use crate::backend_wal::WalBackend;
-use crate::config::{DurabilityConfig, IndexKind, WalConfig};
+use crate::backend_dram::DramEngine;
+use crate::backend_nv::NvBackend;
+use crate::config::{DurabilityConfig, WalConfig};
+use crate::engine::{Backend, Engine};
 use crate::error::{EngineError, Result};
 use crate::health::{HealthReport, HealthState, HealthTracker, ReclaimReport, Watermarks};
+use crate::redo_log::RedoLog;
 use crate::report::{timed_phase, IntegrityReport, PersistStats, RecoveryReport};
-use crate::shadow_wal::ShadowWal;
 
 /// Handle to a table in the catalogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableId(pub usize);
-
-enum Backend {
-    Nv(NvBackend),
-    Wal(WalBackend),
-    Volatile(VolatileBackend),
-}
 
 /// An embedded database instance over one durability backend.
 ///
@@ -49,43 +44,38 @@ impl Database {
     /// Create a fresh database with explicit degradation watermarks (see
     /// [`Watermarks`] for the state machine they steer).
     pub fn create_with_watermarks(config: DurabilityConfig, marks: Watermarks) -> Result<Database> {
-        let backend = match &config {
-            DurabilityConfig::Nvm { capacity, latency } => {
-                Backend::Nv(NvBackend::create(*capacity, *latency)?)
-            }
-            DurabilityConfig::NvmWithWal {
-                capacity,
-                latency,
-                wal,
-            } => {
-                let mut b = NvBackend::create(*capacity, *latency)?;
-                let mut sw = ShadowWal::create(wal.clone(), b.region().clone())?;
-                sw.checkpoint_full(&b.names, &b.tables, 0)?;
-                b.shadow = Some(sw);
-                Backend::Nv(b)
-            }
+        let region = match &config {
+            DurabilityConfig::Nvm { capacity, latency }
+            | DurabilityConfig::NvmWithWal {
+                capacity, latency, ..
+            } => Some(NvmRegion::new(*capacity, *latency)),
+            // Format a fresh image on the file (truncating any previous
+            // database there); use [`Database::open`] to attach one.
             DurabilityConfig::NvmFile {
                 path,
                 capacity,
                 latency,
-                wal,
-            } => {
-                // Format a fresh image on the file (truncating any previous
-                // database there); use [`Database::open`] to attach one.
-                let region = std::sync::Arc::new(
-                    nvm::NvmRegion::open_file(path, *capacity, *latency)
-                        .map_err(EngineError::Nvm)?,
-                );
-                let mut b = NvBackend::create_on_region(region)?;
-                if let Some(wal_cfg) = wal {
-                    let mut sw = ShadowWal::create(wal_cfg.clone(), b.region().clone())?;
-                    sw.checkpoint_full(&b.names, &b.tables, 0)?;
-                    b.shadow = Some(sw);
+                ..
+            } => Some(NvmRegion::open_file(path, *capacity, *latency)?),
+            DurabilityConfig::Wal(_) | DurabilityConfig::Volatile => None,
+        };
+        let backend = match region.map(Arc::new) {
+            Some(region) => {
+                let mut b = NvBackend::create_on_region(region.clone())?;
+                if let Some(cfg) = config.shadow_wal() {
+                    let log = RedoLog::open(cfg.clone(), Arc::default(), Some(region), true)?;
+                    b.shadow = Some(log);
+                    b.checkpoint(0)?;
                 }
                 Backend::Nv(b)
             }
-            DurabilityConfig::Wal(cfg) => Backend::Wal(WalBackend::create(cfg.clone())?),
-            DurabilityConfig::Volatile => Backend::Volatile(VolatileBackend::create()),
+            None => {
+                let mut e = DramEngine::default();
+                if let DurabilityConfig::Wal(cfg) = &config {
+                    *e.log_mut() = Some(RedoLog::open(cfg.clone(), Arc::default(), None, true)?);
+                }
+                Backend::Dram(e)
+            }
         };
         Ok(Database {
             backend,
@@ -102,23 +92,20 @@ impl Database {
     /// Currently meaningful for [`DurabilityConfig::NvmFile`], whose image
     /// survives actual process death.
     pub fn open(config: DurabilityConfig) -> Result<(Database, RecoveryReport)> {
-        let region = match &config {
-            DurabilityConfig::NvmFile {
-                path,
-                capacity,
-                latency,
-                ..
-            } => std::sync::Arc::new(
-                nvm::NvmRegion::open_file(path, *capacity, *latency).map_err(EngineError::Nvm)?,
-            ),
-            _ => {
-                return Err(EngineError::Catalog(
-                    "Database::open requires a file-backed durability config \
-                     (DurabilityConfig::NvmFile)"
-                        .into(),
-                ))
-            }
+        let DurabilityConfig::NvmFile {
+            path,
+            capacity,
+            latency,
+            ..
+        } = &config
+        else {
+            return Err(EngineError::Catalog(
+                "Database::open requires a file-backed durability config \
+                 (DurabilityConfig::NvmFile)"
+                    .into(),
+            ));
         };
+        let region = Arc::new(NvmRegion::open_file(path, *capacity, *latency)?);
         Self::open_region(region, config)
     }
 
@@ -127,7 +114,7 @@ impl Database {
     /// harness uses this to pre-arm kill points on the region before
     /// recovery runs over it.
     pub fn open_region(
-        region: std::sync::Arc<nvm::NvmRegion>,
+        region: Arc<NvmRegion>,
         config: DurabilityConfig,
     ) -> Result<(Database, RecoveryReport)> {
         let mut report = RecoveryReport {
@@ -135,18 +122,12 @@ impl Database {
             ..Default::default()
         };
         let mut db = Database {
-            backend: Backend::Volatile(VolatileBackend::create()),
+            backend: Backend::Dram(DramEngine::default()),
             mgr: TxnManager::new(),
             config,
             health: HealthTracker::new(Watermarks::default()),
         };
         db.recover_nv(region, &mut report)?;
-        db.health.reset();
-        report.health = db.refresh_health();
-        report.utilization = match &db.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
         Ok((db, report))
     }
 
@@ -155,53 +136,42 @@ impl Database {
     /// [`Database::open`] of the image reports `clean_shutdown` and skips
     /// the mvcc undo pass. A no-op for non-NVM backends.
     pub fn shutdown(self) -> Result<()> {
-        match self.backend {
-            Backend::Nv(mut b) => {
-                // Drop the shadow writer first: its buffered records reach
-                // the log file on drop, keeping the log a superset of the
-                // published NVM state even across the shutdown.
-                b.shadow = None;
-                b.mark_clean_shutdown()?;
-                let region = b.region().clone();
-                drop(b);
-                region.sync_all().map_err(EngineError::Nvm)?;
-                if let Some(e) = region.take_sync_error() {
-                    return Err(EngineError::Nvm(e));
-                }
-                Ok(())
-            }
-            _ => Ok(()),
+        let Backend::Nv(mut b) = self.backend else {
+            return Ok(());
+        };
+        // Drop the shadow writer first: its buffered records reach the log
+        // file on drop, keeping the log a superset of the published NVM
+        // state even across the shutdown.
+        b.shadow = None;
+        b.mark_clean_shutdown()?;
+        let region = b.region().clone();
+        drop(b);
+        region.sync_all().map_err(EngineError::Nvm)?;
+        if let Some(e) = region.take_sync_error() {
+            return Err(EngineError::Nvm(e));
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Health + admission control
     // ------------------------------------------------------------------
 
-    /// `(high_water, capacity, free_bytes)` of the heap — zeroes off the
-    /// NVM backend.
-    fn heap_numbers(&self) -> (u64, u64, u64) {
-        match &self.backend {
-            Backend::Nv(b) => {
-                let s = b.heap().stats();
-                (s.high_water, s.capacity, s.free_bytes)
-            }
-            _ => (0, 0, 0),
-        }
+    /// The NVM engine, or the typed error of an NVM-only operation.
+    fn require_nv(&self, what: &'static str) -> Result<&NvBackend> {
+        self.backend.nv().ok_or(EngineError::Unsupported(what))
+    }
+
+    /// Heap utilization — 0.0 off the NVM backend.
+    fn utilization(&self) -> f64 {
+        self.heap_stats().map_or(0.0, |s| s.utilization())
     }
 
     /// Feed the state machine a fresh heap observation (utilization plus
-    /// shadow-log wedge state) and return the resulting state.
+    /// redo-log wedge state) and return the resulting state.
     fn refresh_health(&mut self) -> HealthState {
-        let (wedged, utilization) = match &self.backend {
-            Backend::Nv(b) => (
-                b.shadow.as_ref().is_some_and(|sw| sw.is_wedged()),
-                b.heap().stats().utilization(),
-            ),
-            _ => (false, 0.0),
-        };
-        self.health.set_wal_wedged(wedged);
-        self.health.observe(utilization)
+        self.health.set_wal_wedged(self.wal_wedged());
+        self.health.observe(self.utilization())
     }
 
     fn admit_write(&mut self) -> Result<()> {
@@ -223,7 +193,7 @@ impl Database {
             let e = e.normalize_capacity();
             if e.is_capacity() {
                 self.health.note_capacity_abort();
-                if let Backend::Nv(b) = &self.backend {
+                if let Some(b) = self.backend.nv() {
                     let _ = b.heap().reclaim_reserved();
                 }
                 self.refresh_health();
@@ -236,65 +206,60 @@ impl Database {
     /// heap first, so the report never lags the allocator.
     pub fn health(&mut self) -> HealthReport {
         self.refresh_health();
-        let (high_water, capacity, free_bytes) = self.heap_numbers();
+        // Zeroes off the NVM backend.
+        let (high_water, capacity, free_bytes) = self
+            .heap_stats()
+            .map_or((0, 0, 0), |s| (s.high_water, s.capacity, s.free_bytes));
         self.health.report(high_water, capacity, free_bytes)
     }
 
-    /// Emergency reclamation: recreate a wedged shadow log (and re-baseline
+    /// Emergency reclamation: recreate a wedged redo log (and re-baseline
     /// its checkpoint), merge every table to retire dead versions, and
     /// sweep orphaned reservations. Requires quiesced tables — abort any
     /// in-flight transaction first. Allowed in every health state; this is
     /// the path *out* of `ReadOnly`.
     pub fn reclaim(&mut self) -> Result<ReclaimReport> {
         let mut rep = ReclaimReport {
-            utilization_before: match &self.backend {
-                Backend::Nv(b) => b.heap().stats().utilization(),
-                _ => 0.0,
-            },
+            utilization_before: self.utilization(),
             ..Default::default()
         };
-        if let Backend::Nv(b) = &mut self.backend {
-            // A wedged log blocks merges (they append merge records), so it
-            // is recreated first. The fresh log starts empty; the immediate
-            // full-state checkpoint restores the `log ⊇ published state`
-            // invariant rung 2 depends on.
-            if b.shadow.as_ref().is_some_and(|sw| sw.is_wedged()) {
-                let cfg = b.shadow.as_ref().map(|sw| sw.cfg.clone());
-                if let Some(cfg) = cfg {
-                    let mut sw = ShadowWal::create(cfg, b.region().clone())?;
-                    sw.checkpoint_full(&b.names, &b.tables, self.mgr.last_committed())?;
-                    b.shadow = Some(sw);
-                    rep.wal_recreated = true;
-                }
-            }
-            let snapshot = self.mgr.last_committed();
-            for t in 0..b.tables.len() {
-                match b.merge_table(t, snapshot) {
-                    Ok(_) => rep.tables_merged += 1,
-                    Err(e) => {
-                        // A merge needs headroom for the new main; at the
-                        // brim it can itself exhaust capacity. Skip the
-                        // table (its old image is untouched) and keep
-                        // reclaiming elsewhere.
-                        let e = e.normalize_capacity();
-                        if e.is_capacity() {
-                            rep.merges_failed += 1;
-                        } else {
-                            return Err(e);
-                        }
+        let snapshot = self.mgr.last_committed();
+        let e = self.backend.engine_mut();
+        // A wedged log blocks merges (they append merge records), so it
+        // is recreated first. The fresh log starts empty; the immediate
+        // full-state checkpoint restores the `log ⊇ published state`
+        // invariant rung 2 (and a baseline restart) depends on.
+        if let Some(wedged) = e.log().filter(|log| log.is_wedged()) {
+            let fresh = wedged.reopen(true)?;
+            *e.log_mut() = Some(fresh);
+            e.checkpoint(snapshot)?;
+            rep.wal_recreated = true;
+        }
+        for t in 0..e.names().len() {
+            match e.merge_table(t, snapshot) {
+                Ok(_) => rep.tables_merged += 1,
+                Err(e) => {
+                    // A merge needs headroom for the new main; at the
+                    // brim it can itself exhaust capacity. Skip the
+                    // table (its old image is untouched) and keep
+                    // reclaiming elsewhere.
+                    let e = e.normalize_capacity();
+                    if e.is_capacity() {
+                        rep.merges_failed += 1;
+                    } else {
+                        return Err(e);
                     }
                 }
             }
+        }
+        if let Some(b) = self.backend.nv() {
             let (blocks, bytes) = b.heap().reclaim_reserved()?;
             rep.reserved_blocks_freed = blocks;
             rep.reserved_bytes_freed = bytes;
         }
         self.health.note_reclaim();
         rep.state_after = self.refresh_health();
-        rep.utilization_after = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
+        rep.utilization_after = self.utilization();
         Ok(rep)
     }
 
@@ -302,77 +267,54 @@ impl Database {
     // Exhaustion-fault instrumentation
     // ------------------------------------------------------------------
 
-    /// Arm an out-of-space fault on the shadow log (NVM-with-WAL backend
-    /// only).
+    /// Arm an out-of-space fault on the redo log: the baseline's log, or
+    /// the NVM backend's shadow log.
     pub fn arm_wal_fault(&mut self, spec: wal::WalFaultSpec) -> Result<()> {
-        match &mut self.backend {
-            Backend::Nv(b) => match &mut b.shadow {
-                Some(sw) => {
-                    sw.arm_fault(spec);
-                    Ok(())
-                }
-                None => Err(EngineError::Unsupported(
-                    "wal fault injection requires a shadow wal",
-                )),
-            },
-            _ => Err(EngineError::Unsupported(
-                "wal fault injection requires the NVM backend",
+        match self.backend.engine_mut().log_mut() {
+            Some(log) => {
+                log.arm_fault(spec);
+                Ok(())
+            }
+            None => Err(EngineError::Unsupported(
+                "wal fault injection requires a redo log",
             )),
         }
     }
 
-    /// True while the shadow-WAL writer is wedged by an out-of-space
+    /// True while the redo-log writer is wedged by an out-of-space
     /// failure (forces read-only mode until [`Database::reclaim`]).
     pub fn wal_wedged(&self) -> bool {
-        match &self.backend {
-            Backend::Nv(b) => b.shadow.as_ref().is_some_and(|sw| sw.is_wedged()),
-            _ => false,
-        }
+        self.backend
+            .engine()
+            .log()
+            .is_some_and(|log| log.is_wedged())
     }
 
     /// Arm an allocation fault on the NVM region (deterministic nth-attempt
     /// or probabilistic).
     pub fn arm_alloc_fault(&self, spec: nvm::AllocFaultSpec) -> Result<()> {
-        match &self.backend {
-            Backend::Nv(b) => {
-                b.region().arm_alloc_fault(&spec);
-                Ok(())
-            }
-            _ => Err(EngineError::Unsupported(
-                "allocation faults require the NVM backend",
-            )),
-        }
+        let b = self.require_nv("allocation faults require the NVM backend")?;
+        b.region().arm_alloc_fault(&spec);
+        Ok(())
     }
 
     /// Clamp the heap's effective capacity to model a smaller device
     /// (`None` lifts the clamp).
     pub fn set_capacity_clamp(&self, clamp: Option<u64>) -> Result<()> {
-        match &self.backend {
-            Backend::Nv(b) => {
-                b.region().set_capacity_clamp(clamp);
-                Ok(())
-            }
-            _ => Err(EngineError::Unsupported(
-                "capacity clamps require the NVM backend",
-            )),
-        }
+        let b = self.require_nv("capacity clamps require the NVM backend")?;
+        b.region().set_capacity_clamp(clamp);
+        Ok(())
     }
 
     /// Allocation attempts the region has observed — the sweep space of the
     /// nth-allocation fault harness. Zero off the NVM backend.
     pub fn alloc_attempts(&self) -> u64 {
-        match &self.backend {
-            Backend::Nv(b) => b.region().alloc_attempts(),
-            _ => 0,
-        }
+        self.backend.nv().map_or(0, |b| b.region().alloc_attempts())
     }
 
     /// Volatile heap statistics (NVM backend only).
     pub fn heap_stats(&self) -> Option<nvm::HeapStats> {
-        match &self.backend {
-            Backend::Nv(b) => Some(b.heap().stats()),
-            _ => None,
-        }
+        self.backend.nv().map(|b| b.heap().stats())
     }
 
     /// The active durability mode ("nvm" / "wal" / "volatile").
@@ -382,38 +324,38 @@ impl Database {
 
     /// Simulated nanoseconds charged so far (NVM flush/fence or WAL sync).
     pub fn simulated_ns(&self) -> u64 {
-        match &self.backend {
-            Backend::Nv(b) => b.region().clock().now_ns(),
-            Backend::Wal(b) => b.clock().now_ns(),
-            Backend::Volatile(_) => 0,
+        match self.backend.nv() {
+            Some(b) => b.region().clock().now_ns(),
+            None => self
+                .backend
+                .engine()
+                .log()
+                .map_or(0, |log| log.clock.now_ns()),
         }
     }
 
     /// NVM primitive counters (zeroes for other backends).
     pub fn nvm_stats(&self) -> nvm::StatsSnapshot {
-        match &self.backend {
-            Backend::Nv(b) => b.region().stats(),
-            _ => nvm::StatsSnapshot::default(),
-        }
+        self.backend
+            .nv()
+            .map(|b| b.region().stats())
+            .unwrap_or_default()
     }
 
     /// WAL activity counters: the baseline's log on the WAL backend, the
     /// shadow log on the NVM backend when one is configured, zeroes
     /// otherwise.
     pub fn wal_stats(&self) -> wal::WalStats {
-        match &self.backend {
-            Backend::Wal(b) => b.wal_stats(),
-            Backend::Nv(b) => b.shadow.as_ref().map(|sw| sw.stats()).unwrap_or_default(),
-            Backend::Volatile(_) => wal::WalStats::default(),
-        }
+        self.backend
+            .engine()
+            .log()
+            .map(|log| log.stats())
+            .unwrap_or_default()
     }
 
     /// The NVM backend, if active (advanced instrumentation).
     pub fn nv_backend(&self) -> Option<&NvBackend> {
-        match &self.backend {
-            Backend::Nv(b) => Some(b),
-            _ => None,
-        }
+        self.backend.nv()
     }
 
     /// The transaction manager's committed-state watermark.
@@ -428,34 +370,34 @@ impl Database {
     /// Create a table. Rejected while the engine is read-only.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<TableId> {
         self.admit_ddl()?;
-        let res = match &mut self.backend {
-            Backend::Nv(b) => b.create_table(name, schema),
-            Backend::Wal(b) => {
-                let cts = self.mgr.last_committed();
-                b.create_table(name, schema, cts)
-            }
-            Backend::Volatile(b) => b.create_table(name, schema),
-        };
+        if self.table_id(name).is_some() {
+            return Err(EngineError::Catalog(format!(
+                "duplicate table name {name:?}"
+            )));
+        }
+        let cts = self.mgr.last_committed();
+        let e = self.backend.engine_mut();
+        // DDL is a quiesced point, so a full-state checkpoint is valid: it
+        // is what makes the schema durable on the log-based baseline, and
+        // what tells rung 2 about the new table even when its NVM root is
+        // unreadable (a crash between the NVM publish and this write loses
+        // only an empty table from the fallback path).
+        let res = e.create_table(name, schema).and_then(|t| {
+            e.checkpoint(cts)?;
+            Ok(t)
+        });
         self.after_write(res).map(TableId)
     }
 
     /// Look up a table by name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        let names = match &self.backend {
-            Backend::Nv(b) => &b.names,
-            Backend::Wal(b) => &b.names,
-            Backend::Volatile(b) => &b.names,
-        };
+        let names = self.backend.engine().names();
         names.iter().position(|n| n == name).map(TableId)
     }
 
     /// Number of tables.
     pub fn table_count(&self) -> usize {
-        match &self.backend {
-            Backend::Nv(b) => b.tables.len(),
-            Backend::Wal(b) => b.tables.len(),
-            Backend::Volatile(b) => b.tables.len(),
-        }
+        self.backend.engine().names().len()
     }
 
     /// Create an index over `(table, column)`. Rejected while the engine
@@ -463,40 +405,22 @@ impl Database {
     pub fn create_index(&mut self, table: TableId, column: usize, kind: IndexKind) -> Result<()> {
         self.check_table(table)?;
         self.admit_ddl()?;
-        let res = match &mut self.backend {
-            Backend::Nv(b) => match kind {
-                IndexKind::Hash => b.create_hash_index(table.0, column),
-                IndexKind::Ordered => b.create_ordered_index(table.0, column),
-            },
-            Backend::Wal(b) => b.create_index(table.0, column, kind),
-            Backend::Volatile(b) => b.create_index(table.0, column, kind),
-        };
+        let res = self
+            .backend
+            .engine_mut()
+            .create_index(table.0, column, kind);
         self.after_write(res)
     }
 
     fn check_table(&self, table: TableId) -> Result<()> {
-        if table.0 < self.table_count() {
-            Ok(())
-        } else {
-            Err(EngineError::Catalog(format!(
-                "unknown table id {}",
-                table.0
-            )))
-        }
+        self.table(table).map(|_| ())
     }
 
-    /// Crate-internal access to a table's store (query operators).
-    pub(crate) fn table_store(&self, table: TableId) -> Result<&dyn TableStore> {
-        self.table(table)
-    }
-
-    fn table(&self, table: TableId) -> Result<&dyn TableStore> {
-        self.check_table(table)?;
-        Ok(match &self.backend {
-            Backend::Nv(b) => &b.tables[table.0],
-            Backend::Wal(b) => &b.tables[table.0],
-            Backend::Volatile(b) => &b.tables[table.0],
-        })
+    /// A table's store (also used by the query operators).
+    pub(crate) fn table(&self, table: TableId) -> Result<&dyn TableStore> {
+        self.backend
+            .table(table.0)
+            .ok_or_else(|| EngineError::Catalog(format!("unknown table id {}", table.0)))
     }
 
     // ------------------------------------------------------------------
@@ -520,56 +444,36 @@ impl Database {
     ) -> Result<RowId> {
         self.check_table(table)?;
         self.admit_write()?;
-        let res = self.insert_unguarded(tx, table, values);
+        let res = self.insert_unguarded(tx, table.0, values);
         self.after_write(res)
     }
 
     fn insert_unguarded(
         &mut self,
         tx: &mut Transaction,
-        table: TableId,
+        t: usize,
         values: &[Value],
     ) -> Result<RowId> {
-        let t = table.0;
-        let marker = tx.marker();
-        let row = match &mut self.backend {
-            Backend::Nv(b) => {
-                // Write-ahead registry entry: the row id an insert will get
-                // is deterministic (next physical slot), so recovery can be
-                // told about it before the row materializes.
-                let row = b.tables[t].row_count();
-                b.registry.record_insert(tx.tid, t, row)?;
-                let got = b.tables[t].insert_version(values, marker)?;
-                debug_assert_eq!(got, row);
-                // The version exists but the transaction has not recorded
-                // it yet: a failure in the index or log step must tombstone
-                // it here, or nothing ever would.
-                let tail = b.index_insert(t, values, got).and_then(|()| {
-                    if let Some(sw) = &mut b.shadow {
-                        sw.log_insert(tx.tid, t, got, values)?;
-                    }
-                    Ok(())
-                });
-                if let Err(e) = tail {
-                    let _ = b.tables[t].abort_insert(got);
-                    return Err(e);
-                }
-                got
+        let e = self.backend.engine_mut();
+        let row = e.table_mut(t).row_count();
+        e.note_write(tx.tid, t, row, false)?;
+        let got = e.table_mut(t).insert_version(values, tx.marker())?;
+        debug_assert_eq!(got, row);
+        // The version exists but the transaction has not recorded it yet: a
+        // failure in the index or log step must tombstone it here, or
+        // nothing ever would.
+        let tail = e.index_insert(t, values, got).and_then(|()| {
+            if let Some(log) = e.log_mut() {
+                log.log_insert(tx.tid, t, got, values)?;
             }
-            Backend::Wal(b) => {
-                let row = b.tables[t].insert_version(values, marker)?;
-                b.log_insert(tx.tid, t, row, values)?;
-                b.index_insert(t, values, row);
-                row
-            }
-            Backend::Volatile(b) => {
-                let row = b.tables[t].insert_version(values, marker)?;
-                b.index_insert(t, values, row);
-                row
-            }
-        };
-        tx.record_insert(t, row);
-        Ok(row)
+            Ok(())
+        });
+        if let Err(err) = tail {
+            let _ = e.table_mut(t).abort_insert(got);
+            return Err(err);
+        }
+        tx.record_insert(t, got);
+        Ok(got)
     }
 
     /// Delete (invalidate) a visible row version. Fails with a write
@@ -578,31 +482,21 @@ impl Database {
     pub fn delete(&mut self, tx: &mut Transaction, table: TableId, row: RowId) -> Result<()> {
         self.check_table(table)?;
         self.admit_write()?;
-        let res = self.delete_unguarded(tx, table, row);
+        let res = self.delete_unguarded(tx, table.0, row);
         self.after_write(res)
     }
 
-    fn delete_unguarded(&mut self, tx: &mut Transaction, table: TableId, row: RowId) -> Result<()> {
-        let t = table.0;
-        let marker = tx.marker();
-        match &mut self.backend {
-            Backend::Nv(b) => {
-                b.registry.record_invalidate(tx.tid, t, row)?;
-                b.tables[t].try_invalidate(row, marker)?;
-                if let Some(sw) = &mut b.shadow {
-                    // The end marker is already placed but the transaction
-                    // has not recorded it: restore it on a failed append.
-                    if let Err(e) = sw.log_invalidate(tx.tid, t, row) {
-                        let _ = b.tables[t].restore_end(row);
-                        return Err(e);
-                    }
-                }
+    fn delete_unguarded(&mut self, tx: &mut Transaction, t: usize, row: RowId) -> Result<()> {
+        let e = self.backend.engine_mut();
+        e.note_write(tx.tid, t, row, true)?;
+        e.table_mut(t).try_invalidate(row, tx.marker())?;
+        if let Some(log) = e.log_mut() {
+            // The end marker is already placed but the transaction has not
+            // recorded it: restore it on a failed append.
+            if let Err(err) = log.log_invalidate(tx.tid, t, row) {
+                let _ = e.table_mut(t).restore_end(row);
+                return Err(err);
             }
-            Backend::Wal(b) => {
-                b.tables[t].try_invalidate(row, marker)?;
-                b.log_invalidate(tx.tid, t, row)?;
-            }
-            Backend::Volatile(b) => b.tables[t].try_invalidate(row, marker)?,
         }
         tx.record_invalidate(t, row);
         Ok(())
@@ -631,85 +525,23 @@ impl Database {
     /// active: [`Database::abort`] then rolls the stamped markers back to a
     /// clean image.
     pub fn commit(&mut self, tx: &mut Transaction) -> Result<u64> {
-        let res = self.commit_unguarded(tx);
+        let res = self.backend.engine_mut().commit(&mut self.mgr, tx);
         self.after_write(res)
-    }
-
-    fn commit_unguarded(&mut self, tx: &mut Transaction) -> Result<u64> {
-        match &mut self.backend {
-            Backend::Nv(b) => b.commit_txn(&mut self.mgr, tx),
-            Backend::Wal(b) => {
-                let WalBackend {
-                    tables,
-                    writer,
-                    commits_since_sync,
-                    cfg,
-                    ..
-                } = b;
-                let mut publisher = WalPublisher {
-                    writer,
-                    commits_since_sync,
-                    every: cfg.sync_every_n_commits.max(1),
-                };
-                let mut refs: Vec<&mut dyn TableStore> = tables
-                    .iter_mut()
-                    .map(|t| t as &mut dyn TableStore)
-                    .collect();
-                Ok(self.mgr.commit(tx, &mut refs, &mut publisher)?)
-            }
-            Backend::Volatile(b) => {
-                let mut refs: Vec<&mut dyn TableStore> = b
-                    .tables
-                    .iter_mut()
-                    .map(|t| t as &mut dyn TableStore)
-                    .collect();
-                Ok(self.mgr.commit(tx, &mut refs, &mut txn::NoopPublish)?)
-            }
-        }
     }
 
     /// Abort: roll back every pending marker. Also the unwind path after a
     /// failed commit publish — the stamps `commit` already applied are
     /// rolled back the same way as pending markers. Succeeds even while
-    /// the shadow log is wedged: an absent abort record replays exactly
+    /// the redo log is wedged: an absent abort record replays exactly
     /// like a missing commit, so nothing is lost by skipping the append.
     pub fn abort(&mut self, tx: &mut Transaction) -> Result<()> {
-        match &mut self.backend {
-            Backend::Nv(b) => {
-                {
-                    let mut refs: Vec<&mut dyn TableStore> = b
-                        .tables
-                        .iter_mut()
-                        .map(|t| t as &mut dyn TableStore)
-                        .collect();
-                    self.mgr.abort(tx, &mut refs)?;
-                }
-                b.registry.release(tx.tid)?;
-                if let Some(sw) = &mut b.shadow {
-                    match sw.log_abort(tx.tid) {
-                        Err(EngineError::Wal(e)) if e.is_full() => {}
-                        other => other?,
-                    }
-                }
-            }
-            Backend::Wal(b) => {
-                {
-                    let mut refs: Vec<&mut dyn TableStore> = b
-                        .tables
-                        .iter_mut()
-                        .map(|t| t as &mut dyn TableStore)
-                        .collect();
-                    self.mgr.abort(tx, &mut refs)?;
-                }
-                b.log_abort(tx.tid)?;
-            }
-            Backend::Volatile(b) => {
-                let mut refs: Vec<&mut dyn TableStore> = b
-                    .tables
-                    .iter_mut()
-                    .map(|t| t as &mut dyn TableStore)
-                    .collect();
-                self.mgr.abort(tx, &mut refs)?;
+        let e = self.backend.engine_mut();
+        self.mgr.abort(tx, &mut e.tables_mut())?;
+        e.release(tx.tid)?;
+        if let Some(log) = e.log_mut() {
+            match log.log_abort(tx.tid) {
+                Err(EngineError::Wal(e)) if e.is_full() => {}
+                other => other?,
             }
         }
         Ok(())
@@ -719,13 +551,12 @@ impl Database {
     // Reads
     // ------------------------------------------------------------------
 
-    fn materialize(&self, table: TableId, rows: Vec<RowId>) -> Result<Vec<ScanResult>> {
-        let t = self.table(table)?;
+    fn materialize(store: &dyn TableStore, rows: Vec<RowId>) -> Result<Vec<ScanResult>> {
         rows.into_iter()
             .map(|row| {
                 Ok(ScanResult {
                     row,
-                    values: t.row_values(row)?,
+                    values: store.row_values(row)?,
                 })
             })
             .collect()
@@ -734,8 +565,8 @@ impl Database {
     /// All rows visible to `tx`.
     // pmlint: read-path
     pub fn scan_all(&self, tx: &Transaction, table: TableId) -> Result<Vec<ScanResult>> {
-        let rows = self.table(table)?.scan_visible(tx.snapshot, tx.tid)?;
-        self.materialize(table, rows)
+        let store = self.table(table)?;
+        Self::materialize(store, store.scan_visible(tx.snapshot, tx.tid)?)
     }
 
     /// Visible rows with `column == value` (full column scan through the
@@ -748,10 +579,8 @@ impl Database {
         column: usize,
         value: &Value,
     ) -> Result<Vec<ScanResult>> {
-        let rows = self
-            .table(table)?
-            .scan_eq(column, value, tx.snapshot, tx.tid)?;
-        self.materialize(table, rows)
+        let store = self.table(table)?;
+        Self::materialize(store, store.scan_eq(column, value, tx.snapshot, tx.tid)?)
     }
 
     /// Visible rows with `lo <= column < hi`.
@@ -764,10 +593,41 @@ impl Database {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<Vec<ScanResult>> {
-        let rows = self
-            .table(table)?
-            .scan_range(column, lo, hi, tx.snapshot, tx.tid)?;
-        self.materialize(table, rows)
+        let store = self.table(table)?;
+        let rows = store.scan_range(column, lo, hi, tx.snapshot, tx.tid)?;
+        Self::materialize(store, rows)
+    }
+
+    /// The index candidates for `probe` that `tx` can see, `None` when no
+    /// index on `(table, column)` serves the probe. Hash candidates may
+    /// collide, so a point probe's key is verified against the base table.
+    fn index_probe(
+        &self,
+        tx: &Transaction,
+        table: TableId,
+        column: usize,
+        probe: Probe<'_>,
+    ) -> Result<Option<Vec<ScanResult>>> {
+        let store = self.table(table)?;
+        let Some(candidates) = self.backend.candidates(table.0, column, probe)? else {
+            return Ok(None);
+        };
+        let mut out = Vec::new();
+        for row in candidates {
+            if let Probe::Eq(value) = probe {
+                if store.value(row, column)? != *value {
+                    continue;
+                }
+            }
+            let (b, e) = (store.begin_ts(row)?, store.end_ts(row)?);
+            if mvcc::visible(b, e, tx.snapshot, tx.tid) {
+                out.push(ScanResult {
+                    row,
+                    values: store.row_values(row)?,
+                });
+            }
+        }
+        Ok(Some(out))
     }
 
     /// Point lookup through an index on `(table, column)`; falls back to a
@@ -781,62 +641,10 @@ impl Database {
         column: usize,
         value: &Value,
     ) -> Result<Vec<ScanResult>> {
-        self.check_table(table)?;
-        let t = table.0;
-        let candidates: Option<Vec<RowId>> = match &self.backend {
-            Backend::Nv(b) => {
-                if let Some(idx) = b.indexes[t].hash.iter().find(|i| i.column() == column) {
-                    Some(idx.lookup(value)?)
-                } else if let Some(idx) = b.indexes[t].ordered.iter().find(|i| i.column() == column)
-                {
-                    Some(idx.lookup(value)?)
-                } else {
-                    None
-                }
-            }
-            Backend::Wal(b) => {
-                if let Some(idx) = b.indexes[t].hash.iter().find(|i| i.column() == column) {
-                    Some(idx.lookup(value).to_vec())
-                } else {
-                    b.indexes[t]
-                        .ordered
-                        .iter()
-                        .find(|i| i.column() == column)
-                        .map(|idx| idx.lookup(value).to_vec())
-                }
-            }
-            Backend::Volatile(b) => {
-                if let Some(idx) = b.indexes[t].hash.iter().find(|i| i.column() == column) {
-                    Some(idx.lookup(value).to_vec())
-                } else {
-                    b.indexes[t]
-                        .ordered
-                        .iter()
-                        .find(|i| i.column() == column)
-                        .map(|idx| idx.lookup(value).to_vec())
-                }
-            }
-        };
-        let Some(candidates) = candidates else {
-            return self.scan_eq(tx, table, column, value);
-        };
-        let store = self.table(table)?;
-        let mut out = Vec::new();
-        for row in candidates {
-            // Hash candidates may collide; verify the key, then visibility.
-            if store.value(row, column)? != *value {
-                continue;
-            }
-            let b = store.begin_ts(row)?;
-            let e = store.end_ts(row)?;
-            if mvcc::visible(b, e, tx.snapshot, tx.tid) {
-                out.push(ScanResult {
-                    row,
-                    values: store.row_values(row)?,
-                });
-            }
+        match self.index_probe(tx, table, column, Probe::Eq(value))? {
+            Some(rows) => Ok(rows),
+            None => self.scan_eq(tx, table, column, value),
         }
-        Ok(out)
     }
 
     /// Range lookup through an ordered index; falls back to a scan.
@@ -849,40 +657,10 @@ impl Database {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<Vec<ScanResult>> {
-        self.check_table(table)?;
-        let t = table.0;
-        let candidates: Option<Vec<RowId>> = match &self.backend {
-            Backend::Nv(b) => match b.indexes[t].ordered.iter().find(|i| i.column() == column) {
-                Some(idx) => Some(idx.lookup_range(lo, hi)?),
-                None => None,
-            },
-            Backend::Wal(b) => b.indexes[t]
-                .ordered
-                .iter()
-                .find(|i| i.column() == column)
-                .map(|idx| idx.lookup_range(lo, hi)),
-            Backend::Volatile(b) => b.indexes[t]
-                .ordered
-                .iter()
-                .find(|i| i.column() == column)
-                .map(|idx| idx.lookup_range(lo, hi)),
-        };
-        let Some(candidates) = candidates else {
-            return self.scan_range(tx, table, column, lo, hi);
-        };
-        let store = self.table(table)?;
-        let mut out = Vec::new();
-        for row in candidates {
-            let b = store.begin_ts(row)?;
-            let e = store.end_ts(row)?;
-            if mvcc::visible(b, e, tx.snapshot, tx.tid) {
-                out.push(ScanResult {
-                    row,
-                    values: store.row_values(row)?,
-                });
-            }
+        match self.index_probe(tx, table, column, Probe::Range(lo, hi))? {
+            Some(rows) => Ok(rows),
+            None => self.scan_range(tx, table, column, lo, hi),
         }
-        Ok(out)
     }
 
     /// Total physical rows (all versions) in a table.
@@ -900,24 +678,21 @@ impl Database {
     pub fn merge(&mut self, table: TableId) -> Result<storage::MergeStats> {
         self.check_table(table)?;
         let snapshot = self.mgr.last_committed();
-        let res = match &mut self.backend {
-            Backend::Nv(b) => b.merge_table(table.0, snapshot),
-            Backend::Wal(b) => b.merge_table(table.0, snapshot),
-            Backend::Volatile(b) => b.merge_table(table.0, snapshot),
-        };
+        let res = self.backend.engine_mut().merge_table(table.0, snapshot);
         // Merges are admitted in every health state — they are the cure,
         // not the disease — but can themselves exhaust capacity.
         self.after_write(res)
     }
 
     /// Write a checkpoint (WAL backend only; no-ops elsewhere — NVM *is*
-    /// its own checkpoint). Returns bytes written.
+    /// its own checkpoint, and its shadow log re-baselines itself at DDL
+    /// and recovery). Returns bytes written.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let cts = self.mgr.last_committed();
-        match &mut self.backend {
-            Backend::Wal(b) => b.checkpoint(cts),
-            _ => Ok(0),
+        if self.backend.nv().is_some() {
+            return Ok(0);
         }
+        let cts = self.mgr.last_committed();
+        self.backend.engine_mut().checkpoint(cts)
     }
 
     // ------------------------------------------------------------------
@@ -946,107 +721,22 @@ impl Database {
                 region.crash(policy);
                 self.recover_nv(region, &mut report)?;
             }
-            Backend::Wal(b) => {
-                // Power failure: the in-memory tables and any unsynced log
-                // buffer are gone. Dropping the writer without a final sync
-                // models the lost buffer.
-                let cfg = b.cfg.clone();
-                let paths = b.paths.clone();
-                let clock_arc = b.clock().clone();
-                let index_specs = b.index_specs.clone();
-                // File-backed recovery generates no NVM persist traffic.
-                let clock = || (clock_arc.now_ns(), PersistStats::default());
-
-                // Phase 1: load the newest checkpoint.
-                let ckpt = timed_phase(&mut report.phases, "checkpoint load", clock, || {
-                    if paths.checkpoint().exists() {
-                        wal::load_checkpoint(&paths.checkpoint())
-                            .map(Some)
-                            .map_err(EngineError::Wal)
-                    } else {
-                        Ok(None)
-                    }
-                })?;
-                let (mut tables, names, mut last_cts, covered) = match ckpt {
-                    Some((meta, tables)) => (
-                        tables,
-                        meta.table_names,
-                        meta.last_cts,
-                        meta.covered_log_pos,
-                    ),
-                    None => (Vec::new(), Vec::new(), 0, 0),
-                };
-
-                // Phase 2: replay the log suffix.
-                let replay = timed_phase(&mut report.phases, "log replay", clock, || {
-                    if paths.log().exists() {
-                        wal::replay_log(&paths.log(), covered, &mut tables)
-                            .map_err(EngineError::Wal)
-                    } else {
-                        Ok(wal::ReplayReport::default())
-                    }
-                })?;
-                last_cts = last_cts.max(replay.last_cts);
-                report.log_records_replayed = replay.records;
-
-                // Phase 3: rebuild the DRAM indexes.
-                let mut nb = WalBackend {
-                    writer: LogWriter::open(&paths.log(), clock_arc.clone(), cfg.sync_latency_ns)
-                        .map_err(EngineError::Wal)?,
-                    cfg,
-                    paths,
-                    clock: clock_arc.clone(),
-                    tables,
-                    names,
-                    indexes: Vec::new(),
-                    index_specs: Vec::new(),
-                    commits_since_sync: 0,
-                };
-                for _ in 0..nb.tables.len() {
-                    nb.indexes.push(crate::backend_wal::WalTableIndexes {
-                        hash: Vec::new(),
-                        ordered: Vec::new(),
-                    });
-                }
-                timed_phase(&mut report.phases, "index rebuild", clock, || {
-                    for (t, c, k) in &index_specs {
-                        nb.create_index(*t, *c, *k)?;
-                    }
-                    Ok::<(), EngineError>(())
-                })?;
-                // create_index re-populated index_specs.
-                report.indexes_rebuilt = (nb
-                    .indexes
-                    .iter()
-                    .map(|s| s.hash.len() + s.ordered.len())
-                    .sum::<usize>()) as u64;
-                report.last_cts = last_cts;
-                report.rows_recovered = nb.tables.iter().map(|t| t.row_count()).sum();
-
+            Backend::Dram(e) => {
+                let (recovered, last_cts) = e.restarted(&mut report)?;
+                *e = recovered;
                 self.mgr = TxnManager::recovered(last_cts);
-                self.backend = Backend::Wal(nb);
-            }
-            Backend::Volatile(_) => {
-                // Everything is lost; the report records the data loss.
-                timed_phase(
-                    &mut report.phases,
-                    "data loss",
-                    || (0, PersistStats::default()),
-                    || Ok::<(), EngineError>(()),
-                )?;
-                self.mgr = TxnManager::new();
-                self.backend = Backend::Volatile(VolatileBackend::create());
+                self.finish_restart(&mut report);
             }
         }
-        // The health machine is volatile: re-derive it from the recovered
-        // heap exactly as a fresh process would.
+        Ok(report)
+    }
+
+    /// Restart epilogue: the health machine is volatile, so it is
+    /// re-derived from the recovered heap exactly as a fresh process would.
+    fn finish_restart(&mut self, report: &mut RecoveryReport) {
         self.health.reset();
         report.health = self.refresh_health();
-        report.utilization = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
-        Ok(report)
+        report.utilization = self.utilization();
     }
 
     /// The shared NVM recovery path: map the region, re-attach the
@@ -1057,17 +747,9 @@ impl Database {
     /// re-attach in O(metadata), no data is touched, any failure is fatal.
     /// When a shadow WAL is configured ([`DurabilityConfig::NvmWithWal`]),
     /// the full recovery ladder runs instead (see [`attach_with_ladder`]).
-    fn recover_nv(
-        &mut self,
-        region: std::sync::Arc<nvm::NvmRegion>,
-        report: &mut RecoveryReport,
-    ) -> Result<()> {
+    fn recover_nv(&mut self, region: Arc<NvmRegion>, report: &mut RecoveryReport) -> Result<()> {
         let clock = nv_probe(&region);
-        let shadow_cfg = match &self.config {
-            DurabilityConfig::NvmWithWal { wal, .. } => Some(wal.clone()),
-            DurabilityConfig::NvmFile { wal, .. } => wal.clone(),
-            _ => None,
-        };
+        let shadow_cfg = self.config.shadow_wal().cloned();
         let mut retries = 0u64;
 
         // Phase 1: map the region + allocator recovery scan.
@@ -1107,9 +789,8 @@ impl Database {
                     clock,
                     || NvBackend::attach(heap),
                 )?;
-                let (attached, rebuilt) = nb.index_counts();
-                report.indexes_attached = attached;
-                report.indexes_rebuilt = rebuilt;
+                // Every index is persistent: attached, never rebuilt.
+                report.indexes_attached = nb.indexes.iter().map(|l| l.len() as u64).sum();
                 nb
             }
             Some(cfg) => attach_with_ladder(heap, cfg, report, &mut retries, clock)?,
@@ -1145,11 +826,15 @@ impl Database {
         // rows that never became durable on NVM, and new row ids handed out
         // after this restart would collide with that stale suffix.
         if let Some(cfg) = shadow_cfg {
-            let mut sw = ShadowWal::reopen(cfg, region.clone())?;
+            nb.shadow = Some(RedoLog::open(
+                cfg,
+                Arc::default(),
+                Some(region.clone()),
+                false,
+            )?);
             timed_phase(&mut report.phases, "shadow re-baseline", clock, || {
-                sw.checkpoint_full(&nb.names, &nb.tables, last_cts)
+                nb.checkpoint(last_cts)
             })?;
-            nb.shadow = Some(sw);
         }
 
         // Close the attempt: the progress word returns to 0 only once the
@@ -1164,7 +849,30 @@ impl Database {
 
         self.mgr = TxnManager::recovered(last_cts);
         self.backend = Backend::Nv(nb);
+        self.finish_restart(report);
         Ok(())
+    }
+
+    /// First half of a scheduled restart: drop the shadow writer (its
+    /// buffer reaches the log file, which survives power loss) and
+    /// materialize the crash point armed on the NVM region.
+    fn materialize_scheduled_crash(&mut self) -> Result<(Arc<NvmRegion>, RecoveryReport)> {
+        let Backend::Nv(b) = &mut self.backend else {
+            return Err(EngineError::Catalog(
+                "scheduled crashes require the NVM backend".into(),
+            ));
+        };
+        b.shadow = None;
+        let region = b.region().clone();
+        let outcome = region
+            .finalize_scheduled_crash()
+            .map_err(EngineError::Nvm)?;
+        let report = RecoveryReport {
+            mode: self.mode(),
+            scheduled: Some(outcome),
+            ..Default::default()
+        };
+        Ok((region, report))
     }
 
     /// Materialize a crash point armed on the NVM region (see
@@ -1175,38 +883,11 @@ impl Database {
     /// `lint_findings`. The trace is closed afterwards, restoring the
     /// default synchronous persistence semantics.
     pub fn restart_scheduled(&mut self) -> Result<RecoveryReport> {
-        let region = match &mut self.backend {
-            Backend::Nv(b) => {
-                let region = b.region().clone();
-                // Flush the shadow writer's buffer into the log file before
-                // materializing the crash (the file survives power loss).
-                b.shadow = None;
-                region
-            }
-            _ => {
-                return Err(EngineError::Catalog(
-                    "scheduled crashes require the NVM backend".into(),
-                ))
-            }
-        };
-        let outcome = region
-            .finalize_scheduled_crash()
-            .map_err(EngineError::Nvm)?;
-        let mut report = RecoveryReport {
-            mode: self.mode(),
-            scheduled: Some(outcome),
-            ..Default::default()
-        };
+        let (region, mut report) = self.materialize_scheduled_crash()?;
         let recovered = self.recover_nv(region.clone(), &mut report);
         report.lint_findings = region.take_lint_findings();
         let _ = region.trace_stop();
         recovered?;
-        self.health.reset();
-        report.health = self.refresh_health();
-        report.utilization = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
         Ok(report)
     }
 
@@ -1231,39 +912,12 @@ impl Database {
     /// backend still in place — calling the method again models the next
     /// power-cycle retrying recovery.
     pub fn restart_scheduled_traced(&mut self, next: Option<CrashPoint>) -> Result<RecoveryReport> {
-        let region = match &mut self.backend {
-            Backend::Nv(b) => {
-                let region = b.region().clone();
-                // Flush the shadow writer's buffer into the log file before
-                // materializing the crash (the file survives power loss).
-                b.shadow = None;
-                region
-            }
-            _ => {
-                return Err(EngineError::Catalog(
-                    "scheduled crashes require the NVM backend".into(),
-                ))
-            }
-        };
-        let outcome = region
-            .finalize_scheduled_crash()
-            .map_err(EngineError::Nvm)?;
+        let (region, mut report) = self.materialize_scheduled_crash()?;
         region
             .rearm_recovery_crash(next)
             .map_err(EngineError::Nvm)?;
-        let mut report = RecoveryReport {
-            mode: self.mode(),
-            scheduled: Some(outcome),
-            ..Default::default()
-        };
         self.recover_nv(region.clone(), &mut report)?;
         report.lint_findings = region.take_lint_findings();
-        self.health.reset();
-        report.health = self.refresh_health();
-        report.utilization = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
         Ok(report)
     }
 
@@ -1278,48 +932,22 @@ impl Database {
             last_cts,
             ..Default::default()
         };
-        match &self.backend {
-            Backend::Nv(b) => {
-                for blk in b.heap().walk().map_err(EngineError::Nvm)? {
-                    rep.heap_blocks += 1;
-                    match blk.state {
-                        nvm::AllocState::Allocated | nvm::AllocState::Free => {}
-                        _ => rep.heap_limbo_blocks += 1,
-                    }
-                }
-                for t in &b.tables {
-                    rep.mvcc
-                        .absorb(&t.verify_mvcc(last_cts).map_err(EngineError::Storage)?);
-                }
-                for (t, set) in b.tables.iter().zip(&b.indexes) {
-                    for idx in &set.hash {
-                        rep.index
-                            .absorb(&idx.verify_against(t).map_err(EngineError::Storage)?);
-                    }
-                    for idx in &set.ordered {
-                        rep.index
-                            .absorb(&idx.verify_against(t).map_err(EngineError::Storage)?);
-                    }
+        if let Some(b) = self.backend.nv() {
+            for blk in b.heap().walk().map_err(EngineError::Nvm)? {
+                rep.heap_blocks += 1;
+                match blk.state {
+                    nvm::AllocState::Allocated | nvm::AllocState::Free => {}
+                    _ => rep.heap_limbo_blocks += 1,
                 }
             }
-            Backend::Wal(b) => {
-                for t in &b.tables {
-                    rep.mvcc
-                        .absorb(&t.verify_mvcc(last_cts).map_err(EngineError::Storage)?);
-                }
-            }
-            Backend::Volatile(b) => {
-                for t in &b.tables {
-                    rep.mvcc
-                        .absorb(&t.verify_mvcc(last_cts).map_err(EngineError::Storage)?);
-                }
-            }
+            rep.index = b.verify_indexes()?.0;
+        }
+        for t in 0..self.table_count() {
+            let check = self.table(TableId(t))?.verify_mvcc(last_cts)?;
+            rep.mvcc.absorb(&check);
         }
         rep.health = self.health.state();
-        rep.utilization = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
+        rep.utilization = self.utilization();
         Ok(rep)
     }
 
@@ -1331,14 +959,8 @@ impl Database {
     /// for the media-torture harness (NVM backend only).
     pub fn media_extents(&self, table: TableId) -> Result<Vec<MediaExtent>> {
         self.check_table(table)?;
-        match &self.backend {
-            Backend::Nv(b) => b.tables[table.0]
-                .media_extents()
-                .map_err(EngineError::Storage),
-            _ => Err(EngineError::Unsupported(
-                "media extents require the NVM backend",
-            )),
-        }
+        let b = self.require_nv("media extents require the NVM backend")?;
+        Ok(b.tables[table.0].media_extents()?)
     }
 
     /// The labelled persistent extents of a table's indexes — checksummed
@@ -1346,22 +968,12 @@ impl Database {
     /// media-fault harness (NVM backend only).
     pub fn index_media_extents(&self, table: TableId) -> Result<Vec<MediaExtent>> {
         self.check_table(table)?;
-        match &self.backend {
-            Backend::Nv(b) => {
-                let set = &b.indexes[table.0];
-                let mut out = Vec::new();
-                for idx in &set.hash {
-                    out.extend(idx.media_extents().map_err(EngineError::Storage)?);
-                }
-                for idx in &set.ordered {
-                    out.extend(idx.media_extents().map_err(EngineError::Storage)?);
-                }
-                Ok(out)
-            }
-            _ => Err(EngineError::Unsupported(
-                "media extents require the NVM backend",
-            )),
+        let b = self.require_nv("media extents require the NVM backend")?;
+        let mut out = Vec::new();
+        for idx in &b.indexes[table.0] {
+            out.extend(idx.media_extents()?);
         }
+        Ok(out)
     }
 
     /// On-demand media verification of every persistent structure: table
@@ -1369,40 +981,19 @@ impl Database {
     /// agreement. Returns the number of structures verified; any media
     /// fault surfaces as a typed error (NVM backend only).
     pub fn verify_media(&self) -> Result<u64> {
-        let b = match &self.backend {
-            Backend::Nv(b) => b,
-            _ => {
-                return Err(EngineError::Unsupported(
-                    "media verification requires the NVM backend",
-                ))
-            }
-        };
+        let b = self.require_nv("media verification requires the NVM backend")?;
         let last_cts = b.last_cts()?;
         let mut n = 0u64;
         for t in &b.tables {
-            n += t.verify_media(last_cts).map_err(EngineError::Storage)?;
+            n += t.verify_media(last_cts)?;
         }
-        for (t, set) in b.tables.iter().zip(&b.indexes) {
-            for idx in &set.hash {
-                let check = idx.verify_against(t).map_err(EngineError::Storage)?;
-                if !check.is_clean() {
-                    return Err(EngineError::Catalog(
-                        "hash index disagrees with its table".into(),
-                    ));
-                }
-                n += 1;
-            }
-            for idx in &set.ordered {
-                let check = idx.verify_against(t).map_err(EngineError::Storage)?;
-                if !check.is_clean() {
-                    return Err(EngineError::Catalog(
-                        "ordered index disagrees with its table".into(),
-                    ));
-                }
-                n += 1;
-            }
+        let (check, indexes) = b.verify_indexes()?;
+        if !check.is_clean() {
+            return Err(EngineError::Catalog(
+                "an index disagrees with its table".into(),
+            ));
         }
-        Ok(n)
+        Ok(n + indexes)
     }
 }
 
@@ -1499,7 +1090,8 @@ fn attach_with_ladder(
                         "shadow checkpoint is missing a table the catalogue lists".into(),
                     )
                 })?;
-                let nt = NvBackend::rebuild_table_from(&parts.heap, src)?;
+                let mut nt = NvTable::create(&parts.heap, src.schema().clone())?;
+                crate::backend_nv::copy_versions(src, &mut nt)?;
                 parts.swap_table_root(t, nt.root_offset())?;
                 let slot = parts.tables.get_mut(t).ok_or_else(|| {
                     EngineError::Catalog("rebuilt table slot vanished from catalogue".into())
@@ -1518,74 +1110,38 @@ fn attach_with_ladder(
     // unconditionally — their old entries point into the quarantined tree.
     // Healthy tables keep their indexes unless attach or verification
     // against the table fails.
-    let mut indexes: Vec<NvTableIndexes> = Vec::new();
+    let mut indexes: Vec<Vec<NvIndex>> = Vec::new();
     let mut attached = 0u64;
     let mut rebuilt = 0u64;
     timed_phase(&mut report.phases, "index verify + attach", clock, || {
         for (t, slot) in parts.tables.iter().enumerate() {
-            let table = match slot {
-                Ok(tab) => tab,
-                Err(_) => {
-                    return Err(EngineError::Catalog(
-                        "table slot left unhealthy after ladder".into(),
-                    ))
-                }
+            let Ok(table) = slot else {
+                return Err(EngineError::Catalog(
+                    "table slot left unhealthy after ladder".into(),
+                ));
             };
             let force = unhealthy.contains(&t);
-            let mut set = NvTableIndexes {
-                hash: Vec::new(),
-                ordered: Vec::new(),
-            };
+            let mut list = Vec::new();
             for e in parts.index_entries(t)? {
-                match e.kind {
-                    KIND_HASH => {
-                        let ok = if force {
-                            None
-                        } else {
-                            attach_hash(&parts, table, &e, retries)
-                        };
-                        match ok {
-                            Some(idx) => {
-                                attached += 1;
-                                set.hash.push(idx);
-                            }
-                            None => {
-                                let nbuckets = (table.row_count() * 2).max(1024);
-                                let idx = NvHashIndex::build_from(
-                                    &parts.heap,
-                                    table,
-                                    e.column,
-                                    nbuckets,
-                                )?;
-                                parts.swap_index_desc(&e, idx.desc_offset())?;
-                                rebuilt += 1;
-                                set.hash.push(idx);
-                            }
-                        }
+                let ok = if force {
+                    None
+                } else {
+                    attach_index(&parts.heap, table, &e, retries)
+                };
+                list.push(match ok {
+                    Some(idx) => {
+                        attached += 1;
+                        idx
                     }
-                    KIND_ORDERED => {
-                        let ok = if force {
-                            None
-                        } else {
-                            attach_ordered(&parts, table, &e, retries)
-                        };
-                        match ok {
-                            Some(idx) => {
-                                attached += 1;
-                                set.ordered.push(idx);
-                            }
-                            None => {
-                                let idx = NvOrderedIndex::build_from(&parts.heap, table, e.column)?;
-                                parts.swap_index_desc(&e, idx.desc_offset())?;
-                                rebuilt += 1;
-                                set.ordered.push(idx);
-                            }
-                        }
+                    None => {
+                        let idx = NvIndex::build(&parts.heap, e.kind, table, e.column)?;
+                        parts.swap_index_desc(&e, idx.desc_offset())?;
+                        rebuilt += 1;
+                        idx
                     }
-                    _ => return Err(EngineError::Catalog("unknown index kind".into())),
-                }
+                });
             }
-            indexes.push(set);
+            indexes.push(list);
         }
         Ok(())
     })?;
@@ -1600,32 +1156,16 @@ fn attach_with_ladder(
     parts.into_backend(indexes)
 }
 
-/// Attach + verify one persistent hash index; `None` means "rebuild it".
-fn attach_hash(
-    parts: &crate::backend_nv::AttachParts,
+/// Attach + verify one persistent index; `None` means "rebuild it".
+fn attach_index(
+    heap: &NvmHeap,
     table: &storage::nv::NvTable,
     e: &crate::backend_nv::IndexEntrySpec,
     retries: &mut u64,
-) -> Option<NvHashIndex> {
+) -> Option<NvIndex> {
     retry_poisoned(retries, || {
-        let idx = NvHashIndex::open(&parts.heap, e.desc).map_err(EngineError::Storage)?;
-        let check = idx.verify_against(table).map_err(EngineError::Storage)?;
-        Ok((idx, check))
-    })
-    .ok()
-    .and_then(|(idx, check)| check.is_clean().then_some(idx))
-}
-
-/// Attach + verify one persistent ordered index; `None` means "rebuild it".
-fn attach_ordered(
-    parts: &crate::backend_nv::AttachParts,
-    table: &storage::nv::NvTable,
-    e: &crate::backend_nv::IndexEntrySpec,
-    retries: &mut u64,
-) -> Option<NvOrderedIndex> {
-    retry_poisoned(retries, || {
-        let idx = NvOrderedIndex::open(&parts.heap, e.desc).map_err(EngineError::Storage)?;
-        let check = idx.verify_against(table).map_err(EngineError::Storage)?;
+        let idx = NvIndex::open(heap, e.kind, e.desc)?;
+        let check = idx.verify_against(table)?;
         Ok((idx, check))
     })
     .ok()
@@ -1685,7 +1225,7 @@ pub fn retry_write<T>(
         match op(db) {
             Err(e) if e.is_retryable() && attempt < MAX_TRANSIENT_RETRIES => {
                 attempt += 1;
-                if let Backend::Nv(b) = &db.backend {
+                if let Some(b) = db.backend.nv() {
                     b.region().clock().charge(1_000u64 << attempt.min(10));
                 }
                 db.reclaim()?;
@@ -1708,30 +1248,6 @@ fn is_transient_poison(e: &EngineError) -> bool {
             ..
         }))
     )
-}
-
-/// Durable commit publish for the WAL backend: append a commit record; sync
-/// when the group-commit window fills.
-struct WalPublisher<'a> {
-    writer: &'a mut LogWriter,
-    commits_since_sync: &'a mut u32,
-    every: u32,
-}
-
-impl txn::CommitPublish for WalPublisher<'_> {
-    fn publish(&mut self, cts: u64, txn: &Transaction) -> txn::Result<()> {
-        self.writer
-            .append(&wal::LogRecord::Commit { tid: txn.tid, cts })
-            .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
-        *self.commits_since_sync += 1;
-        if *self.commits_since_sync >= self.every {
-            self.writer
-                .sync()
-                .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
-            *self.commits_since_sync = 0;
-        }
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for Database {

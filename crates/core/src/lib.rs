@@ -8,13 +8,17 @@
 //! database systems"*, ICDE 2016.
 //!
 //! The [`Database`] façade runs the same columnar main/delta storage and
-//! snapshot-isolation MVCC over three interchangeable durability backends:
+//! snapshot-isolation MVCC over three interchangeable durability backends —
+//! two engines behind one seam: the NVM engine, and a DRAM engine whose redo
+//! log is optional. The façade itself is written once; it never matches on
+//! the mode.
 //!
-//! | backend | primary data | durability | restart cost |
-//! |---|---|---|---|
-//! | [`DurabilityConfig::Nvm`] | on simulated NVM | flush/fence ordering | **O(metadata)** — map heap, rebuild probe maps, undo pass |
-//! | [`DurabilityConfig::Wal`] | DRAM | redo log + checkpoints | **O(data)** — load checkpoint, replay log, rebuild indexes |
-//! | [`DurabilityConfig::Volatile`] | DRAM | none | total data loss |
+//! | backend | engine | primary data | durability | restart cost |
+//! |---|---|---|---|---|
+//! | [`DurabilityConfig::Nvm`] | NVM | on simulated NVM | flush/fence ordering | **O(metadata)** — map heap, rebuild probe maps, undo pass |
+//! | [`DurabilityConfig::NvmWithWal`] / [`DurabilityConfig::NvmFile`] | NVM | simulated / file-mapped NVM | the same, plus an optional shadow redo log synced before each publish | the same; damaged tables are rebuilt from the log |
+//! | [`DurabilityConfig::Wal`] | DRAM, with a redo log | DRAM | redo log + checkpoints | **O(data)** — load checkpoint, replay log, rebuild indexes |
+//! | [`DurabilityConfig::Volatile`] | DRAM, no log | DRAM | none | total data loss |
 //!
 //! ```
 //! use hyrise_nv::{Database, DurabilityConfig};
@@ -41,26 +45,25 @@
 //! assert_eq!(db.scan_all(&tx, t).unwrap().len(), 1);
 //! ```
 
+mod backend_dram;
 mod backend_nv;
-mod backend_vol;
-mod backend_wal;
 mod config;
 mod db;
+mod engine;
 mod error;
 mod health;
 mod query;
+mod redo_log;
 mod report;
-mod shadow_wal;
 pub mod torture;
 mod txn_registry;
 
 pub use backend_nv::NvBackend;
-pub use backend_vol::VolatileBackend;
-pub use backend_wal::WalBackend;
-pub use config::{DurabilityConfig, IndexKind, WalConfig};
+pub use config::{DurabilityConfig, WalConfig};
 pub use db::{retry_write, Database, TableId};
 pub use error::{is_conflict, EngineError, Result};
 pub use health::{HealthReport, HealthState, ReclaimReport, Watermarks};
+pub use index::IndexKind;
 pub use query::{Agg, AggRow};
 pub use report::{IntegrityReport, PersistStats, PhaseTiming, RecoveryReport};
 pub use txn_registry::{RegistryRecovery, TxnRegistry, REGISTRY_SLOTS};

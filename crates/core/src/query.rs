@@ -106,7 +106,7 @@ impl Database {
         agg: Agg,
         group_by: Option<usize>,
     ) -> Result<Vec<AggRow>> {
-        let store = self.table_store(table)?;
+        let store = self.table(table)?;
         let schema = store.schema();
         let dtype = schema.column(column)?.dtype;
         if matches!(agg, Agg::Sum | Agg::Avg) && dtype == storage::DataType::Text {

@@ -1,4 +1,5 @@
-//! Shadow write-ahead log for the NVM backend — recovery rung 2.
+//! The engines' file-backed redo log: the log-based baseline's only
+//! durability, and the NVM engine's shadow log — recovery rung 2.
 //!
 //! The NVM backend's primary data never needs a log: restart is a remap.
 //! But a *media* fault (scribbled block, stuck line) can destroy primary
@@ -20,52 +21,75 @@
 //! Re-baselining from the recovered state retires the old prefix. Sync
 //! latency is charged to the same simulated clock as the NVM persistence
 //! primitives, keeping one cost model across both durability mechanisms.
+//!
+//! The baseline uses the same type without a region: sync latency lands on
+//! the log's own clock, and commits sync once per group-commit window
+//! instead of every time.
 
 use std::sync::Arc;
 
 use nvm::{NvmRegion, SimClock};
-use storage::mvcc::TS_INF;
-use storage::{TableStore, VTable, Value};
+use storage::{VTable, Value};
 use wal::{LogRecord, LogWriter, WalPaths};
 
 use crate::config::WalConfig;
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 
-/// The shadow redo log attached to an NVM backend.
-pub(crate) struct ShadowWal {
-    pub(crate) cfg: WalConfig,
+/// A redo log plus its checkpoint file.
+pub(crate) struct RedoLog {
+    cfg: WalConfig,
+    /// Log and checkpoint file locations.
     pub(crate) paths: WalPaths,
     writer: LogWriter,
-    /// Shared so sync latency lands on the NVM backend's simulated clock.
-    region: Arc<NvmRegion>,
+    /// The writer's clock: the baseline's simulated timeline.
+    pub(crate) clock: Arc<SimClock>,
+    /// Shadow logs only: sync latency is charged to this region's clock so
+    /// both durability mechanisms share one simulated timeline.
+    region: Option<Arc<NvmRegion>>,
+    /// Commits since the last commit-driven sync (group commit window).
+    commits_since_sync: u32,
 }
 
-impl ShadowWal {
-    /// Create a fresh shadow log in `cfg.dir` (existing files truncated).
-    pub fn create(cfg: WalConfig, region: Arc<NvmRegion>) -> Result<ShadowWal> {
+impl RedoLog {
+    /// Open the log in `cfg.dir`; `fresh` truncates existing files first.
+    /// With a `region` this is a shadow log: every commit syncs, and the
+    /// sync cost lands on the region's clock instead of `clock`.
+    pub fn open(
+        cfg: WalConfig,
+        clock: Arc<SimClock>,
+        region: Option<Arc<NvmRegion>>,
+        fresh: bool,
+    ) -> Result<RedoLog> {
         let paths = WalPaths::new(&cfg.dir).map_err(wal::WalError::Io)?;
-        let _ = std::fs::remove_file(paths.log());
-        let _ = std::fs::remove_file(paths.checkpoint());
-        Self::open_at(cfg, paths, region)
-    }
-
-    /// Re-open an existing shadow log after a restart (files preserved).
-    pub fn reopen(cfg: WalConfig, region: Arc<NvmRegion>) -> Result<ShadowWal> {
-        let paths = WalPaths::new(&cfg.dir).map_err(wal::WalError::Io)?;
-        Self::open_at(cfg, paths, region)
-    }
-
-    fn open_at(cfg: WalConfig, paths: WalPaths, region: Arc<NvmRegion>) -> Result<ShadowWal> {
-        // The writer gets a private clock with zero latency; sync cost is
-        // charged explicitly to the region's clock so both durability
-        // mechanisms share one simulated timeline.
-        let writer = LogWriter::open(&paths.log(), Arc::new(SimClock::new()), 0)?;
-        Ok(ShadowWal {
+        if fresh {
+            let _ = std::fs::remove_file(paths.log());
+            let _ = std::fs::remove_file(paths.checkpoint());
+        }
+        let writer_latency = if region.is_some() {
+            0
+        } else {
+            cfg.sync_latency_ns
+        };
+        let writer = LogWriter::open(&paths.log(), clock.clone(), writer_latency)?;
+        Ok(RedoLog {
             cfg,
             paths,
             writer,
+            clock,
             region,
+            commits_since_sync: 0,
         })
+    }
+
+    /// Open the same log again (same directory, clock and region): after a
+    /// restart with the files preserved, or `fresh` to replace a wedged log.
+    pub fn reopen(&self, fresh: bool) -> Result<RedoLog> {
+        Self::open(
+            self.cfg.clone(),
+            self.clock.clone(),
+            self.region.clone(),
+            fresh,
+        )
     }
 
     /// Log activity counters.
@@ -112,19 +136,30 @@ impl ShadowWal {
         Ok(())
     }
 
-    /// Append a commit record and sync. Must be called **before** the NVM
-    /// commit-timestamp publish: the invariant `log ⊇ published state` is
-    /// what makes bounded replay a faithful rung-2 fallback.
-    pub fn log_commit_synced(&mut self, tid: u64, cts: u64) -> Result<()> {
+    /// Append a commit record and sync when the group-commit window fills.
+    /// A shadow log's window is one commit: it must be synced **before**
+    /// the NVM commit-timestamp publish, because the invariant
+    /// `log ⊇ published state` is what makes bounded replay a faithful
+    /// rung-2 fallback.
+    pub fn log_commit(&mut self, tid: u64, cts: u64) -> Result<()> {
         self.writer.append(&LogRecord::Commit { tid, cts })?;
-        self.sync()
+        self.commits_since_sync += 1;
+        let window = match self.region {
+            Some(_) => 1,
+            None => self.cfg.sync_every_n_commits.max(1),
+        };
+        if self.commits_since_sync >= window {
+            self.sync()?;
+            self.commits_since_sync = 0;
+        }
+        Ok(())
     }
 
     /// Append a merge record and sync, **before** the merge executes: a
     /// crash after the sync but before the merge completes replays the
     /// merge, reproducing the post-merge row-id space that any later log
     /// records reference.
-    pub fn log_merge_synced(&mut self, table: usize, cts: u64) -> Result<()> {
+    pub fn log_merge(&mut self, table: usize, cts: u64) -> Result<()> {
         self.writer.append(&LogRecord::Merge {
             table: table as u32,
             cts,
@@ -134,63 +169,39 @@ impl ShadowWal {
 
     fn sync(&mut self) -> Result<()> {
         self.writer.sync()?;
-        self.region.clock().charge(self.cfg.sync_latency_ns);
+        if let Some(region) = &self.region {
+            region.clock().charge(self.cfg.sync_latency_ns);
+        }
         Ok(())
     }
 
     /// Rewrite the checkpoint with the full current contents of every
     /// table, covering the current (synced) log position. Only valid at
-    /// quiesced points — no pending MVCC markers — which holds for its two
-    /// call sites: DDL and the end of recovery.
-    pub fn checkpoint_full(
+    /// quiesced points — no pending MVCC markers. Returns bytes written.
+    pub fn checkpoint(
         &mut self,
         names: &[String],
-        tables: &[impl TableStore],
+        tables: &[&VTable],
         last_cts: u64,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         // A checkpoint may only cover durable log bytes.
         self.sync()?;
-        let exported: Vec<(String, VTable)> = names
-            .iter()
-            .zip(tables)
-            .map(|(n, t)| Ok((n.clone(), export_vtable(t)?)))
-            .collect::<Result<_>>()?;
-        let named: Vec<(String, &VTable)> = exported.iter().map(|(n, t)| (n.clone(), t)).collect();
-        wal::write_checkpoint(
+        let named: Vec<(String, &VTable)> =
+            names.iter().cloned().zip(tables.iter().copied()).collect();
+        Ok(wal::write_checkpoint(
             &self.paths.checkpoint(),
             &named,
             last_cts,
             self.writer.position(),
-        )?;
-        Ok(())
+        )?)
     }
 }
 
-/// Deep-copy a table into a DRAM [`VTable`], preserving physical row ids,
-/// begin/end timestamps, and tombstones. Only valid on a quiesced table.
-fn export_vtable(src: &impl TableStore) -> Result<VTable> {
-    let mut out = VTable::new(src.schema().clone());
-    for row in 0..src.row_count() {
-        let values = src.row_values(row).map_err(EngineError::Storage)?;
-        let begin = src.begin_ts(row).map_err(EngineError::Storage)?;
-        let got = out
-            .insert_version(&values, begin)
-            .map_err(EngineError::Storage)?;
-        debug_assert_eq!(got, row);
-        let end = src.end_ts(row).map_err(EngineError::Storage)?;
-        if end != TS_INF {
-            out.commit_invalidate(row, end)
-                .map_err(EngineError::Storage)?;
-        }
-    }
-    Ok(out)
-}
-
-impl std::fmt::Debug for ShadowWal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShadowWal")
-            .field("dir", &self.cfg.dir)
-            .field("stats", &self.writer.stats())
-            .finish()
+/// Durable commit publish through the log: the baseline's whole commit,
+/// and the step a shadowed NVM commit takes before its NVM publish.
+impl txn::CommitPublish for RedoLog {
+    fn publish(&mut self, cts: u64, txn: &txn::Transaction) -> txn::Result<()> {
+        self.log_commit(txn.tid, cts)
+            .map_err(|e| txn::TxnError::Publish(e.to_string()))
     }
 }

@@ -14,15 +14,21 @@
 //!   table's MVCC metadata and verify the key against the base table (the
 //!   index stores 64-bit key hashes, not keys).
 //!
+//! * [`NvIndex`] / [`VolatileIndex`] — one hash-or-ordered enum per medium,
+//!   so an engine keeps a single index list per table in catalogue order;
+//!   [`candidates`] holds the rule for which index of a list serves a probe.
+//!
 //! Indexes return *candidate* physical rows; callers apply MVCC visibility
 //! and (for the hash indexes) equality verification.
 
 mod hash;
+mod list;
 mod nvhash;
 mod nvordered;
 mod ordered;
 
 pub use hash::VolatileHashIndex;
+pub use list::{candidates, insert_all, IndexKind, NvIndex, Probe, TableIndex, VolatileIndex};
 pub use nvhash::{NvHashIndex, NVHASH_DESC_SIZE};
 pub use nvordered::{NvOrderedIndex, MAX_HEIGHT, NVORDERED_DESC_SIZE, ORD_POOL_ENTRIES};
 pub use ordered::VolatileOrderedIndex;

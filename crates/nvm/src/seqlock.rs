@@ -220,8 +220,10 @@ mod tests {
         //
         // The writer blocks *between* region calls, so no region lock is
         // held while it waits. The reader provably sees the open window
-        // (is_torn) before calling read(); the sequence is monotonic, so
-        // the read can never validate against the pre-open payload — the
+        // (is_torn) before calling read() — it acknowledges the odd
+        // sequence over a channel, and only then is the writer resumed, so
+        // the close cannot race the observation. The sequence is monotonic,
+        // so the read can never validate against the pre-open payload — the
         // only validatable outcome is the complete post-write payload.
         // `f` runs exactly once: while the window is odd the read spins
         // without invoking it, and after the even close nothing moves the
@@ -249,11 +251,12 @@ mod tests {
         assert!(l.is_torn().unwrap(), "window durably open before payload");
 
         let calls = StdArc::new(AtomicUsize::new(0));
+        let (seen_tx, seen_rx) = mpsc::channel::<bool>();
         let reader = {
             let l = l.clone();
             let calls = calls.clone();
             std::thread::spawn(move || {
-                assert!(l.is_torn().unwrap(), "reader enters during the window");
+                seen_tx.send(l.is_torn().unwrap()).unwrap();
                 l.read(move |b| {
                     calls.fetch_add(1, Ordering::SeqCst);
                     b.to_vec()
@@ -261,6 +264,7 @@ mod tests {
                 .unwrap()
             })
         };
+        assert!(seen_rx.recv().unwrap(), "reader enters during the window");
         resume_tx.send(()).unwrap();
         writer.join().unwrap();
         let bytes = reader.join().unwrap();

@@ -60,34 +60,37 @@ impl Config {
     }
 
     /// The workspace's critical-path map: the recovery ladder, catalogue
-    /// attach, WAL replay + checkpoint decode, and the shadow WAL — every
-    /// fn that runs against arbitrary post-crash bytes.
+    /// attach, WAL replay + checkpoint decode, the DRAM engine's restart,
+    /// and the redo log — every fn that runs against arbitrary post-crash
+    /// bytes.
     pub fn tree_default() -> Config {
         Config {
             critical: vec![
                 CriticalScope::whole_file("crates/wal/src/recovery.rs"),
-                CriticalScope::whole_file("crates/core/src/shadow_wal.rs"),
+                CriticalScope::whole_file("crates/core/src/redo_log.rs"),
                 CriticalScope::fns(
                     "crates/core/src/db.rs",
                     &[
                         "restart",
+                        "finish_restart",
+                        "materialize_scheduled_crash",
                         "restart_scheduled",
                         "restart_scheduled_traced",
                         "recover_nv",
                         "attach_with_ladder",
-                        "attach_hash",
-                        "attach_ordered",
+                        "attach_index",
                         "retry_poisoned",
                         "is_transient_poison",
                     ],
                 ),
+                CriticalScope::fns("crates/core/src/backend_dram.rs", &["restarted"]),
                 CriticalScope::fns(
                     "crates/core/src/backend_nv.rs",
                     &[
-                        "open",
                         "attach",
                         "attach_parts",
-                        "rebuild_table_from",
+                        "checkpoint",
+                        "copy_versions",
                         "index_entries",
                         "swap_table_root",
                         "swap_index_desc",

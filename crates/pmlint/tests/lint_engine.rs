@@ -185,6 +185,26 @@ fn recovery_phase_specs_registered_and_validate() {
     assert!(labels.iter().any(|l| l.label == "registry-slot-clear"));
 }
 
+/// Every `(file, fn)` the critical map names is a fn item of that file: a
+/// rename or a move that forgets the map would otherwise silently drop the
+/// fn's `recovery-*` coverage.
+#[test]
+fn critical_map_resolves_to_fn_items() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for scope in Config::tree_default().critical {
+        let source = std::fs::read_to_string(root.join(&scope.file_suffix))
+            .unwrap_or_else(|e| panic!("critical file {}: {e}", scope.file_suffix));
+        let prog = pmlint::build_program(&[(scope.file_suffix.clone(), source)]);
+        for name in scope.fns.iter().flatten() {
+            assert!(
+                prog.fns.iter().any(|f| f.name == *name && !f.is_test),
+                "critical fn `{name}` is not an item of {}",
+                scope.file_suffix
+            );
+        }
+    }
+}
+
 #[test]
 fn clean_tree_has_zero_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

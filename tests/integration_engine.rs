@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: the `Database` façade over all three
-//! durability backends.
+//! durability backends (the NVM one with and without its shadow log).
 
 use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
 use storage::{ColumnDef, DataType, Schema, Value};
@@ -19,6 +19,7 @@ fn row(id: i64, name: &str, balance: f64) -> Vec<Value> {
 fn all_configs() -> Vec<DurabilityConfig> {
     vec![
         DurabilityConfig::nvm_default(),
+        DurabilityConfig::nvm_with_wal(256 << 20, nvm::LatencyModel::pcm()),
         DurabilityConfig::wal_temp(),
         DurabilityConfig::Volatile,
     ]
@@ -165,62 +166,146 @@ fn merge_compacts_and_preserves_scans() {
     }
 }
 
+/// Index layouts over the `accounts` table: the usual one index per column,
+/// and both kinds on column 0 in either creation order (`scan_large`'s
+/// shape) — a point probe must pick the hash index, a range the ordered one.
+const INDEX_LAYOUTS: [[(usize, IndexKind); 2]; 3] = [
+    [(0, IndexKind::Hash), (2, IndexKind::Ordered)],
+    [(0, IndexKind::Hash), (0, IndexKind::Ordered)],
+    [(0, IndexKind::Ordered), (0, IndexKind::Hash)],
+];
+
+/// `index_lookup` / `index_range_lookup` return exactly the rows of
+/// `scan_eq` / `scan_range`, on both indexed columns.
+fn assert_indexes_agree_with_scans(db: &mut Database, t: TableId, what: &str) {
+    let by_row = |mut hits: Vec<storage::ScanResult>| {
+        hits.sort_by_key(|h| h.row);
+        hits
+    };
+    let tx = db.begin();
+    for k in 0..11i64 {
+        let key = Value::Int(k);
+        assert_eq!(
+            by_row(db.index_lookup(&tx, t, 0, &key).unwrap()),
+            by_row(db.scan_eq(&tx, t, 0, &key).unwrap()),
+            "{what} key {k}"
+        );
+    }
+    for (column, lo, hi) in [
+        (0, Value::Int(2), Value::Int(5)),
+        (2, Value::Double(2.0), Value::Double(5.0)),
+    ] {
+        let via_idx = db
+            .index_range_lookup(&tx, t, column, Some(&lo), Some(&hi))
+            .unwrap();
+        let via_scan = db.scan_range(&tx, t, column, Some(&lo), Some(&hi)).unwrap();
+        assert!(!via_scan.is_empty(), "{what} range on column {column}");
+        assert_eq!(
+            by_row(via_idx),
+            by_row(via_scan),
+            "{what} range on column {column}"
+        );
+    }
+}
+
 #[test]
 fn index_lookup_agrees_with_scan() {
-    for config in all_configs() {
-        let mode = config.mode_name();
-        let (mut db, t) = setup(config);
-        db.create_index(t, 0, IndexKind::Hash).unwrap();
-        db.create_index(t, 2, IndexKind::Ordered).unwrap();
-        for i in 0..50i64 {
-            let mut tx = db.begin();
-            db.insert(&mut tx, t, &row(i % 10, &format!("u{i}"), (i % 7) as f64))
-                .unwrap();
-            db.commit(&mut tx).unwrap();
+    for layout in INDEX_LAYOUTS {
+        for config in all_configs() {
+            let what = format!("{} {layout:?}", config.mode_name());
+            let (mut db, t) = setup(config);
+            for (column, kind) in layout {
+                db.create_index(t, column, kind).unwrap();
+            }
+            for i in 0..50i64 {
+                let mut tx = db.begin();
+                db.insert(&mut tx, t, &row(i % 10, &format!("u{i}"), (i % 7) as f64))
+                    .unwrap();
+                db.commit(&mut tx).unwrap();
+            }
+            assert_indexes_agree_with_scans(&mut db, t, &what);
         }
-        let tx = db.begin();
-        for k in 0..11i64 {
-            let via_idx = db.index_lookup(&tx, t, 0, &Value::Int(k)).unwrap();
-            let via_scan = db.scan_eq(&tx, t, 0, &Value::Int(k)).unwrap();
-            assert_eq!(via_idx.len(), via_scan.len(), "{mode} key {k}");
-        }
-        let via_idx = db
-            .index_range_lookup(
-                &tx,
-                t,
-                2,
-                Some(&Value::Double(2.0)),
-                Some(&Value::Double(5.0)),
-            )
-            .unwrap();
-        let via_scan = db
-            .scan_range(
-                &tx,
-                t,
-                2,
-                Some(&Value::Double(2.0)),
-                Some(&Value::Double(5.0)),
-            )
-            .unwrap();
-        assert_eq!(via_idx.len(), via_scan.len(), "{mode} range");
     }
 }
 
 #[test]
 fn index_survives_merge() {
-    for config in all_configs() {
+    for layout in INDEX_LAYOUTS {
+        for config in all_configs() {
+            let durable = !matches!(config, DurabilityConfig::Volatile);
+            let what = format!("{} {layout:?}", config.mode_name());
+            let (mut db, t) = setup(config);
+            for (column, kind) in layout {
+                db.create_index(t, column, kind).unwrap();
+            }
+            for i in 0..20i64 {
+                let mut tx = db.begin();
+                db.insert(&mut tx, t, &row(i % 5, "m", (i % 7) as f64))
+                    .unwrap();
+                db.commit(&mut tx).unwrap();
+            }
+            db.merge(t).unwrap();
+            let tx = db.begin();
+            let hits = db.index_lookup(&tx, t, 0, &Value::Int(3)).unwrap();
+            assert_eq!(hits.len(), 4, "{what}");
+            assert_indexes_agree_with_scans(&mut db, t, &format!("{what} after merge"));
+            if durable {
+                db.restart_after_crash().unwrap();
+                assert_indexes_agree_with_scans(&mut db, t, &format!("{what} after restart"));
+            }
+        }
+    }
+}
+
+/// A redo-log append that fails after the version (or the end marker) is in
+/// the table but before the transaction recorded the write must be unwound
+/// on the spot: `abort` never sees it. Left in place, the pending begin
+/// marker fails every later merge and the end marker write-locks the row.
+#[test]
+fn failed_log_append_unwinds_the_write() {
+    let enospc = wal::WalFaultSpec {
+        class: wal::WalFaultClass::AppendEnospc,
+        nth: 0,
+    };
+    for config in [
+        DurabilityConfig::wal_temp(),
+        DurabilityConfig::nvm_with_wal(256 << 20, nvm::LatencyModel::pcm()),
+    ] {
         let mode = config.mode_name();
         let (mut db, t) = setup(config);
-        db.create_index(t, 0, IndexKind::Hash).unwrap();
-        for i in 0..20i64 {
+        let mut tx = db.begin();
+        db.insert(&mut tx, t, &row(1, "seed", 1.0)).unwrap();
+        db.commit(&mut tx).unwrap();
+
+        for failing_delete in [false, true] {
+            db.arm_wal_fault(enospc).unwrap();
             let mut tx = db.begin();
-            db.insert(&mut tx, t, &row(i % 5, "m", 0.0)).unwrap();
-            db.commit(&mut tx).unwrap();
+            let err = if failing_delete {
+                let seeded = db.scan_all(&tx, t).unwrap()[0].row;
+                db.delete(&mut tx, t, seeded).unwrap_err()
+            } else {
+                db.insert(&mut tx, t, &row(2, "lost", 2.0)).unwrap_err()
+            };
+            assert!(err.is_capacity(), "{mode}: {err}");
+            db.abort(&mut tx).unwrap();
+            // The injected failure wedges the writer; reclamation replaces
+            // the log and merges every table — over a clean image.
+            let reclaimed = db.reclaim().unwrap();
+            assert!(reclaimed.wal_recreated, "{mode}");
+            assert_eq!(reclaimed.tables_merged, 1, "{mode}");
+            assert!(db.verify_integrity().unwrap().mvcc.is_clean(), "{mode}");
+            db.merge(t).unwrap();
         }
-        db.merge(t).unwrap();
+
+        let mut tx = db.begin();
+        let survivors = db.scan_all(&tx, t).unwrap();
+        assert_eq!(survivors.len(), 1, "{mode}");
+        db.delete(&mut tx, t, survivors[0].row).unwrap();
+        db.commit(&mut tx).unwrap();
+        // The recreated log and its checkpoint carry the state across a crash.
+        db.restart_after_crash().unwrap();
         let tx = db.begin();
-        let hits = db.index_lookup(&tx, t, 0, &Value::Int(3)).unwrap();
-        assert_eq!(hits.len(), 4, "{mode}");
+        assert!(db.scan_all(&tx, t).unwrap().is_empty(), "{mode}");
     }
 }
 
