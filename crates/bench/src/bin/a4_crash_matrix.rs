@@ -9,90 +9,19 @@
 //! * `mid-all`     — mid-epoch, every in-flight write-back completed.
 //! * `mid-random`  — mid-epoch, adversarial random surviving-line subsets.
 //!
-//! Every point recovers through the persist-trace scheduler and is checked
-//! for committed-prefix durability against an oracle ledger plus the
-//! structural invariants of [`hyrise_nv::Database::verify_integrity`].
+//! Every point runs [`hyrise_nv::torture::crash_scenario`] — the scenario
+//! and four-invariant check of the crash-torture suite — so this table and
+//! the test reach the same verdict on the same seed and point.
 //!
 //! Run: `cargo run --release -p hyrise-nv-bench --bin a4_crash_matrix`
 //! (`--quick` shrinks the sweep for CI).
 
-use std::collections::BTreeMap;
-use std::time::Instant;
-
 use benchkit::{print_table, write_json, Row};
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
-use nvm::{CrashPoint, CrashSchedule, LatencyModel, MidEpochSurvival, TraceConfig};
-use storage::{ColumnDef, DataType, Schema, Value};
+use hyrise_nv::torture::{
+    crash_scenario, gen_workload, sim_config, traced_run, Adversity, TortureTxn,
+};
+use nvm::{CrashPoint, CrashSchedule, MidEpochSurvival};
 use util::rng::{Rng, SmallRng};
-
-type Oracle = BTreeMap<i64, i64>;
-
-fn fresh_db() -> (Database, TableId) {
-    let mut db = Database::create(DurabilityConfig::Nvm {
-        capacity: 16 << 20,
-        latency: LatencyModel::zero(),
-    })
-    .unwrap();
-    let t = db
-        .create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("k", DataType::Int),
-                ColumnDef::new("ver", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    (db, t)
-}
-
-/// Deterministic insert/update/delete workload; records the oracle state
-/// after every commit.
-fn run_workload(db: &mut Database, t: TableId, seed: u64, txns: usize) -> Vec<(u64, Oracle)> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut snaps: Vec<(u64, Oracle)> = vec![(0, Oracle::new())];
-    let mut oracle = Oracle::new();
-    for _ in 0..txns {
-        let mut shadow = oracle.clone();
-        let mut tx = db.begin();
-        for _ in 0..rng.gen_range_usize(1, 5) {
-            let key = rng.gen_range_i64(0, 800);
-            match rng.gen_range_u64(0, 3) {
-                0 => {
-                    if let std::collections::btree_map::Entry::Vacant(e) = shadow.entry(key) {
-                        db.insert(&mut tx, t, &[Value::Int(key), Value::Int(0)])
-                            .unwrap();
-                        e.insert(0);
-                    }
-                }
-                1 => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(key)).unwrap();
-                    if let Some(hit) = hits.first() {
-                        let ver = rng.next_u64() as i64 & 0xFFFF;
-                        db.update(&mut tx, t, hit.row, &[Value::Int(key), Value::Int(ver)])
-                            .unwrap();
-                        shadow.insert(key, ver);
-                    }
-                }
-                _ => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(key)).unwrap();
-                    if let Some(hit) = hits.first() {
-                        db.delete(&mut tx, t, hit.row).unwrap();
-                        shadow.remove(&key);
-                    }
-                }
-            }
-        }
-        if rng.gen_bool(0.85) {
-            let cts = db.commit(&mut tx).unwrap();
-            oracle = shadow;
-            snaps.push((cts, oracle.clone()));
-        } else {
-            db.abort(&mut tx).unwrap();
-        }
-    }
-    snaps
-}
 
 #[derive(Default)]
 struct ClassStats {
@@ -105,58 +34,42 @@ struct ClassStats {
     max_cts: u64,
 }
 
-fn crash_once(seed: u64, txns: usize, point: CrashPoint, stats: &mut ClassStats) {
-    let (mut db, t) = fresh_db();
-    let region = db.nv_backend().unwrap().region().clone();
-    region.trace_start(TraceConfig { keep_events: false });
-    region.arm_crash(point).unwrap();
-    let snaps = run_workload(&mut db, t, seed, txns);
-
-    let t0 = Instant::now();
-    let report = db.restart_scheduled().unwrap();
-    stats.recovery_wall_ns += t0.elapsed().as_nanos();
-
-    let outcome = report.scheduled.unwrap();
+/// One point of the matrix: the crash-torture suite's scenario, tabulated.
+fn crash_once(seed: u64, txns: &[TortureTxn], point: CrashPoint, stats: &mut ClassStats) {
     stats.points += 1;
-    stats.lost_lines_total += outcome.lost_lines;
-    stats.lint_reads += report.lint_findings.len() as u64;
-    stats.min_cts = stats.min_cts.min(report.last_cts);
-    stats.max_cts = stats.max_cts.max(report.last_cts);
-
-    let expected = snaps
-        .iter()
-        .rev()
-        .find(|(cts, _)| *cts <= report.last_cts)
-        .map(|(_, o)| o.clone())
-        .unwrap_or_default();
-    let tx = db.begin();
-    let got: Oracle = db
-        .scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect();
-    let integrity = db.verify_integrity().unwrap();
-    if got != expected || !integrity.is_clean() {
-        stats.violations += 1;
-        eprintln!("VIOLATION at {point:?}: {}", integrity.render());
+    match crash_scenario(sim_config(false), seed, txns, point, &[], Adversity::None) {
+        Ok(rec) => {
+            let outcome = rec
+                .report
+                .scheduled
+                .expect("scheduled restart records outcome");
+            stats.recovery_wall_ns += rec.wall.as_nanos();
+            stats.lost_lines_total += outcome.lost_lines;
+            stats.lint_reads += rec.report.lint_findings.len() as u64;
+            stats.min_cts = stats.min_cts.min(rec.report.last_cts);
+            stats.max_cts = stats.max_cts.max(rec.report.last_cts);
+        }
+        Err(v) => {
+            stats.violations += 1;
+            eprintln!("VIOLATION at {point:?}: `{}`: {}", v.invariant, v.detail);
+        }
     }
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (txns, per_class) = if quick { (10, 8) } else { (24, 40) };
+    let (ntxns, per_class) = if quick { (10, 8) } else { (24, 40) };
     let seed = 0xA4_C0DE;
+    let txns: Vec<TortureTxn> = gen_workload(seed).into_iter().take(ntxns).collect();
 
     // Reference run: fence count of the workload.
-    let total_fences = {
-        let (mut db, t) = fresh_db();
-        let region = db.nv_backend().unwrap().region().clone();
-        region.trace_start(TraceConfig { keep_events: false });
-        run_workload(&mut db, t, seed, txns);
-        region.trace_stop().unwrap().fences
-    };
-    println!("workload: {txns} txns, {total_fences} fences; {per_class} points/class");
+    let (_db, _t, region, _snaps) =
+        traced_run(sim_config(false), seed, &txns, Adversity::None, None).unwrap();
+    let total_fences = region.trace_stop().unwrap().fences;
+    println!(
+        "workload: {} txns, {total_fences} fences; {per_class} points/class",
+        txns.len()
+    );
 
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xFACE);
     let mut fence_at = |i: usize| {
@@ -214,7 +127,7 @@ fn main() {
             ..Default::default()
         };
         for point in points {
-            crash_once(seed, txns, point, &mut stats);
+            crash_once(seed, &txns, point, &mut stats);
         }
         rows.push(
             Row::new()

@@ -19,86 +19,9 @@
 //! Run: `cargo run --release -p hyrise-nv-bench --bin a5_fault_ladder`
 //! (`--quick` shrinks the sweep for CI).
 
-use std::collections::BTreeMap;
-use std::time::Instant;
-
 use benchkit::{print_table, write_json, Row};
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
-use nvm::{FaultClass, FaultSpec, LatencyModel, CACHE_LINE};
-use storage::{ColumnDef, DataType, Schema, Value};
-use util::rng::{Rng, SmallRng};
-
-type Oracle = BTreeMap<i64, i64>;
-
-/// Build a committed NVM+shadow-WAL database: merged main + populated
-/// delta + both index kinds. Returns the committed-state oracle.
-fn build_db(seed: u64) -> (Database, TableId, Oracle) {
-    let mut db = Database::create(DurabilityConfig::nvm_with_wal(
-        16 << 20,
-        LatencyModel::zero(),
-    ))
-    .unwrap();
-    let t = db
-        .create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("k", DataType::Int),
-                ColumnDef::new("ver", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
-
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut oracle = Oracle::new();
-    for txn_i in 0..12 {
-        let mut tx = db.begin();
-        for _ in 0..10 {
-            let key = rng.gen_range_i64(0, 4000);
-            if oracle.contains_key(&key) {
-                continue;
-            }
-            let ver = rng.next_u64() as i64 & 0xFFFF;
-            db.insert(&mut tx, t, &[Value::Int(key), Value::Int(ver)])
-                .unwrap();
-            oracle.insert(key, ver);
-        }
-        db.commit(&mut tx).unwrap();
-        if txn_i == 6 {
-            db.merge(t).unwrap();
-        }
-    }
-    (db, t, oracle)
-}
-
-fn scan_state(db: &mut Database, t: TableId) -> hyrise_nv::Result<Oracle> {
-    let tx = db.begin();
-    Ok(db
-        .scan_all(&tx, t)?
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect())
-}
-
-/// A fault target strictly inside a checksummed extent (interior lines, so
-/// line-granular damage stays inside the checksummed span).
-fn pick_target(db: &Database, t: TableId, rng: &mut SmallRng) -> (u64, u64) {
-    let extents: Vec<_> = db
-        .media_extents(t)
-        .unwrap()
-        .into_iter()
-        .filter(|e| e.checksummed && e.len >= 3 * CACHE_LINE)
-        .collect();
-    let e = extents[rng.gen_range_usize(0, extents.len())];
-    let lo = e.offset + CACHE_LINE;
-    let hi = e.offset + e.len - CACHE_LINE;
-    let offset = lo + rng.gen_range_u64(0, hi - lo);
-    (
-        (e.offset + e.len - CACHE_LINE).saturating_sub(offset),
-        offset,
-    )
-}
+use hyrise_nv::torture::{engine_state, fault_scenario, preload, setup, sim_config};
+use nvm::{FaultClass, FaultSpec};
 
 #[derive(Default)]
 struct CellStats {
@@ -108,7 +31,6 @@ struct CellStats {
     failures: u64,
     rungs: [u64; 3],
     recovery_wall_ns_by_rung: [u128; 3],
-    recovery_sim_ns_by_rung: [u128; 3],
     retries: u64,
     rebuilt: u64,
 }
@@ -120,71 +42,24 @@ fn run_cell(class: FaultClass, rate: u32, scenarios: u64, seed_base: u64) -> Cel
     };
     for i in 0..scenarios {
         let seed = seed_base.wrapping_add(i * 0x9E37_79B9);
-        let (mut db, t, oracle) = build_db(seed);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5_1ADD);
-        for _ in 0..rate {
-            let (room, offset) = pick_target(&db, t, &mut rng);
-            let class = match class {
-                FaultClass::ScribbledBlock { len } => FaultClass::ScribbledBlock {
-                    len: len.min(room.max(8)),
-                },
-                c => c,
-            };
-            db.nv_backend()
-                .unwrap()
-                .region()
-                .inject_fault(&FaultSpec {
-                    class,
-                    offset,
-                    seed,
-                })
-                .unwrap();
-        }
-
-        // Detection gate: either verification trips, or the data still
-        // reads back exactly as committed (fault landed on dead bytes).
-        let detected = db.verify_media().is_err();
-        if !detected {
-            match scan_state(&mut db, t) {
-                Ok(state) if state != oracle => {
-                    eprintln!(
-                        "SILENT CORRUPTION: class {class} rate {rate} seed {seed:#x}: wrong \
-                         data with clean verification"
-                    );
-                    stats.failures += 1;
-                    continue;
-                }
-                _ => {}
+        // The fault-torture suite's scenario, `rate` faults per run.
+        match fault_scenario(class, rate, seed) {
+            Ok((detected, rec)) => {
+                let rung = rec.report.rung.min(2) as usize;
+                stats.detected += detected as u64;
+                stats.repaired += 1;
+                stats.rungs[rung] += 1;
+                stats.recovery_wall_ns_by_rung[rung] += rec.wall.as_nanos();
+                stats.retries += rec.report.poison_retries;
+                stats.rebuilt += rec.report.structures_rebuilt;
             }
-        }
-        stats.detected += detected as u64;
-
-        // Repair: recovery must restore the oracle exactly.
-        let t0 = Instant::now();
-        let report = match db.restart_after_crash() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("REPAIR FAILED: class {class} rate {rate} seed {seed:#x}: {e}");
+            Err(v) => {
+                eprintln!(
+                    "FAILED: class {class} rate {rate}: `{}`: {}",
+                    v.invariant, v.detail
+                );
                 stats.failures += 1;
-                continue;
             }
-        };
-        let wall = t0.elapsed().as_nanos();
-        let rung = report.rung.min(2) as usize;
-        stats.rungs[rung] += 1;
-        stats.recovery_wall_ns_by_rung[rung] += wall;
-        stats.recovery_sim_ns_by_rung[rung] += report.total_simulated_ns() as u128;
-        stats.retries += report.poison_retries;
-        stats.rebuilt += report.structures_rebuilt;
-
-        let healthy = scan_state(&mut db, t).map(|s| s == oracle).unwrap_or(false)
-            && db.verify_media().is_ok()
-            && db.verify_integrity().map(|i| i.is_clean()).unwrap_or(false);
-        if healthy {
-            stats.repaired += 1;
-        } else {
-            eprintln!("REPAIR DIVERGED: class {class} rate {rate} seed {seed:#x} (rung {rung})");
-            stats.failures += 1;
         }
     }
     stats
@@ -261,7 +136,8 @@ fn main() {
     // Scripted rung-2 demonstration: scribble a merged table's main
     // dictionary, then show the ladder rebuilding it from the shadow WAL.
     println!("\n== A5: rung-2 walkthrough (scribbled main dictionary) ==");
-    let (mut db, t, oracle) = build_db(0xA5_DE30);
+    let (mut db, t) = setup(sim_config(true)).unwrap();
+    let (_, oracle) = preload(&mut db, t, 0xA5_DE30, true).unwrap();
     let e = db
         .media_extents(t)
         .unwrap()
@@ -291,8 +167,9 @@ fn main() {
     );
     let report = db.restart_after_crash().unwrap();
     print!("{}", report.render());
-    let recovered =
-        scan_state(&mut db, t).unwrap() == oracle && db.verify_media().is_ok() && report.rung == 2;
+    let recovered = engine_state(&mut db, t).unwrap() == oracle
+        && db.verify_media().is_ok()
+        && report.rung == 2;
     println!(
         "rung-2 fallback {}: {} rows match the committed oracle",
         if recovered { "succeeded" } else { "FAILED" },

@@ -16,26 +16,21 @@
 use std::time::Instant;
 
 use benchkit::{print_table, write_json, Row};
-use hyrise_nv::{retry_write, Database, DurabilityConfig, EngineError, HealthState, TableId};
-use nvm::{AllocFaultClass, AllocFaultSpec, LatencyModel};
-use storage::{ColumnDef, DataType, Value};
+use hyrise_nv::torture::{schema, sim_config};
+use hyrise_nv::{retry_write, Database, EngineError, HealthState, TableId};
+use nvm::{AllocFaultClass, AllocFaultSpec};
+use storage::Value;
 
-fn schema() -> storage::Schema {
-    storage::Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
-
+/// The torture table without `torture::setup`'s indexes: the timeline
+/// measures heap occupancy of the table alone.
 fn fresh_db() -> (Database, TableId) {
-    let mut db = Database::create(DurabilityConfig::nvm_with_wal(
-        16 << 20,
-        LatencyModel::zero(),
-    ))
-    .unwrap();
+    let mut db = Database::create(sim_config(true)).unwrap();
     let t = db.create_table("t", schema()).unwrap();
     (db, t)
 }
+
+// The fill / brim / reclaim loops below are this sweep's own: they shape a
+// throughput timeline window by window, which no seeded workload does.
 
 /// Outcome of one write window: `txns` attempted transactions of
 /// `rows_per_txn` inserts each, counting committed rows and typed

@@ -7,200 +7,27 @@
 //! terminal power cycle, and the recovery-time persist traffic
 //! (stores/flushes/fences) reported per phase by `RecoveryReport`.
 //!
-//! Invariants enforced (non-zero exit on violation): every chain
-//! converges to its oracle, terminal integrity is clean, and no recovery
-//! panics.
+//! Every chain is [`hyrise_nv::torture::crash_scenario`], the scenario of
+//! the recovery-torture suite. Enforced (non-zero exit on violation): the
+//! four invariants after the terminal recovery, and convergence of every
+//! chain to its oracle.
 //!
 //! Run: `cargo run --release -p hyrise-nv-bench --bin a7_recovery_torture`
 //! (`--quick` shrinks the sweep for CI).
 
-use std::time::Instant;
-
 use benchkit::{print_table, write_json, Row};
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, PersistStats, TableId};
-use nvm::{
-    CrashPoint, CrashSchedule, FaultClass, FaultSpec, LatencyModel, TraceConfig, CACHE_LINE,
-};
-use storage::{ColumnDef, DataType, Schema, Value};
-use util::rng::{Rng, SmallRng};
+use hyrise_nv::torture::{crash_scenario, gen_workload, sim_config, traced_run, Adversity};
+use nvm::CrashSchedule;
 
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Plain,
-    WithWal,
-    MediaFault,
-}
-
-fn fresh_db(class: Class) -> (Database, TableId) {
-    let cfg = match class {
-        Class::Plain => DurabilityConfig::nvm(16 << 20, LatencyModel::zero()),
-        _ => DurabilityConfig::nvm_with_wal(16 << 20, LatencyModel::zero()),
-    };
-    let mut db = Database::create(cfg).unwrap();
-    let t = db.create_table("t", schema()).unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
-    (db, t)
-}
-
-/// Committed workload (returns the final oracle): seeded inserts/updates
-/// over a modest key space, plus — for the media-fault class — a merged
-/// main partition built before tracing starts.
-fn populate(db: &mut Database, t: TableId, seed: u64, class: Class) {
-    if class == Class::MediaFault {
-        for batch in 0..4i64 {
-            let mut tx = db.begin();
-            for k in 0..16i64 {
-                db.insert(
-                    &mut tx,
-                    t,
-                    &[Value::Int(2000 + batch * 16 + k), Value::Int(1)],
-                )
-                .unwrap();
-            }
-            db.commit(&mut tx).unwrap();
-        }
-        db.merge(t).unwrap();
-    }
-    let _ = seed;
-}
-
-fn traced_workload(db: &mut Database, t: TableId, seed: u64) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for _ in 0..12 {
-        let mut tx = db.begin();
-        for _ in 0..5 {
-            let key = rng.gen_range_i64(0, 800);
-            let hits = db.scan_eq(&tx, t, 0, &Value::Int(key)).unwrap();
-            match hits.first() {
-                None => {
-                    db.insert(&mut tx, t, &[Value::Int(key), Value::Int(0)])
-                        .unwrap();
-                }
-                Some(hit) => {
-                    db.update(&mut tx, t, hit.row, &[Value::Int(key), Value::Int(7)])
-                        .unwrap();
-                }
-            }
-        }
-        if rng.gen_bool(0.85) {
-            db.commit(&mut tx).unwrap();
-        } else {
-            db.abort(&mut tx).unwrap();
-        }
-    }
-}
-
-fn pick_fault(db: &Database, t: TableId, seed: u64) -> FaultSpec {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA01_7A6E);
-    let extents: Vec<_> = db
-        .media_extents(t)
-        .unwrap()
-        .into_iter()
-        .filter(|e| e.checksummed && e.len >= 3 * CACHE_LINE)
-        .collect();
-    let e = extents[rng.gen_range_usize(0, extents.len())];
-    let lo = e.offset + CACHE_LINE;
-    let hi = e.offset + e.len - CACHE_LINE;
-    let offset = lo + rng.gen_range_u64(0, hi - lo);
-    let room = (e.offset + e.len - CACHE_LINE).saturating_sub(offset);
-    FaultSpec {
-        class: FaultClass::ScribbledBlock {
-            len: 96.min(room.max(8)),
-        },
-        offset,
-        seed,
-    }
-}
-
-fn state(db: &mut Database, t: TableId) -> Vec<(i64, i64)> {
-    let tx = db.begin();
-    let mut rows: Vec<(i64, i64)> = db
-        .scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect();
-    rows.sort_unstable();
-    rows
-}
-
-struct ChainStats {
-    state: Vec<(i64, i64)>,
-    last_cts: u64,
-    attempt: u64,
-    terminal_wall_s: f64,
-    recovery_persist: PersistStats,
-    lint_reads: usize,
-}
-
-/// One chain: workload crashed at `p0`, one power cycle per nested point,
-/// then a timed terminal recovery.
-fn run_chain(class: Class, seed: u64, p0: CrashPoint, nested: &[CrashPoint]) -> ChainStats {
-    let (mut db, t) = fresh_db(class);
-    populate(&mut db, t, seed, class);
-    let region = db.nv_backend().unwrap().region().clone();
-    region.trace_start(TraceConfig { keep_events: false });
-    region.arm_crash(p0).unwrap();
-    traced_workload(&mut db, t, seed);
-    if class == Class::MediaFault {
-        let spec = pick_fault(&db, t, seed);
-        region.inject_fault(&spec).unwrap();
-    }
-
-    let mut lint_reads = 0usize;
-    for p in nested {
-        let rep = db
-            .restart_scheduled_traced(Some(*p))
-            .unwrap_or_else(|e| panic!("seed {seed:#x}: nested recovery failed: {e}"));
-        lint_reads += rep.lint_findings.len();
-    }
-    let t0 = Instant::now();
-    let report = db
-        .restart_scheduled()
-        .unwrap_or_else(|e| panic!("seed {seed:#x}: terminal recovery failed: {e}"));
-    let terminal_wall_s = t0.elapsed().as_secs_f64();
-    lint_reads += report.lint_findings.len();
-
-    let mut persist = PersistStats::default();
-    for phase in &report.phases {
-        persist.bytes_written += phase.persist.bytes_written;
-        persist.flushes += phase.persist.flushes;
-        persist.lines_flushed += phase.persist.lines_flushed;
-        persist.fences += phase.persist.fences;
-    }
-    let integrity = db.verify_integrity().unwrap();
-    assert!(
-        integrity.is_clean() && integrity.heap_limbo_blocks == 0,
-        "seed {seed:#x}: {}",
-        integrity.render()
-    );
-    ChainStats {
-        state: state(&mut db, t),
-        last_cts: report.last_cts,
-        attempt: report.attempt,
-        terminal_wall_s,
-        recovery_persist: persist,
-        lint_reads,
-    }
-}
-
-fn class_name(class: Class) -> &'static str {
-    match class {
-        Class::Plain => "nvm-plain",
-        Class::WithWal => "nvm+shadow-wal",
-        Class::MediaFault => "media-fault",
-    }
-}
-
-fn run_class(class: Class, chains: usize, seed_base: u64) -> (Vec<Row>, u64) {
+/// One sweep class: a recovery-torture scenario class (`wal`, `adversity`)
+/// at nesting depths 1–3.
+fn run_class(
+    name: &str,
+    wal: bool,
+    adversity: Adversity,
+    chains: usize,
+    seed_base: u64,
+) -> (Vec<Row>, u64) {
     let mut rows = Vec::new();
     let mut failures = 0u64;
     for depth in 1usize..=3 {
@@ -213,15 +40,11 @@ fn run_class(class: Class, chains: usize, seed_base: u64) -> (Vec<Row>, u64) {
         let mut lints = 0usize;
         for c in 0..chains {
             let seed = seed_base.wrapping_add((depth as u64) << 32 | c as u64);
-            // Fence budgets from reference runs of this seed.
-            let f_work = {
-                let (mut db, t) = fresh_db(class);
-                populate(&mut db, t, seed, class);
-                let region = db.nv_backend().unwrap().region().clone();
-                region.trace_start(TraceConfig { keep_events: false });
-                traced_workload(&mut db, t, seed);
-                region.trace_stop().unwrap().fences.max(1)
-            };
+            let txns = gen_workload(seed);
+            // Fence budget from a reference run of this seed.
+            let (_db, _t, region, _snaps) =
+                traced_run(sim_config(wal), seed, &txns, adversity, None).unwrap();
+            let f_work = region.trace_stop().unwrap().fences.max(1);
             let p0 = CrashSchedule::sample(f_work, 1, seed ^ 0xA4)[0];
             let nested = if depth > 1 {
                 // Recovery fence budgets are small; sample low fences so
@@ -231,27 +54,39 @@ fn run_class(class: Class, chains: usize, seed_base: u64) -> (Vec<Row>, u64) {
                 Vec::new()
             };
 
-            let oracle = run_chain(class, seed, p0, &[]);
-            let chain = run_chain(class, seed, p0, &nested);
-            if chain.state == oracle.state && chain.last_cts == oracle.last_cts {
-                converged += 1;
-            } else {
-                failures += 1;
-                eprintln!(
-                    "DIVERGENCE: class {} depth {depth} seed {seed:#x} {p0:?} + {nested:?}",
-                    class_name(class)
-                );
+            let run = |nested| crash_scenario(sim_config(wal), seed, &txns, p0, nested, adversity);
+            let chain = match (run(&[]), run(&nested)) {
+                (Ok(oracle), Ok(chain))
+                    if chain.state == oracle.state
+                        && chain.report.last_cts == oracle.report.last_cts =>
+                {
+                    converged += 1;
+                    chain
+                }
+                (oracle, chain) => {
+                    failures += 1;
+                    eprintln!(
+                        "DIVERGENCE: class {name} depth {depth} seed {seed:#x} {p0:?} + {nested:?}"
+                    );
+                    for v in [oracle.err(), chain.err()].into_iter().flatten() {
+                        eprintln!("  `{}`: {}", v.invariant, v.detail);
+                    }
+                    continue;
+                }
+            };
+            for phase in &chain.report.phases {
+                flushes += phase.persist.flushes;
+                fences += phase.persist.fences;
             }
-            max_attempt = max_attempt.max(chain.attempt);
-            worst_s = worst_s.max(chain.terminal_wall_s);
-            sum_s += chain.terminal_wall_s;
-            fences += chain.recovery_persist.fences;
-            flushes += chain.recovery_persist.flushes;
-            lints += chain.lint_reads;
+            let wall_s = chain.wall.as_secs_f64();
+            max_attempt = max_attempt.max(chain.report.attempt);
+            worst_s = worst_s.max(wall_s);
+            sum_s += wall_s;
+            lints += chain.report.lint_findings.len();
         }
         rows.push(
             Row::new()
-                .with("class", class_name(class))
+                .with("class", name)
                 .with("depth", depth)
                 .with("chains", chains)
                 .with("converged", converged)
@@ -275,12 +110,12 @@ fn main() {
 
     let mut all = Vec::new();
     let mut failures = 0u64;
-    for (class, base) in [
-        (Class::Plain, 0xA7_1001u64),
-        (Class::WithWal, 0xA7_1002u64),
-        (Class::MediaFault, 0xA7_1003u64),
+    for (name, wal, adversity, base) in [
+        ("nvm-plain", false, Adversity::None, 0xA7_1001u64),
+        ("nvm+shadow-wal", true, Adversity::None, 0xA7_1002u64),
+        ("media-fault", true, Adversity::MediaFault, 0xA7_1003u64),
     ] {
-        let (rows, f) = run_class(class, chains, base);
+        let (rows, f) = run_class(name, wal, adversity, chains, base);
         all.extend(rows);
         failures += f;
     }

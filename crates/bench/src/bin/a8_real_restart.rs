@@ -34,6 +34,8 @@ use storage::{ColumnDef, DataType, Schema, Value};
 // more reason the file-backed mmap reopen is the honest number.
 const CAPACITY: u64 = 64 << 20;
 
+/// Not the torture table: restart cost is measured on rows with a text
+/// payload, so the image grows with the data the way the paper's does.
 fn schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("k", DataType::Int),

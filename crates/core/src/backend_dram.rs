@@ -28,13 +28,14 @@ pub(crate) struct DramEngine {
 
 impl DramEngine {
     /// The engine a process would find after a power failure: the DRAM
-    /// tables and any unsynced log buffer are gone (the old writer is
-    /// dropped by the caller without a final sync, modelling the lost
-    /// buffer); state is reloaded from the newest checkpoint plus the log
-    /// suffix, and every index is rebuilt by a table scan. Returns the
-    /// recovered engine and its committed watermark.
-    pub fn restarted(&self, report: &mut RecoveryReport) -> Result<(DramEngine, u64)> {
-        let Some(old_log) = &self.log else {
+    /// tables and any unsynced log buffer are gone (the log crashes first,
+    /// as the NV arm retires its shadow log before the crash); state is
+    /// reloaded from the newest checkpoint plus the log suffix, and every
+    /// index is rebuilt by a table scan. Returns the recovered engine —
+    /// which takes over this engine's log — and its committed watermark;
+    /// on an error this engine keeps its log.
+    pub fn restarted(&mut self, report: &mut RecoveryReport) -> Result<(DramEngine, u64)> {
+        let Some(log) = self.log.as_mut() else {
             // Everything is lost; the report records the data loss.
             timed_phase(
                 &mut report.phases,
@@ -44,9 +45,11 @@ impl DramEngine {
             )?;
             return Ok((DramEngine::default(), 0));
         };
-        let paths = &old_log.paths;
+        log.crash()?;
+        let log = &*log;
+        let paths = &log.paths;
         // File-backed recovery generates no NVM persist traffic.
-        let clock = || (old_log.clock.now_ns(), PersistStats::default());
+        let clock = || (log.clock.now_ns(), PersistStats::default());
 
         // Phase 1: load the newest checkpoint.
         let ckpt = timed_phase(&mut report.phases, "checkpoint load", clock, || {
@@ -80,7 +83,6 @@ impl DramEngine {
         report.log_records_replayed = replay.records;
 
         // Phase 3: rebuild the DRAM indexes.
-        let log = old_log.reopen(false)?;
         let mut indexes = Vec::with_capacity(tables.len());
         timed_phase(&mut report.phases, "index rebuild", clock, || {
             for (t, table) in tables.iter().enumerate() {
@@ -102,7 +104,8 @@ impl DramEngine {
             tables,
             names,
             indexes,
-            log: Some(log),
+            // Moved last: a failed phase above leaves this engine logged.
+            log: self.log.take(),
         };
         Ok((recovered, last_cts))
     }

@@ -22,7 +22,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use hyrise_nv::torture::{apply_workload, gen_workload, setup_tables, Oracle};
+use hyrise_nv::torture::{apply_workload, gen_workload, setup, Oracle};
 use hyrise_nv::{Database, DurabilityConfig};
 use nvm::{arm_kill_at_fence, install_sigterm_hook, raise_sigkill, sigterm_seen, LatencyModel};
 
@@ -139,12 +139,8 @@ fn main() {
         run_recover(&args);
     }
 
-    let mut db = match Database::create(config(&args)) {
-        Ok(db) => db,
-        Err(e) => fail(e),
-    };
-    let t = match setup_tables(&mut db) {
-        Ok(t) => t,
+    let (mut db, t) = match setup(config(&args)) {
+        Ok(v) => v,
         Err(e) => fail(e),
     };
 

@@ -230,7 +230,7 @@ impl Database {
         // full-state checkpoint restores the `log ⊇ published state`
         // invariant rung 2 (and a baseline restart) depends on.
         if let Some(wedged) = e.log().filter(|log| log.is_wedged()) {
-            let fresh = wedged.reopen(true)?;
+            let fresh = wedged.reopen_fresh()?;
             *e.log_mut() = Some(fresh);
             e.checkpoint(snapshot)?;
             rep.wal_recreated = true;

@@ -81,15 +81,30 @@ impl RedoLog {
         })
     }
 
-    /// Open the same log again (same directory, clock and region): after a
-    /// restart with the files preserved, or `fresh` to replace a wedged log.
-    pub fn reopen(&self, fresh: bool) -> Result<RedoLog> {
+    /// Open the same log (same directory, clock and region) with its
+    /// files truncated, to replace this one when it is wedged.
+    pub fn reopen_fresh(&self) -> Result<RedoLog> {
         Self::open(
             self.cfg.clone(),
             self.clock.clone(),
             self.region.clone(),
-            fresh,
+            true,
         )
+    }
+
+    /// What a power failure does to the log, in place: the writer's
+    /// unsynced buffer is lost and a new writer stands at the end of the
+    /// file, so no stale record can land behind its position. On an error
+    /// the log is unchanged.
+    pub fn crash(&mut self) -> Result<()> {
+        let reopened = Self::open(
+            self.cfg.clone(),
+            self.clock.clone(),
+            self.region.clone(),
+            false,
+        )?;
+        std::mem::replace(self, reopened).writer.discard();
+        Ok(())
     }
 
     /// Log activity counters.

@@ -173,11 +173,14 @@ impl NvHashIndex {
     pub fn lookup(&self, value: &Value) -> Result<Vec<RowId>> {
         let region = self.heap.region();
         let hash = key_hash(value);
+        // A chain longer than the entries the region can hold is a cycle
+        // (a scribbled next pointer), not a long chain.
+        let max_hops = region.capacity() / ENTRY_SIZE;
         let mut cur: u64 = region.read_pod(self.bucket_slot(hash))?;
         let mut out = Vec::new();
         let mut hops = 0u64;
         while cur != 0 {
-            if hops > 1 << 32 {
+            if hops > max_hops {
                 return Err(StorageError::Corrupt {
                     reason: "index chain cycle",
                 });
@@ -242,12 +245,13 @@ impl NvHashIndex {
     /// file to force a rung-1 rebuild).
     pub fn media_extents(&self) -> Result<Vec<storage::nv::MediaExtent>> {
         let region = self.heap.region();
+        let max_hops = region.capacity() / ENTRY_SIZE;
         let mut out = Vec::new();
         for b in 0..self.nbuckets {
             let mut cur: u64 = region.read_pod(self.buckets + b * 8)?;
             let mut hops = 0u64;
             while cur != 0 {
-                if hops > 1 << 32 {
+                if hops > max_hops {
                     return Err(StorageError::Corrupt {
                         reason: "hash index chain cycle",
                     });
@@ -272,12 +276,13 @@ impl NvHashIndex {
     pub fn verify_against(&self, table: &dyn storage::TableStore) -> Result<crate::IndexCheck> {
         let region = self.heap.region();
         let nrows = table.row_count();
+        let max_hops = region.capacity() / ENTRY_SIZE;
         let mut check = crate::IndexCheck::default();
         for b in 0..self.nbuckets {
             let mut cur: u64 = region.read_pod(self.buckets + b * 8)?;
             let mut hops = 0u64;
             while cur != 0 {
-                if hops > 1 << 32 {
+                if hops > max_hops {
                     return Err(StorageError::Corrupt {
                         reason: "index chain cycle",
                     });
@@ -529,5 +534,26 @@ mod tests {
             }
             other => panic!("expected entry checksum mismatch, got {other:?}"),
         }
+    }
+
+    /// A next pointer scribbled into a cycle must end in the typed error the
+    /// recovery ladder rebuilds from — bounded by what the region can hold,
+    /// not by minutes of spinning.
+    #[test]
+    fn self_referencing_next_pointer_is_corrupt() {
+        let h = heap();
+        let idx = NvHashIndex::create(&h, 0, 16).unwrap();
+        idx.insert(&Value::Int(7), 1).unwrap();
+        let region = h.region();
+        let entry: u64 = region
+            .read_pod(idx.bucket_slot(key_hash(&Value::Int(7))))
+            .unwrap();
+        region.write_pod(entry + E_NEXT, &entry).unwrap();
+        region.persist(entry + E_NEXT, 8).unwrap();
+        assert!(matches!(
+            idx.lookup(&Value::Int(7)),
+            Err(StorageError::Corrupt { .. })
+        ));
+        assert!(idx.media_extents().is_err());
     }
 }

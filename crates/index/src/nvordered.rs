@@ -379,9 +379,11 @@ impl NvOrderedIndex {
         let region = self.heap.region();
         let mut out = Vec::new();
         let mut cur: u64 = region.read_pod(self.desc + D_HEAD)?;
+        // More nodes than the region can hold means the level-0 list loops.
+        let max_hops = region.capacity() / NODE_SIZE;
         let mut hops = 0u64;
         while cur != 0 {
-            if hops > 1 << 32 {
+            if hops > max_hops {
                 return Err(StorageError::Corrupt {
                     reason: "ordered index level-0 cycle",
                 });
@@ -409,9 +411,10 @@ impl NvOrderedIndex {
         let mut check = crate::IndexCheck::default();
         let mut cur: u64 = region.read_pod(self.desc + D_HEAD)?;
         let mut prev_key: Option<u64> = None;
+        let max_hops = region.capacity() / NODE_SIZE;
         let mut hops = 0u64;
         while cur != 0 {
-            if hops > 1 << 32 {
+            if hops > max_hops {
                 return Err(StorageError::Corrupt {
                     reason: "ordered index level-0 cycle",
                 });

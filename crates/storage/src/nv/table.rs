@@ -938,7 +938,12 @@ impl TableStore for NvTable {
         let base = self.main_rows_();
         let ids = self.delta_av_ids(col)?;
         for (i, id) in ids.iter().enumerate() {
-            if matches[*id as usize] {
+            // Delta attribute-vector cells carry no checksum: an id outside
+            // the dictionary is media damage, not a broken invariant.
+            let hit = *matches.get(*id as usize).ok_or(StorageError::Corrupt {
+                reason: "delta value id outside the delta dictionary",
+            })?;
+            if hit {
                 hits.push(base + i as u64);
             }
         }

@@ -439,3 +439,41 @@ fn verify_media_flags_implausible_timestamp() {
         other => panic!("expected implausible-timestamp error, got {other:?}"),
     }
 }
+
+/// A delta attribute-vector cell is un-checksummed: an out-of-range value id
+/// must come back as a typed error on every read path that decodes it.
+#[test]
+fn delta_av_fault_surfaces_typed_errors() {
+    let h = heap(1 << 22);
+    let mut t = NvTable::create(&h, schema()).unwrap();
+    for i in 0..4i64 {
+        let r = t
+            .insert_version(&row(i, &format!("v{i}"), i as f64), mvcc::pending(1))
+            .unwrap();
+        t.commit_insert(r, (i + 1) as u64).unwrap();
+    }
+    let av = t
+        .media_extents()
+        .unwrap()
+        .into_iter()
+        .find(|e| e.what == "delta-av")
+        .expect("delta attribute-vector extent");
+    assert!(!av.checksummed);
+    // Row 2's value id in column 0 now points far outside the dictionary.
+    h.region()
+        .write_pod(av.offset + 2 * 4, &0x00FF_FFFFu32)
+        .unwrap();
+    h.region().persist(av.offset + 2 * 4, 4).unwrap();
+
+    assert!(matches!(
+        t.scan_range(0, Some(&Value::Int(0)), None, 10, 99),
+        Err(StorageError::Corrupt { .. })
+    ));
+    assert!(t.value(2, 0).is_err());
+    assert!(matches!(
+        t.verify_media(4),
+        Err(StorageError::Corrupt { .. })
+    ));
+    // Equality scans compare ids without indexing by them.
+    assert_eq!(t.scan_eq(0, &Value::Int(1), 10, 99).unwrap(), [1]);
+}

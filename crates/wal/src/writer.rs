@@ -213,6 +213,13 @@ impl LogWriter {
         self.stats
     }
 
+    /// End the writer the way a power failure does: appends no
+    /// [`LogWriter::sync`] pushed to the file are lost, where dropping the
+    /// writer would flush them.
+    pub fn discard(self) {
+        let _ = self.file.into_parts();
+    }
+
     /// Truncate the log to zero length (after a checkpoint covers it).
     /// Discards any half-written tail and un-wedges the writer — with an
     /// empty log covered by a checkpoint, appends are safe again.

@@ -7,138 +7,51 @@
 //! oracle state of the durable committed prefix: every published commit
 //! durable, no uncommitted effect visible, MVCC invariants intact.
 
-use std::collections::BTreeMap;
-
-use hyrise_nv::{Database, DurabilityConfig, IndexKind};
+use hyrise_nv::torture::{
+    apply_workload, check_invariants, engine_state, schema, setup, sim_config, Ledger, TortureOp,
+    TortureTxn,
+};
+use hyrise_nv::{Database, DurabilityConfig, TableId};
 use nvm::{CrashSchedule, TraceConfig};
-use storage::{ColumnDef, DataType, Schema, Value};
+use storage::Value;
 use util::rng::{Rng, SmallRng};
 
 /// Key universe — wide enough that runs mix fresh inserts with updates and
 /// deletes of existing keys rather than hammering a handful of rows.
 const KEY_SPACE: i64 = 500;
 
-#[derive(Debug, Clone)]
-enum FuzzOp {
-    Insert { key: i64 },
-    Update { key: i64, version: u32 },
-    Delete { key: i64 },
-}
-
-#[derive(Debug, Clone)]
-struct FuzzTxn {
-    ops: Vec<FuzzOp>,
-    commit: bool,
-}
-
-fn gen_op(rng: &mut SmallRng) -> FuzzOp {
+// This suite's generator differs from `torture::gen_workload` on purpose:
+// half the key space (denser update/delete hits), full 32-bit versions,
+// more aborts, and caller-chosen lengths down to a single transaction.
+fn gen_op(rng: &mut SmallRng) -> TortureOp {
     let key = rng.gen_range_i64(0, KEY_SPACE);
     match rng.gen_range_u64(0, 3) {
-        0 => FuzzOp::Insert { key },
-        1 => FuzzOp::Update {
+        0 => TortureOp::Insert { key },
+        1 => TortureOp::Update {
             key,
-            version: rng.next_u64() as u32,
+            version: rng.next_u64() as u32 as i64,
         },
-        _ => FuzzOp::Delete { key },
+        _ => TortureOp::Delete { key },
     }
 }
 
-fn gen_txn(rng: &mut SmallRng) -> FuzzTxn {
+fn gen_txn(rng: &mut SmallRng) -> TortureTxn {
     let n = rng.gen_range_usize(1, 6);
-    FuzzTxn {
+    TortureTxn {
         ops: (0..n).map(|_| gen_op(rng)).collect(),
         commit: rng.gen_bool(0.75),
     }
 }
 
-fn gen_txns(rng: &mut SmallRng, lo: usize, hi: usize) -> Vec<FuzzTxn> {
+fn gen_txns(rng: &mut SmallRng, lo: usize, hi: usize) -> Vec<TortureTxn> {
     let n = rng.gen_range_usize(lo, hi);
     (0..n).map(|_| gen_txn(rng)).collect()
 }
 
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
-
-fn nvm_db() -> Database {
-    Database::create(DurabilityConfig::Nvm {
-        capacity: 32 << 20,
-        latency: nvm::LatencyModel::zero(),
-    })
-    .unwrap()
-}
-
-/// Oracle: committed key → latest committed version.
-type Oracle = BTreeMap<i64, i64>;
-
-/// Apply transactions "insert-if-absent / update / delete" style so the
-/// oracle stays a map. When `snaps` is given, the oracle state after every
-/// commit is recorded together with its commit timestamp (the
-/// committed-prefix ledger the mid-run crash tests check against).
-fn apply_all(
-    db: &mut Database,
-    t: hyrise_nv::TableId,
-    txns: &[FuzzTxn],
-    oracle: &mut Oracle,
-    mut snaps: Option<&mut Vec<(u64, Oracle)>>,
-) -> hyrise_nv::Result<()> {
-    for txn in txns {
-        let mut shadow = oracle.clone();
-        let mut tx = db.begin();
-        for op in &txn.ops {
-            match op {
-                FuzzOp::Insert { key } => {
-                    if !shadow.contains_key(key) {
-                        db.insert(&mut tx, t, &[Value::Int(*key), Value::Int(0)])?;
-                        shadow.insert(*key, 0);
-                    }
-                }
-                FuzzOp::Update { key, version } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key))?;
-                    if let Some(hit) = hits.first() {
-                        let row = hit.row;
-                        db.update(
-                            &mut tx,
-                            t,
-                            row,
-                            &[Value::Int(*key), Value::Int(*version as i64)],
-                        )?;
-                        shadow.insert(*key, *version as i64);
-                    }
-                }
-                FuzzOp::Delete { key } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key))?;
-                    if let Some(hit) = hits.first() {
-                        let row = hit.row;
-                        db.delete(&mut tx, t, row)?;
-                        shadow.remove(key);
-                    }
-                }
-            }
-        }
-        if txn.commit {
-            let cts = db.commit(&mut tx)?;
-            *oracle = shadow;
-            if let Some(snaps) = snaps.as_deref_mut() {
-                snaps.push((cts, oracle.clone()));
-            }
-        } else {
-            db.abort(&mut tx)?;
-        }
-    }
-    Ok(())
-}
-
-fn engine_state(db: &mut Database, t: hyrise_nv::TableId) -> Oracle {
-    let tx = db.begin();
-    db.scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect()
+/// Apply `txns` on top of the ledger's last state; that state afterwards is
+/// the committed oracle.
+fn apply_all(db: &mut Database, t: TableId, txns: &[TortureTxn], snaps: &mut Ledger) {
+    apply_workload(db, t, txns, snaps, |_, _| {}).unwrap();
 }
 
 #[test]
@@ -149,11 +62,10 @@ fn nvm_crash_recovery_matches_oracle() {
         let evict = rng.gen_bool(0.5);
         let eviction_seed = rng.next_u64();
 
-        let mut db = nvm_db();
-        let t = db.create_table("t", schema()).unwrap();
-        db.create_index(t, 0, IndexKind::Hash).unwrap();
-        let mut oracle = Oracle::new();
-        apply_all(&mut db, t, &txns, &mut oracle, None).unwrap();
+        let (mut db, t) = setup(sim_config(false)).unwrap();
+        let mut snaps = vec![Default::default()];
+        apply_all(&mut db, t, &txns, &mut snaps);
+        let oracle = &snaps.last().unwrap().1;
 
         let policy = if evict {
             nvm::CrashPolicy::RandomEviction {
@@ -164,11 +76,11 @@ fn nvm_crash_recovery_matches_oracle() {
             nvm::CrashPolicy::DropUnflushed
         };
         db.restart(policy).unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case}");
+        assert_eq!(&engine_state(&mut db, t).unwrap(), oracle, "case {case}");
 
         // Index agreement after recovery.
         let tx = db.begin();
-        for (k, v) in &oracle {
+        for (k, v) in oracle {
             let hits = db.index_lookup(&tx, t, 0, &Value::Int(*k)).unwrap();
             assert_eq!(
                 hits.len(),
@@ -192,54 +104,34 @@ fn mid_run_scheduled_crashes_match_committed_prefix() {
         let mut rng = SmallRng::seed_from_u64(0x5C_4ED ^ case);
         let txns = gen_txns(&mut rng, 8, 24);
 
-        // Reference run: learn the workload's fence count.
-        let total_fences = {
-            let mut db = nvm_db();
-            let t = db.create_table("t", schema()).unwrap();
-            db.create_index(t, 0, IndexKind::Hash).unwrap();
+        // One traced run of this suite's workload with `point` armed (the
+        // reference run arms none).
+        let traced = |point| {
+            let (mut db, t) = setup(sim_config(false)).unwrap();
             let region = db.nv_backend().unwrap().region().clone();
             region.trace_start(TraceConfig { keep_events: false });
-            let mut oracle = Oracle::new();
-            apply_all(&mut db, t, &txns, &mut oracle, None).unwrap();
-            region.trace_stop().unwrap().fences
+            if let Some(point) = point {
+                region.arm_crash(point).unwrap();
+            }
+            let mut snaps = vec![Default::default()];
+            apply_all(&mut db, t, &txns, &mut snaps);
+            (db, t, region, snaps)
         };
+        let total_fences = traced(None).2.trace_stop().unwrap().fences;
         assert!(total_fences > 0, "case {case}: workload issued no fences");
 
         for (i, point) in CrashSchedule::sample(total_fences, 8, 0xD00 ^ case)
             .into_iter()
             .enumerate()
         {
-            let mut db = nvm_db();
-            let t = db.create_table("t", schema()).unwrap();
-            db.create_index(t, 0, IndexKind::Hash).unwrap();
-            let region = db.nv_backend().unwrap().region().clone();
-            region.trace_start(TraceConfig { keep_events: false });
-            region.arm_crash(point).unwrap();
-
-            let mut oracle = Oracle::new();
-            let mut snaps: Vec<(u64, Oracle)> = vec![(0, Oracle::new())];
-            apply_all(&mut db, t, &txns, &mut oracle, Some(&mut snaps)).unwrap();
-
+            let (mut db, t, _, snaps) = traced(Some(point));
             let report = db.restart_scheduled().unwrap();
-            let expected = snaps
-                .iter()
-                .rev()
-                .find(|(cts, _)| *cts <= report.last_cts)
-                .map(|(_, o)| o.clone())
-                .unwrap();
-            assert_eq!(
-                engine_state(&mut db, t),
-                expected,
-                "case {case} point {i} ({point:?}): recovered state must be the \
-                 committed prefix at cts {}",
-                report.last_cts
-            );
-            let integrity = db.verify_integrity().unwrap();
-            assert!(
-                integrity.is_clean(),
-                "case {case} point {i} ({point:?}): {}",
-                integrity.render()
-            );
+            check_invariants(&mut db, t, &snaps, report.last_cts, case).unwrap_or_else(|v| {
+                panic!(
+                    "case {case} point {i} ({point:?}): `{}`: {}",
+                    v.invariant, v.detail
+                )
+            });
         }
     }
 }
@@ -249,12 +141,12 @@ fn wal_crash_recovery_matches_oracle() {
     for case in 0u64..16 {
         let mut rng = SmallRng::seed_from_u64(0x3A1 ^ case);
         let txns = gen_txns(&mut rng, 1, 15);
-        let mut db = Database::create(DurabilityConfig::wal_temp()).unwrap();
-        let t = db.create_table("t", schema()).unwrap();
-        let mut oracle = Oracle::new();
-        apply_all(&mut db, t, &txns, &mut oracle, None).unwrap();
+        let (mut db, t) = setup(DurabilityConfig::wal_temp()).unwrap();
+        let mut snaps = vec![Default::default()];
+        apply_all(&mut db, t, &txns, &mut snaps);
         db.restart_after_crash().unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case}");
+        let oracle = &snaps.last().unwrap().1;
+        assert_eq!(&engine_state(&mut db, t).unwrap(), oracle, "case {case}");
     }
 }
 
@@ -264,15 +156,16 @@ fn merge_then_crash_preserves_state() {
         let mut rng = SmallRng::seed_from_u64(0x4E6E ^ case);
         let txns = gen_txns(&mut rng, 2, 12);
         let split = rng.gen_range_usize(0, txns.len() + 1);
-        let mut db = nvm_db();
-        let t = db.create_table("t", schema()).unwrap();
-        let mut oracle = Oracle::new();
-        apply_all(&mut db, t, &txns[..split], &mut oracle, None).unwrap();
+        let (mut db, t) = setup(sim_config(false)).unwrap();
+        let mut snaps = vec![Default::default()];
+        apply_all(&mut db, t, &txns[..split], &mut snaps);
         db.merge(t).unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case} post-merge");
-        apply_all(&mut db, t, &txns[split..], &mut oracle, None).unwrap();
+        let state = engine_state(&mut db, t).unwrap();
+        assert_eq!(state, snaps.last().unwrap().1, "case {case} post-merge");
+        apply_all(&mut db, t, &txns[split..], &mut snaps);
         db.restart_after_crash().unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case}");
+        let state = engine_state(&mut db, t).unwrap();
+        assert_eq!(state, snaps.last().unwrap().1, "case {case}");
     }
 }
 
@@ -282,28 +175,28 @@ fn ycsb_style_sequence_survives_eviction_crashes() {
         let mut rng = SmallRng::seed_from_u64(0x9C5B ^ case);
         // Flat single-op transactions, heavier volume, always-evict crash.
         let nops = rng.gen_range_usize(5, 60);
-        let mut db = nvm_db();
-        let t = db.create_table("t", schema()).unwrap();
-        let mut oracle = Oracle::new();
+        let (mut db, t) = setup(sim_config(false)).unwrap();
+        let mut snaps = vec![Default::default()];
         for _ in 0..nops {
             let key = rng.gen_range_i64(0, KEY_SPACE);
-            let txn = FuzzTxn {
+            let txn = TortureTxn {
                 ops: vec![match rng.gen_range_u64(0, 3) {
-                    0 => FuzzOp::Insert { key },
-                    1 => FuzzOp::Update {
+                    0 => TortureOp::Insert { key },
+                    1 => TortureOp::Update {
                         key,
-                        version: (key as u32) * 7,
+                        version: key * 7,
                     },
-                    _ => FuzzOp::Delete { key },
+                    _ => TortureOp::Delete { key },
                 }],
                 commit: true,
             };
-            apply_all(&mut db, t, &[txn], &mut oracle, None).unwrap();
+            apply_all(&mut db, t, &[txn], &mut snaps);
         }
         let seed = rng.next_u64();
         db.restart(nvm::CrashPolicy::RandomEviction { p: 0.3, seed })
             .unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case}");
+        let state = engine_state(&mut db, t).unwrap();
+        assert_eq!(state, snaps.last().unwrap().1, "case {case}");
     }
 }
 
@@ -318,9 +211,7 @@ fn triple_restart_idempotent_across_backends() {
     let configs: [(&str, ConfigFn); 3] = [
         ("volatile", || DurabilityConfig::Volatile),
         ("wal", DurabilityConfig::wal_temp),
-        ("nvm+shadow-wal", || {
-            DurabilityConfig::nvm_with_wal(16 << 20, nvm::LatencyModel::zero())
-        }),
+        ("nvm+shadow-wal", || sim_config(true)),
     ];
     for (mode, cfg) in configs {
         let mut db = Database::create(cfg()).unwrap();
@@ -342,10 +233,10 @@ fn triple_restart_idempotent_across_backends() {
             continue;
         }
         db.restart_after_crash().unwrap();
-        let s1 = engine_state(&mut db, t);
+        let s1 = engine_state(&mut db, t).unwrap();
         for cycle in 2..=3 {
             db.restart_after_crash().unwrap();
-            let s = engine_state(&mut db, t);
+            let s = engine_state(&mut db, t).unwrap();
             assert_eq!(s1, s, "{mode}: restart #{cycle} diverged from restart #1");
         }
         assert_eq!(s1.len(), 20, "{mode}: committed rows must survive");

@@ -11,279 +11,43 @@
 //! 4. **Index↔table agreement** — persistent indexes and base tables agree
 //!    on every reachable row.
 //!
-//! Failures shrink to the smallest crash fence that reproduces them and are
-//! written as a replay artifact (`seed` + crash point) under `results/`.
-//! Point count and case count scale with the `CRASH_TORTURE_POINTS` /
-//! `CRASH_TORTURE_CASES` environment variables so CI can run a quick smoke
-//! while local runs go deeper.
+//! Workload, oracle, scenario and checker are `hyrise_nv::torture`'s; this
+//! suite owns the sampling and the shrinking. Failures shrink to the
+//! smallest crash fence that reproduces them and are written as a replay
+//! artifact (`seed` + crash point) under `results/`. Point count and case
+//! count scale with the `CRASH_TORTURE_POINTS` / `CRASH_TORTURE_CASES`
+//! environment variables so CI can run a quick smoke while local runs go
+//! deeper.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-use hyrise_nv::{Database, DurabilityConfig, IndexKind};
-use nvm::{CrashPoint, CrashSchedule, TraceConfig};
-use storage::{ColumnDef, DataType, Schema, Value};
-use util::rng::{Rng, SmallRng};
-
-type Oracle = BTreeMap<i64, i64>;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert { key: i64 },
-    Update { key: i64, version: i64 },
-    Delete { key: i64 },
-}
-
-#[derive(Debug, Clone)]
-struct Txn {
-    ops: Vec<Op>,
-    commit: bool,
-}
-
-/// Deterministic workload for a case seed: a mix of multi-op transactions
-/// over a wide key space, with aborts sprinkled in.
-fn gen_workload(seed: u64) -> Vec<Txn> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let ntxns = rng.gen_range_usize(10, 26);
-    (0..ntxns)
-        .map(|_| {
-            let nops = rng.gen_range_usize(1, 6);
-            let ops = (0..nops)
-                .map(|_| {
-                    let key = rng.gen_range_i64(0, 1000);
-                    match rng.gen_range_u64(0, 3) {
-                        0 => Op::Insert { key },
-                        1 => Op::Update {
-                            key,
-                            version: rng.next_u64() as i64 & 0xFFFF,
-                        },
-                        _ => Op::Delete { key },
-                    }
-                })
-                .collect();
-            Txn {
-                ops,
-                commit: rng.gen_bool(0.8),
-            }
-        })
-        .collect()
-}
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
-
-fn fresh_db() -> (Database, hyrise_nv::TableId) {
-    let mut db = Database::create(DurabilityConfig::Nvm {
-        capacity: 16 << 20,
-        latency: nvm::LatencyModel::zero(),
-    })
-    .unwrap();
-    let t = db.create_table("t", schema()).unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
-    (db, t)
-}
-
-/// Run the workload, recording the oracle state after every commit.
-fn apply_workload(
-    db: &mut Database,
-    t: hyrise_nv::TableId,
-    txns: &[Txn],
-    snaps: &mut Vec<(u64, Oracle)>,
-) {
-    let mut oracle = snaps.last().map(|(_, o)| o.clone()).unwrap_or_default();
-    for txn in txns {
-        let mut shadow = oracle.clone();
-        let mut tx = db.begin();
-        for op in &txn.ops {
-            match op {
-                Op::Insert { key } => {
-                    if !shadow.contains_key(key) {
-                        db.insert(&mut tx, t, &[Value::Int(*key), Value::Int(0)])
-                            .unwrap();
-                        shadow.insert(*key, 0);
-                    }
-                }
-                Op::Update { key, version } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key)).unwrap();
-                    if let Some(hit) = hits.first() {
-                        db.update(
-                            &mut tx,
-                            t,
-                            hit.row,
-                            &[Value::Int(*key), Value::Int(*version)],
-                        )
-                        .unwrap();
-                        shadow.insert(*key, *version);
-                    }
-                }
-                Op::Delete { key } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key)).unwrap();
-                    if let Some(hit) = hits.first() {
-                        db.delete(&mut tx, t, hit.row).unwrap();
-                        shadow.remove(key);
-                    }
-                }
-            }
-        }
-        if txn.commit {
-            let cts = db.commit(&mut tx).unwrap();
-            oracle = shadow;
-            snaps.push((cts, oracle.clone()));
-        } else {
-            db.abort(&mut tx).unwrap();
-        }
-    }
-}
-
-fn engine_state(db: &mut Database, t: hyrise_nv::TableId) -> Oracle {
-    let tx = db.begin();
-    db.scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect()
-}
-
-#[derive(Debug)]
-struct Violation {
-    invariant: &'static str,
-    detail: String,
-}
-
-struct Replay {
-    last_cts: u64,
-    lint_findings: usize,
-    image_hash: u64,
-}
+use hyrise_nv::torture::{
+    crash_scenario, env_usize, gen_workload, sim_config, traced_run, write_repro, Adversity,
+    Recovered, TortureTxn, TortureViolation,
+};
+use nvm::{CrashPoint, CrashSchedule};
 
 /// Replay the seeded workload with `point` armed, recover, and check all
-/// four invariants. Returns the recovery facts on success.
-fn replay(seed: u64, txns: &[Txn], point: CrashPoint) -> Result<Replay, Violation> {
-    let (mut db, t) = fresh_db();
-    let region = db.nv_backend().unwrap().region().clone();
-    region.trace_start(TraceConfig { keep_events: false });
-    region.arm_crash(point).unwrap();
-
-    let mut snaps: Vec<(u64, Oracle)> = vec![(0, Oracle::new())];
-    apply_workload(&mut db, t, txns, &mut snaps);
-
-    let report = db.restart_scheduled().map_err(|e| Violation {
-        invariant: "recovery",
-        detail: format!("seed {seed}: recovery failed: {e}"),
-    })?;
-    let outcome = report.scheduled.expect("scheduled restart records outcome");
-
-    // Invariants 1 + 2: the recovered state is exactly the committed prefix
-    // at the durable watermark — every commit ≤ last_cts visible, nothing
-    // newer or uncommitted.
-    let expected = snaps
-        .iter()
-        .rev()
-        .find(|(cts, _)| *cts <= report.last_cts)
-        .map(|(_, o)| o.clone())
-        .ok_or_else(|| Violation {
-            invariant: "committed-prefix",
-            detail: format!(
-                "seed {seed}: recovered last_cts {} matches no commit ledger entry",
-                report.last_cts
-            ),
-        })?;
-    let got = engine_state(&mut db, t);
-    if got != expected {
-        let missing: Vec<_> = expected
-            .iter()
-            .filter(|(k, _)| !got.contains_key(*k))
-            .collect();
-        let extra: Vec<_> = got
-            .iter()
-            .filter(|(k, _)| !expected.contains_key(*k))
-            .collect();
-        let inv = if extra.is_empty() {
-            "committed-prefix-durability"
-        } else {
-            "no-uncommitted-effects"
-        };
-        return Err(Violation {
-            invariant: inv,
-            detail: format!(
-                "seed {seed}: state diverges at last_cts {}: {} rows expected, {} visible; \
-                 missing {missing:?}, extra {extra:?}",
-                report.last_cts,
-                expected.len(),
-                got.len()
-            ),
-        });
-    }
-
-    // Invariants 2 (pending markers), 3, 4.
-    let integrity = db.verify_integrity().map_err(|e| Violation {
-        invariant: "integrity-check",
-        detail: format!("seed {seed}: verify_integrity failed: {e}"),
-    })?;
-    if integrity.heap_limbo_blocks != 0 {
-        return Err(Violation {
-            invariant: "allocator-leak-free",
-            detail: format!("seed {seed}: {}", integrity.render()),
-        });
-    }
-    if !integrity.mvcc.is_clean() {
-        return Err(Violation {
-            invariant: "no-uncommitted-effects",
-            detail: format!("seed {seed}: {}", integrity.render()),
-        });
-    }
-    if !integrity.index.is_clean() {
-        return Err(Violation {
-            invariant: "index-table-agreement",
-            detail: format!("seed {seed}: {}", integrity.render()),
-        });
-    }
-
-    Ok(Replay {
-        last_cts: report.last_cts,
-        lint_findings: report.lint_findings.len(),
-        image_hash: outcome.image_hash,
-    })
+/// four invariants.
+fn replay(
+    seed: u64,
+    txns: &[TortureTxn],
+    point: CrashPoint,
+) -> Result<Recovered, TortureViolation> {
+    crash_scenario(sim_config(false), seed, txns, point, &[], Adversity::None)
 }
 
-fn results_path(name: &str) -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.push("../../results");
-    let _ = std::fs::create_dir_all(&p);
-    p.push(name);
-    p
-}
-
-/// Persist a `(seed, crash point)` replay artifact so a failure reproduces
-/// with a single targeted run. Deduped by seed and bounded via
-/// [`util::repro`] so `results/` cannot grow without limit.
-fn write_repro(seed: u64, original: CrashPoint, shrunk: CrashPoint, v: &Violation) {
-    let original_s = format!("{original:?}");
-    let shrunk_s = format!("{shrunk:?}");
-    let fence_s = shrunk.trip_fence().to_string();
-    util::repro::write(
-        &results_path("crash_torture_repro.jsonl"),
-        "crash_torture",
-        seed,
-        [
-            ("original_point", original_s.as_str()),
-            ("shrunk_point", shrunk_s.as_str()),
-            ("shrunk_fence", fence_s.as_str()),
-            ("invariant", v.invariant),
-            ("detail", v.detail.as_str()),
-        ],
-    );
+/// Reference run: how many fences the workload issues.
+fn total_fences(seed: u64, txns: &[TortureTxn]) -> u64 {
+    let (_db, _t, region, _snaps) =
+        traced_run(sim_config(false), seed, txns, Adversity::None, None).unwrap();
+    let fences = region.trace_stop().unwrap().fences;
+    assert!(fences > 0);
+    fences
 }
 
 /// Shrink a failing point to the smallest fence boundary that still
 /// violates an invariant (bounded scan; falls back to the original point
 /// when only the adversarial survival subset reproduces it).
-fn shrink(seed: u64, txns: &[Txn], original: CrashPoint) -> (CrashPoint, Violation) {
+fn shrink(seed: u64, txns: &[TortureTxn], original: CrashPoint) -> (CrashPoint, TortureViolation) {
     let limit = original.trip_fence().min(128);
     for fence in 1..=limit {
         let p = CrashPoint::AtFence { fence };
@@ -297,13 +61,6 @@ fn shrink(seed: u64, txns: &[Txn], original: CrashPoint) -> (CrashPoint, Violati
     (original, v)
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 #[test]
 fn torture_sampled_crash_points_uphold_invariants() {
     let cases = env_usize("CRASH_TORTURE_CASES", 2) as u64;
@@ -312,26 +69,25 @@ fn torture_sampled_crash_points_uphold_invariants() {
     for case in 0..cases {
         let seed = 0x7011_7012u64 ^ (case << 8);
         let txns = gen_workload(seed);
-
-        // Reference run: learn how many fences the workload issues.
-        let total_fences = {
-            let (mut db, t) = fresh_db();
-            let region = db.nv_backend().unwrap().region().clone();
-            region.trace_start(TraceConfig { keep_events: false });
-            let mut snaps = vec![(0, Oracle::new())];
-            apply_workload(&mut db, t, &txns, &mut snaps);
-            region.trace_stop().unwrap().fences
-        };
-        assert!(total_fences > 0);
-
-        let points = CrashSchedule::sample(total_fences, points_per_case, seed ^ 0xA4);
+        let points = CrashSchedule::sample(total_fences(seed, &txns), points_per_case, seed ^ 0xA4);
         let mut lints = 0usize;
         for (i, point) in points.iter().enumerate() {
             match replay(seed, &txns, *point) {
-                Ok(r) => lints += r.lint_findings,
+                Ok(r) => lints += r.report.lint_findings.len(),
                 Err(_) => {
                     let (shrunk, v) = shrink(seed, &txns, *point);
-                    write_repro(seed, *point, shrunk, &v);
+                    write_repro(
+                        "crash_torture_repro.jsonl",
+                        "crash_torture",
+                        seed,
+                        &[
+                            ("original_point", &format!("{point:?}")),
+                            ("shrunk_point", &format!("{shrunk:?}")),
+                            ("shrunk_fence", &shrunk.trip_fence().to_string()),
+                            ("invariant", v.invariant),
+                            ("detail", &v.detail),
+                        ],
+                    );
                     panic!(
                         "case {case} seed {seed:#x} point {i}/{} {point:?}: invariant \
                          `{}` violated (shrunk to {shrunk:?}, repro written to \
@@ -362,19 +118,12 @@ fn torture_sampled_crash_points_uphold_invariants() {
 fn scheduled_crashes_replay_deterministically() {
     let seed = 0xD37377u64;
     let txns = gen_workload(seed);
-    let total_fences = {
-        let (mut db, t) = fresh_db();
-        let region = db.nv_backend().unwrap().region().clone();
-        region.trace_start(TraceConfig { keep_events: false });
-        let mut snaps = vec![(0, Oracle::new())];
-        apply_workload(&mut db, t, &txns, &mut snaps);
-        region.trace_stop().unwrap().fences
-    };
-    for point in CrashSchedule::sample(total_fences, 6, seed) {
-        let a = replay(seed, &txns, point).unwrap();
-        let b = replay(seed, &txns, point).unwrap();
+    for point in CrashSchedule::sample(total_fences(seed, &txns), 6, seed) {
+        let a = replay(seed, &txns, point).unwrap().report;
+        let b = replay(seed, &txns, point).unwrap().report;
         assert_eq!(
-            a.image_hash, b.image_hash,
+            a.scheduled.unwrap().image_hash,
+            b.scheduled.unwrap().image_hash,
             "{point:?}: surviving image differs"
         );
         assert_eq!(
@@ -389,16 +138,8 @@ fn scheduled_crashes_replay_deterministically() {
 #[test]
 fn every_fence_boundary_of_short_workload_is_safe() {
     let seed = 0xFE7CEu64;
-    let txns: Vec<Txn> = gen_workload(seed).into_iter().take(4).collect();
-    let total_fences = {
-        let (mut db, t) = fresh_db();
-        let region = db.nv_backend().unwrap().region().clone();
-        region.trace_start(TraceConfig { keep_events: false });
-        let mut snaps = vec![(0, Oracle::new())];
-        apply_workload(&mut db, t, &txns, &mut snaps);
-        region.trace_stop().unwrap().fences
-    };
-    for point in CrashSchedule::enumerate_fences(total_fences) {
+    let txns: Vec<TortureTxn> = gen_workload(seed).into_iter().take(4).collect();
+    for point in CrashSchedule::enumerate_fences(total_fences(seed, &txns)) {
         replay(seed, &txns, point).unwrap_or_else(|v| {
             panic!(
                 "{point:?}: invariant `{}` violated: {}",

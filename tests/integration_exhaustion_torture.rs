@@ -21,52 +21,34 @@
 //! smoke while local runs go deeper. Failures append a repro line with
 //! the exact seed/nth under `results/`.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-use hyrise_nv::{
-    retry_write, Database, DurabilityConfig, EngineError, HealthState, IndexKind, TableId,
+use hyrise_nv::torture::{
+    check_invariants, engine_state, env_usize, schema, sim_config, write_repro, Ledger, Oracle,
 };
-use nvm::{AllocFaultClass, AllocFaultSpec, CrashPoint, LatencyModel, TraceConfig};
-use storage::{ColumnDef, DataType, Schema, Value};
+use hyrise_nv::{retry_write, Database, EngineError, HealthState, IndexKind, TableId};
+use nvm::{AllocFaultClass, AllocFaultSpec, CrashPoint, TraceConfig};
+use storage::Value;
 use util::rng::{Rng, SmallRng};
 use wal::{WalFaultClass, WalFaultSpec};
 
-type Oracle = BTreeMap<i64, i64>;
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
-
+/// No table yet, unlike `torture::setup`: the DDL itself runs under the
+/// armed allocation fault, and each scenario picks its own indexes.
 fn fresh_db() -> Database {
-    Database::create(DurabilityConfig::nvm_with_wal(
-        16 << 20,
-        LatencyModel::zero(),
-    ))
-    .unwrap()
+    Database::create(sim_config(true)).unwrap()
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-fn results_path(name: &str) -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.push("../../results");
-    let _ = std::fs::create_dir_all(&p);
-    p.push(name);
-    p
-}
-
-fn write_repro(suite: &str, seed: u64, detail: &[(&str, &str)]) {
-    let name = format!("exhaustion_torture_repro_{suite}.jsonl");
-    util::repro::write(&results_path(&name), suite, seed, detail.iter().copied());
+/// Run `scenario`; if it panics, record `(suite, seed)` and `detail` as a
+/// repro line under `results/`, then re-raise.
+fn or_repro<T>(
+    suite: &str,
+    seed: u64,
+    detail: &[(&str, &str)],
+    scenario: impl FnOnce() -> T + std::panic::UnwindSafe,
+) -> T {
+    std::panic::catch_unwind(scenario).unwrap_or_else(|payload| {
+        let file = format!("exhaustion_torture_repro_{suite}.jsonl");
+        write_repro(&file, suite, seed, detail);
+        std::panic::resume_unwind(payload)
+    })
 }
 
 /// A rejected or failed write must carry a typed capacity/admission error —
@@ -80,15 +62,6 @@ fn assert_capacity_class(e: &EngineError, ctx: &str) {
             ),
         "{ctx}: expected a typed capacity/admission error, got: {e}"
     );
-}
-
-fn scan_state(db: &mut Database, t: TableId) -> hyrise_nv::Result<Oracle> {
-    let tx = db.begin();
-    Ok(db
-        .scan_all(&tx, t)?
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -203,7 +176,7 @@ fn sweep_scenario(nth: Option<u64>, seed: u64) -> u64 {
     let rep = db.verify_integrity().unwrap();
     assert!(rep.is_clean(), "{ctx}: {}", rep.render());
     assert_eq!(
-        scan_state(&mut db, t).unwrap(),
+        engine_state(&mut db, t).unwrap(),
         oracle,
         "{ctx}: committed state diverged after {typed_failures} typed aborts"
     );
@@ -219,7 +192,7 @@ fn sweep_scenario(nth: Option<u64>, seed: u64) -> u64 {
     // And the image survives a restart bit-for-bit.
     let report = db.restart_after_crash().unwrap();
     assert_eq!(report.mode, "nvm+wal", "{ctx}");
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle, "{ctx}");
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "{ctx}");
     assert!(db.verify_integrity().unwrap().is_clean(), "{ctx}");
     attempts
 }
@@ -240,18 +213,13 @@ fn alloc_fault_sweep_every_site_aborts_cleanly() {
     let step = (total as usize).div_ceil(budget).max(1);
     let mut ran = 0usize;
     for nth in (0..total).step_by(step) {
-        let out = std::panic::catch_unwind(|| sweep_scenario(Some(nth), seed));
-        if let Err(payload) = out {
-            write_repro(
-                "alloc_sweep",
-                seed,
-                &[
-                    ("nth", &nth.to_string()),
-                    ("total_sites", &total.to_string()),
-                ],
-            );
-            std::panic::resume_unwind(payload);
-        }
+        let detail = [
+            ("nth", &*nth.to_string()),
+            ("total_sites", &*total.to_string()),
+        ];
+        or_repro("alloc_sweep", seed, &detail, || {
+            sweep_scenario(Some(nth), seed)
+        });
         ran += 1;
     }
     eprintln!("alloc sweep: {ran} of {total} sites sampled (step {step}), all aborted cleanly");
@@ -267,7 +235,7 @@ fn probabilistic_alloc_faults_never_panic() {
         .max(4);
     for i in 0..scenarios {
         let seed = 0xA6_0002u64.wrapping_add(i as u64 * 0x9E37_79B9);
-        let out = std::panic::catch_unwind(|| {
+        or_repro("alloc_probabilistic", seed, &[("p", "0.05")], || {
             let mut db = fresh_db();
             let t = db.create_table("t", schema()).unwrap();
             db.create_index(t, 0, IndexKind::Hash).unwrap();
@@ -313,7 +281,7 @@ fn probabilistic_alloc_faults_never_panic() {
             db.nv_backend().unwrap().region().clear_alloc_fault();
             let rep = db.verify_integrity().unwrap();
             assert!(rep.is_clean(), "seed {seed:#x}: {}", rep.render());
-            assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+            assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
             // Typed aborts may have orphaned reservations; reclamation
             // sweeps them and the engine takes writes again.
             db.reclaim().unwrap();
@@ -323,12 +291,8 @@ fn probabilistic_alloc_faults_never_panic() {
             db.commit(&mut tx).unwrap();
             oracle.insert(-1, 0);
             db.restart_after_crash().unwrap();
-            assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+            assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
         });
-        if let Err(payload) = out {
-            write_repro("alloc_probabilistic", seed, &[("p", "0.05")]);
-            std::panic::resume_unwind(payload);
-        }
     }
 }
 
@@ -434,7 +398,7 @@ fn watermark_state_machine_walks_through_public_api() {
 
     // Tighten the clamp until the same live footprint reads ≥ read_only:
     // the machine must jump to ReadOnly without any new writes landing.
-    let committed = scan_state(&mut db, t).unwrap();
+    let committed = engine_state(&mut db, t).unwrap();
     let s = db.heap_stats().unwrap();
     let live = s.high_water - s.free_bytes;
     db.set_capacity_clamp(Some(live + live / 50)).unwrap();
@@ -442,7 +406,7 @@ fn watermark_state_machine_walks_through_public_api() {
     assert_eq!(h.state, HealthState::ReadOnly);
 
     // Reads are served in ReadOnly; writes and DDL carry typed errors.
-    assert_eq!(scan_state(&mut db, t).unwrap(), committed);
+    assert_eq!(engine_state(&mut db, t).unwrap(), committed);
     let mut tx = db.begin();
     let e = db
         .insert(&mut tx, t, &[Value::Int(-7), Value::Int(0)])
@@ -492,7 +456,7 @@ fn retry_write_recovers_from_transient_exhaustion() {
     let h = db.health();
     assert_eq!(h.capacity_aborts, 1);
     assert!(h.reclaims >= 1);
-    assert_eq!(scan_state(&mut db, t).unwrap().len(), 1);
+    assert_eq!(engine_state(&mut db, t).unwrap().len(), 1);
 }
 
 /// Reclamation at the brim: merges retire dead versions and reservation
@@ -505,7 +469,7 @@ fn reclaim_frees_capacity_at_the_brim() {
     let mut next_key = 0i64;
     fill_batches(&mut db, t, &mut next_key, 100);
     // Delete most rows (their versions stay until a merge retires them).
-    let committed = scan_state(&mut db, t).unwrap();
+    let committed = engine_state(&mut db, t).unwrap();
     let mut tx = db.begin();
     for (i, (&key, _)) in committed.iter().enumerate() {
         if i % 8 != 0 {
@@ -595,7 +559,7 @@ fn wal_fault_scenario(class: WalFaultClass, nth: u64, seed: u64) {
 
     // A wedged log forces ReadOnly regardless of utilization; reads work.
     assert_eq!(db.health().state, HealthState::ReadOnly);
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle, "{ctx}");
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "{ctx}");
     let mut tx = db.begin();
     let e = db
         .insert(&mut tx, t, &[Value::Int(-9), Value::Int(0)])
@@ -619,7 +583,7 @@ fn wal_fault_scenario(class: WalFaultClass, nth: u64, seed: u64) {
     // restart replays to exactly the oracle.
     db.restart_after_crash()
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle, "{ctx}");
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "{ctx}");
     assert!(db.verify_integrity().unwrap().is_clean(), "{ctx}");
 }
 
@@ -642,15 +606,10 @@ fn wal_enospc_wedges_then_reclaim_recovers() {
                 _ => (i as u64) * 7 + 1,
             };
             let seed = 0xA6_0003u64 ^ ((i as u64) << 16);
-            let out = std::panic::catch_unwind(|| wal_fault_scenario(class, nth, seed));
-            if let Err(payload) = out {
-                write_repro(
-                    "wal_fault",
-                    seed,
-                    &[("class", class.name()), ("nth", &nth.to_string())],
-                );
-                std::panic::resume_unwind(payload);
-            }
+            let detail = [("class", class.name()), ("nth", &*nth.to_string())];
+            or_repro("wal_fault", seed, &detail, || {
+                wal_fault_scenario(class, nth, seed)
+            });
         }
     }
 }
@@ -662,9 +621,9 @@ fn wal_enospc_wedges_then_reclaim_recovers() {
 /// The deterministic brim workload: seed committed state, clamp near the
 /// brim, then keep writing — commits land until admission/exhaustion
 /// rejects them. Returns the commit ledger (cts → oracle).
-fn brim_workload(db: &mut Database, t: TableId, seed: u64) -> Vec<(u64, Oracle)> {
+fn brim_workload(db: &mut Database, t: TableId, seed: u64) -> Ledger {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut snaps: Vec<(u64, Oracle)> = vec![(0, Oracle::new())];
+    let mut snaps = vec![(0, Oracle::new())];
     let mut oracle = Oracle::new();
     for batch in 0..30 {
         if batch == 10 {
@@ -730,25 +689,8 @@ fn crash_at_exhaustion_scenario(seed: u64, fence: u64) {
         "{ctx}: persist-trace lint: {:?}",
         report.lint_findings
     );
-    let expected = snaps
-        .iter()
-        .rev()
-        .find(|(cts, _)| *cts <= report.last_cts)
-        .map(|(_, o)| o.clone())
-        .unwrap_or_else(|| {
-            panic!(
-                "{ctx}: last_cts {} matches no ledger entry",
-                report.last_cts
-            )
-        });
-    assert_eq!(
-        scan_state(&mut db, t).unwrap(),
-        expected,
-        "{ctx}: recovered state is not the committed prefix at cts {}",
-        report.last_cts
-    );
-    let rep = db.verify_integrity().unwrap();
-    assert!(rep.is_clean(), "{ctx}: {}", rep.render());
+    check_invariants(&mut db, t, &snaps, report.last_cts, seed)
+        .unwrap_or_else(|v| panic!("{ctx}: `{}`: {}", v.invariant, v.detail));
 
     // Recovery at the brim may come back degraded — reclamation plus a
     // lifted clamp must restore writability.
@@ -782,18 +724,13 @@ fn crash_at_exhaustion_recovers_a_clean_committed_prefix() {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xC4A5);
         for _ in 0..2 {
             let fence = 1 + rng.gen_range_u64(total_fences / 2, total_fences);
-            let out = std::panic::catch_unwind(|| crash_at_exhaustion_scenario(seed, fence));
-            if let Err(payload) = out {
-                write_repro(
-                    "crash_at_exhaustion",
-                    seed,
-                    &[
-                        ("fence", &fence.to_string()),
-                        ("total_fences", &total_fences.to_string()),
-                    ],
-                );
-                std::panic::resume_unwind(payload);
-            }
+            let detail = [
+                ("fence", &*fence.to_string()),
+                ("total_fences", &*total_fences.to_string()),
+            ];
+            or_repro("crash_at_exhaustion", seed, &detail, || {
+                crash_at_exhaustion_scenario(seed, fence)
+            });
         }
     }
 }

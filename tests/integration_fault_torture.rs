@@ -19,172 +19,30 @@
 //! filename and body carry the seed base, fault class, and fault rate;
 //! failures append a repro line with the exact seed and target offset.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use hyrise_nv::torture::{
+    engine_state, env_usize, fault_extents, fault_scenario, preload, results_path, setup,
+    sim_config, write_repro, Oracle,
+};
+use hyrise_nv::{Database, TableId};
+use nvm::{FaultClass, FaultSpec, CACHE_LINE};
+use storage::Value;
 
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
-use nvm::{FaultClass, FaultSpec, LatencyModel, CACHE_LINE};
-use storage::{ColumnDef, DataType, Schema, Value};
-use util::rng::{Rng, SmallRng};
-
-type Oracle = BTreeMap<i64, i64>;
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
-
-/// Build a database in NVM+shadow-WAL mode with a deterministic committed
-/// workload: a merged main partition (when `merge`), a populated delta, and
-/// both index kinds. Returns the committed-state oracle.
-fn build_db(seed: u64, merge: bool) -> (Database, TableId, Oracle) {
-    let mut db = Database::create(DurabilityConfig::nvm_with_wal(
-        16 << 20,
-        LatencyModel::zero(),
-    ))
-    .unwrap();
-    let t = db.create_table("t", schema()).unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
-
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut oracle = Oracle::new();
-    let ntxns = 12;
-    for txn_i in 0..ntxns {
-        let mut tx = db.begin();
-        for _ in 0..10 {
-            let key = rng.gen_range_i64(0, 4000);
-            if oracle.contains_key(&key) {
-                continue;
-            }
-            let ver = rng.next_u64() as i64 & 0xFFFF;
-            db.insert(&mut tx, t, &[Value::Int(key), Value::Int(ver)])
-                .unwrap();
-            oracle.insert(key, ver);
-        }
-        db.commit(&mut tx).unwrap();
-        if merge && txn_i == ntxns / 2 {
-            db.merge(t).unwrap();
-        }
-    }
+/// The scripted tests' database: NVM + shadow WAL holding the shared
+/// committed load (merged main, populated delta, both index kinds).
+fn build_db(seed: u64) -> (Database, TableId, Oracle) {
+    let (mut db, t) = setup(sim_config(true)).unwrap();
+    let (_, oracle) = preload(&mut db, t, seed, true).unwrap();
     (db, t, oracle)
 }
 
-/// Read the full visible state (key → ver), surfacing any typed error.
-fn scan_state(db: &mut Database, t: TableId) -> hyrise_nv::Result<Oracle> {
-    let tx = db.begin();
-    Ok(db
-        .scan_all(&tx, t)?
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect())
-}
-
-/// Pick a fault target strictly inside a checksummed extent: interior cache
-/// lines only, so line-granular damage (bit flips, torn lines) cannot spill
-/// into a neighbouring structure that shares the extent's edge lines.
-fn pick_target(db: &Database, t: TableId, rng: &mut SmallRng) -> (String, u64, u64) {
-    let extents: Vec<_> = db
-        .media_extents(t)
-        .unwrap()
-        .into_iter()
-        .filter(|e| e.checksummed && e.len >= 3 * CACHE_LINE)
-        .collect();
-    assert!(
-        !extents.is_empty(),
-        "workload must produce checksummed extents spanning ≥3 cache lines"
-    );
-    let e = extents[rng.gen_range_usize(0, extents.len())];
-    let lo = e.offset + CACHE_LINE;
-    let hi = e.offset + e.len - CACHE_LINE;
-    let offset = lo + rng.gen_range_u64(0, hi - lo);
-    // Budget for ScribbledBlock: bytes remaining inside the extent.
-    let scribble_room = (e.offset + e.len - CACHE_LINE).saturating_sub(offset);
-    (e.what.to_string(), offset, scribble_room)
-}
-
-struct Outcome {
-    detected: bool,
-    rung: u8,
-}
-
-/// One seeded scenario: build, inject, check no-silent-corruption, recover,
-/// check the oracle state came back exactly.
-fn run_scenario(class: FaultClass, seed: u64) -> Outcome {
-    let merge = seed & 1 == 0;
-    let (mut db, t, oracle) = build_db(seed, merge);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA01_7A6E);
-    let (what, offset, room) = pick_target(&db, t, &mut rng);
-    let class = match class {
-        // Keep scribbles inside the chosen extent.
-        FaultClass::ScribbledBlock { len } => FaultClass::ScribbledBlock {
-            len: len.min(room.max(8)),
-        },
-        c => c,
-    };
+fn inject(db: &Database, class: FaultClass, offset: u64, seed: u64) {
     let spec = FaultSpec {
         class,
         offset,
         seed,
     };
-    db.nv_backend()
-        .unwrap()
-        .region()
-        .inject_fault(&spec)
-        .unwrap();
-
-    // Property 1: no silent corruption. Verification first (it is the
-    // detection point), then a full read-back. If verification passes AND
-    // the read-back succeeds, the data must be byte-for-byte the oracle.
-    let verified = db.verify_media();
-    let detected = verified.is_err();
-    match scan_state(&mut db, t) {
-        Ok(state) => {
-            if state != oracle && !detected {
-                panic!(
-                    "SILENT CORRUPTION: seed {seed:#x} {spec} in {what:?}: reads returned \
-                     wrong data and media verification reported clean"
-                );
-            }
-        }
-        Err(_) => { /* typed error is an acceptable read outcome */ }
-    }
-
-    // Property 2: self-healing recovery.
-    let report = db
-        .restart_after_crash()
-        .unwrap_or_else(|e| panic!("seed {seed:#x} {spec} in {what:?}: recovery failed: {e}"));
-    let after = scan_state(&mut db, t)
-        .unwrap_or_else(|e| panic!("seed {seed:#x} {spec}: post-recovery read failed: {e}"));
-    assert_eq!(
-        after, oracle,
-        "seed {seed:#x} {spec} in {what:?}: recovered state diverges from oracle (rung {})",
-        report.rung
-    );
-    let n = db
-        .verify_media()
-        .unwrap_or_else(|e| panic!("seed {seed:#x} {spec}: post-recovery media check: {e}"));
-    assert!(n > 0);
-    let integrity = db.verify_integrity().unwrap();
-    assert!(
-        integrity.is_clean(),
-        "seed {seed:#x} {spec}: {}",
-        integrity.render()
-    );
-    Outcome {
-        detected,
-        rung: report.rung,
-    }
-}
-
-fn results_path(name: &str) -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.push("../../results");
-    let _ = std::fs::create_dir_all(&p);
-    p.push(name);
-    p
+    let backend = db.nv_backend().unwrap();
+    backend.region().inject_fault(&spec).unwrap();
 }
 
 /// Per-class summary artifact: seed base, fault class, and fault rate are
@@ -220,13 +78,6 @@ fn write_class_artifact(
     let _ = std::fs::write(results_path(&name), body + "\n");
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The torture matrix: every fault class × N seeded scenarios, each aimed
 /// at a random interior slice of a random checksummed extent.
 #[test]
@@ -245,25 +96,25 @@ fn torture_media_faults_no_silent_corruption() {
         let mut rungs = [0usize; 3];
         for i in 0..scenarios {
             let seed = seed_base.wrapping_add(i as u64 * 0x9E37_79B9);
-            let out = std::panic::catch_unwind(|| run_scenario(class, seed));
-            match out {
-                Ok(o) => {
-                    detected += o.detected as usize;
-                    rungs[o.rung.min(2) as usize] += 1;
+            // A violation and an engine panic under the fault take the
+            // same exit: a repro line, then the panic.
+            let outcome = std::panic::catch_unwind(|| {
+                fault_scenario(class, 1, seed)
+                    .unwrap_or_else(|v| panic!("{class}: `{}` violated: {}", v.invariant, v.detail))
+            });
+            match outcome {
+                Ok((seen, rec)) => {
+                    detected += seen as usize;
+                    rungs[rec.report.rung.min(2) as usize] += 1;
                 }
                 Err(payload) => {
-                    // Repro artifact (deduped by suite+seed, bounded), then
-                    // re-raise.
-                    let name = format!("fault_torture_repro_{}.jsonl", class.name());
-                    let suite = format!("fault_torture/{}", class.name());
-                    let class_s = format!("{class}");
-                    util::repro::write(
-                        &results_path(&name),
-                        &suite,
+                    write_repro(
+                        &format!("fault_torture_repro_{}.jsonl", class.name()),
+                        &format!("fault_torture/{}", class.name()),
                         seed,
-                        [
+                        &[
                             ("fault_class", class.name()),
-                            ("fault_class_detail", class_s.as_str()),
+                            ("fault_class_detail", &class.to_string()),
                             ("faults_per_scenario", "1"),
                         ],
                     );
@@ -302,23 +153,16 @@ fn torture_media_faults_no_silent_corruption() {
 /// dictionary and watch the shadow-WAL fallback rebuild the table.
 #[test]
 fn scribbled_table_recovers_via_wal_rung2() {
-    let (mut db, t, oracle) = build_db(0xBEEF, true);
+    let (mut db, t, oracle) = build_db(0xBEEF);
     let extents = db.media_extents(t).unwrap();
     let e = extents
         .iter()
         .find(|e| e.what == "main-dict")
         .expect("merged table has a main dictionary");
-    db.nv_backend()
-        .unwrap()
-        .region()
-        .inject_fault(&FaultSpec {
-            class: FaultClass::ScribbledBlock {
-                len: e.len.min(512),
-            },
-            offset: e.offset,
-            seed: 7,
-        })
-        .unwrap();
+    let class = FaultClass::ScribbledBlock {
+        len: e.len.min(512),
+    };
+    inject(&db, class, e.offset, 7);
     assert!(db.verify_media().is_err(), "scribble must be detected");
 
     let report = db.restart_after_crash().unwrap();
@@ -326,7 +170,7 @@ fn scribbled_table_recovers_via_wal_rung2() {
     assert!(report.structures_rebuilt >= 1);
     assert!(report.blocks_quarantined >= 1);
     assert!(report.log_records_replayed > 0);
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
     assert!(db.verify_media().is_ok());
     assert!(db.verify_integrity().unwrap().is_clean());
 }
@@ -335,21 +179,10 @@ fn scribbled_table_recovers_via_wal_rung2() {
 /// no rebuild, no quarantine, rung ≤ 1.
 #[test]
 fn transient_poison_repairs_at_rung1() {
-    let (mut db, t, oracle) = build_db(0xCAFE, true);
-    let extents = db.media_extents(t).unwrap();
-    let e = extents
-        .iter()
-        .find(|e| e.checksummed && e.len >= 3 * CACHE_LINE)
-        .unwrap();
-    db.nv_backend()
-        .unwrap()
-        .region()
-        .inject_fault(&FaultSpec {
-            class: FaultClass::PoisonTransient { failures: 2 },
-            offset: e.offset + CACHE_LINE,
-            seed: 9,
-        })
-        .unwrap();
+    let (mut db, t, oracle) = build_db(0xCAFE);
+    let e = fault_extents(&db, t).unwrap()[0];
+    let class = FaultClass::PoisonTransient { failures: 2 };
+    inject(&db, class, e.offset + CACHE_LINE, 9);
 
     let report = db.restart_after_crash().unwrap();
     assert!(
@@ -357,7 +190,7 @@ fn transient_poison_repairs_at_rung1() {
         "transient poison must not need the WAL rung"
     );
     assert_eq!(report.structures_rebuilt, 0);
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
     assert!(db.verify_media().is_ok());
 }
 
@@ -366,14 +199,14 @@ fn transient_poison_repairs_at_rung1() {
 /// committed state.
 #[test]
 fn nvm_with_wal_clean_restart_is_rung0() {
-    let (mut db, t, oracle) = build_db(0xD00D, true);
+    let (mut db, t, oracle) = build_db(0xD00D);
     assert!(db.wal_stats().records > 0, "shadow log must see traffic");
     let report = db.restart_after_crash().unwrap();
     assert_eq!(report.rung, 0);
     assert_eq!(report.structures_rebuilt, 0);
     assert_eq!(report.blocks_quarantined, 0);
     assert!(report.media_structures_verified > 0);
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
 
     // And the mode keeps working after recovery: new commits land in both
     // the NVM image and the re-baselined shadow log, surviving a second
@@ -384,18 +217,10 @@ fn nvm_with_wal_clean_restart_is_rung0() {
     db.commit(&mut tx).unwrap();
     let extents = db.media_extents(t).unwrap();
     let e = extents.iter().find(|e| e.checksummed).unwrap();
-    db.nv_backend()
-        .unwrap()
-        .region()
-        .inject_fault(&FaultSpec {
-            class: FaultClass::ScribbledBlock { len: 64 },
-            offset: e.offset,
-            seed: 3,
-        })
-        .unwrap();
+    inject(&db, FaultClass::ScribbledBlock { len: 64 }, e.offset, 3);
     let report = db.restart_after_crash().unwrap();
     assert_eq!(report.rung, 2);
     let mut expected = oracle;
     expected.insert(9_999_999, 1);
-    assert_eq!(scan_state(&mut db, t).unwrap(), expected);
+    assert_eq!(engine_state(&mut db, t).unwrap(), expected);
 }

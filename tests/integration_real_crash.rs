@@ -31,11 +31,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use hyrise_nv::torture::{
-    apply_workload, check_invariants, gen_workload, setup_tables, Oracle, TortureTxn,
-    TortureViolation,
+    check_invariants, crash_scenario, env_usize, gen_workload, traced_run, write_repro, Adversity,
+    Ledger, Oracle, TortureTxn, TortureViolation,
 };
 use hyrise_nv::{Database, DurabilityConfig, RecoveryReport};
-use nvm::{send_sigterm, CrashPoint, LatencyModel, TraceConfig};
+use nvm::{send_sigterm, CrashPoint, LatencyModel};
 use util::rng::{Rng, SmallRng};
 
 const CAPACITY: u64 = 4 << 20;
@@ -125,44 +125,32 @@ fn sargs(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| s.to_string()).collect()
 }
 
+/// The simulated twin of the child's device: same capacity, so the engine
+/// issues the same persist sequence on both.
+fn sim_twin() -> DurabilityConfig {
+    DurabilityConfig::nvm(CAPACITY, LatencyModel::zero())
+}
+
 /// Full no-crash run on the simulated backend: the commit ledger the parent
 /// uses as oracle, plus the number of fences the workload issues (identical
 /// across backends — the engine's persist sequence is deterministic).
-fn sim_reference(_seed: u64, txns: &[TortureTxn]) -> (Vec<(u64, Oracle)>, u64) {
-    let mut db = Database::create(DurabilityConfig::nvm(CAPACITY, LatencyModel::zero())).unwrap();
-    let t = setup_tables(&mut db).unwrap();
-    let region = db.nv_backend().unwrap().region().clone();
-    region.trace_start(TraceConfig { keep_events: false });
-    let mut snaps = vec![(0, Oracle::new())];
-    apply_workload(&mut db, t, txns, &mut snaps, |_, _| {}).unwrap();
-    let fences = region.trace_stop().unwrap().fences;
-    (snaps, fences)
+fn sim_reference(seed: u64, txns: &[TortureTxn]) -> (Ledger, u64) {
+    let (_db, _t, region, snaps) =
+        traced_run(sim_twin(), seed, txns, Adversity::None, None).unwrap();
+    (snaps, region.trace_stop().unwrap().fences)
 }
 
-/// Conformance replay: same schedule on the simulated backend with a
-/// scheduled crash at `fence`. Returns the recovered report after the
-/// simulated restart (invariants are asserted inside).
-fn sim_crash_at_fence(
-    seed: u64,
-    txns: &[TortureTxn],
-    snaps: &[(u64, Oracle)],
-    fence: u64,
-) -> RecoveryReport {
-    let mut db = Database::create(DurabilityConfig::nvm(CAPACITY, LatencyModel::zero())).unwrap();
-    let t = setup_tables(&mut db).unwrap();
-    let region = db.nv_backend().unwrap().region().clone();
-    region.trace_start(TraceConfig { keep_events: false });
-    region.arm_crash(CrashPoint::AtFence { fence }).unwrap();
-    let mut live = vec![(0, Oracle::new())];
-    apply_workload(&mut db, t, txns, &mut live, |_, _| {}).unwrap();
-    let report = db.restart_scheduled().unwrap();
-    check_invariants(&mut db, t, snaps, report.last_cts, seed).unwrap_or_else(|v| {
-        panic!(
+/// Conformance replay: the crash-torture scenario on the simulated twin
+/// with a scheduled crash at `fence` (invariants are checked inside).
+fn sim_crash_at_fence(seed: u64, txns: &[TortureTxn], fence: u64) -> RecoveryReport {
+    let point = CrashPoint::AtFence { fence };
+    match crash_scenario(sim_twin(), seed, txns, point, &[], Adversity::None) {
+        Ok(rec) => rec.report,
+        Err(v) => panic!(
             "sim conformance replay violated `{}`: {}",
             v.invariant, v.detail
-        )
-    });
-    report
+        ),
+    }
 }
 
 /// Reopen the killed child's file in the parent and verify everything.
@@ -183,27 +171,6 @@ fn reopen_and_verify(
     Ok(report)
 }
 
-fn results_path(name: &str) -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.push("../../results");
-    let _ = std::fs::create_dir_all(&p);
-    p.push(name);
-    p
-}
-
-fn write_repro(seed: u64, scenario: &str, v: &TortureViolation) {
-    util::repro::write(
-        &results_path("real_crash_repro.jsonl"),
-        "real_crash",
-        seed,
-        [
-            ("scenario", scenario),
-            ("invariant", v.invariant),
-            ("detail", v.detail.as_str()),
-        ],
-    );
-}
-
 fn verify_or_die(
     path: &Path,
     seed: u64,
@@ -213,7 +180,16 @@ fn verify_or_die(
     match reopen_and_verify(path, seed, snaps) {
         Ok(r) => r,
         Err(v) => {
-            write_repro(seed, scenario, &v);
+            write_repro(
+                "real_crash_repro.jsonl",
+                "real_crash",
+                seed,
+                &[
+                    ("scenario", scenario),
+                    ("invariant", v.invariant),
+                    ("detail", &v.detail),
+                ],
+            );
             panic!(
                 "seed {seed:#x} scenario `{scenario}`: invariant `{}` violated (repro \
                  written to results/real_crash_repro.jsonl): {}",
@@ -221,13 +197,6 @@ fn verify_or_die(
             );
         }
     }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Measure how many fences a recovery of `path`'s current image issues, by
@@ -283,7 +252,7 @@ fn real_kill_scenarios_uphold_invariants() {
 
             // Conformance: the sim's adversarial crash at the same fence
             // recovers a prefix no newer than what the real kill preserved.
-            let sim = sim_crash_at_fence(seed, &txns, &snaps, fence);
+            let sim = sim_crash_at_fence(seed, &txns, fence);
             assert!(
                 sim.last_cts <= report.last_cts,
                 "seed {seed:#x} fence {fence}: sim recovered cts {} beyond real {}",

@@ -15,7 +15,11 @@ fn row(k: i64) -> Vec<Value> {
 }
 
 fn populate(db: &mut Database, t: TableId, n: i64) {
-    for k in 0..n {
+    populate_from(db, t, 0..n);
+}
+
+fn populate_from(db: &mut Database, t: TableId, keys: std::ops::Range<i64>) {
+    for k in keys {
         let mut tx = db.begin();
         db.insert(&mut tx, t, &row(k)).unwrap();
         db.commit(&mut tx).unwrap();
@@ -55,6 +59,37 @@ fn wal_restart_recovers_all_committed_data() {
 }
 
 #[test]
+fn failed_restart_keeps_the_log_attached_wal() {
+    let config = DurabilityConfig::wal_temp();
+    let DurabilityConfig::Wal(wal_cfg) = &config else {
+        unreachable!("wal_temp is the WAL baseline")
+    };
+    let paths = wal::WalPaths::new(&wal_cfg.dir).unwrap();
+    let mut db = Database::create(config).unwrap();
+    let t = db.create_table("t", schema()).unwrap();
+    populate(&mut db, t, 5);
+
+    // An unreadable checkpoint fails the restart half way through.
+    let good = std::fs::read(paths.checkpoint()).unwrap();
+    let mut bad = good.clone();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0xff;
+    std::fs::write(paths.checkpoint(), &bad).unwrap();
+    assert!(db.restart_after_crash().is_err());
+
+    // The engine is still logged: work committed after the failure
+    // reaches the file, and the retry recovers from checkpoint + log
+    // instead of taking the volatile engine's "data loss" branch.
+    populate_from(&mut db, t, 5..6);
+    std::fs::write(paths.checkpoint(), &good).unwrap();
+    let report = db.restart_after_crash().unwrap();
+    assert!(report.phases.iter().all(|p| p.name != "data loss"));
+    assert_eq!(report.rows_recovered, 6);
+    let tx = db.begin();
+    assert_eq!(db.scan_all(&tx, t).unwrap().len(), 6);
+}
+
+#[test]
 fn volatile_restart_loses_everything() {
     let mut db = Database::create(DurabilityConfig::Volatile).unwrap();
     let t = db.create_table("t", schema()).unwrap();
@@ -85,15 +120,48 @@ fn uncommitted_transaction_invisible_after_restart_nvm() {
 
 #[test]
 fn uncommitted_transaction_invisible_after_restart_wal() {
-    let mut db = Database::create(DurabilityConfig::wal_temp()).unwrap();
+    let config = DurabilityConfig::wal_temp();
+    let DurabilityConfig::Wal(wal_cfg) = &config else {
+        unreachable!("wal_temp is the WAL baseline")
+    };
+    let paths = wal::WalPaths::new(&wal_cfg.dir).unwrap();
+    let mut db = Database::create(config).unwrap();
     let t = db.create_table("t", schema()).unwrap();
     populate(&mut db, t, 5);
     let mut tx = db.begin();
     db.insert(&mut tx, t, &row(100)).unwrap();
-    // No commit — crash loses the unsynced suffix and/or discards the txn.
-    let _report = db.restart_after_crash().unwrap();
+    // No commit — the crash loses the unsynced insert record with the
+    // writer's buffer.
+    let first = db.restart_after_crash().unwrap();
     let tx = db.begin();
     assert_eq!(db.scan_all(&tx, t).unwrap().len(), 5);
+
+    // The dead transaction's record must not surface later: new commits
+    // reuse its row id, and a stale record flushed behind the new writer
+    // would make the next replay disagree with the log about that id.
+    populate_from(&mut db, t, 5..8);
+    let second = db.restart_after_crash().unwrap();
+    assert_eq!(
+        second.log_records_replayed,
+        first.log_records_replayed + 6,
+        "second replay = first replay + 3 × (insert, commit), nothing of the dead txn"
+    );
+    let tx = db.begin();
+    let keys: Vec<i64> = db
+        .scan_all(&tx, t)
+        .unwrap()
+        .iter()
+        .map(|r| r.values[0].as_int().unwrap())
+        .collect();
+    assert_eq!(keys, (0..8).collect::<Vec<_>>());
+    // The writer's logical position (what a checkpoint records as covered)
+    // is the real end of the file.
+    db.checkpoint().unwrap();
+    let (meta, _) = wal::load_checkpoint(&paths.checkpoint()).unwrap();
+    assert_eq!(
+        meta.covered_log_pos,
+        std::fs::metadata(paths.log()).unwrap().len()
+    );
 }
 
 #[test]

@@ -19,65 +19,12 @@
 //! failures shrink to the smallest nested chain that still reproduces and
 //! are written as replay artifacts under `results/`.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
-use nvm::{
-    AllocFaultClass, AllocFaultSpec, CrashPoint, CrashSchedule, FaultClass, FaultSpec,
-    LatencyModel, TraceConfig, CACHE_LINE,
+use hyrise_nv::torture::{
+    apply_workload, check_invariants, crash_scenario, env_usize, gen_workload, setup, sim_config,
+    traced_run, write_repro, Adversity, Recovered, TortureTxn, TortureViolation,
 };
-use storage::{ColumnDef, DataType, Schema, Value};
-use util::rng::{Rng, SmallRng};
-
-type Oracle = BTreeMap<i64, i64>;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert { key: i64 },
-    Update { key: i64, version: i64 },
-    Delete { key: i64 },
-}
-
-#[derive(Debug, Clone)]
-struct Txn {
-    ops: Vec<Op>,
-    commit: bool,
-}
-
-fn gen_workload(seed: u64) -> Vec<Txn> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let ntxns = rng.gen_range_usize(8, 20);
-    (0..ntxns)
-        .map(|_| {
-            let nops = rng.gen_range_usize(1, 6);
-            let ops = (0..nops)
-                .map(|_| {
-                    let key = rng.gen_range_i64(0, 1000);
-                    match rng.gen_range_u64(0, 3) {
-                        0 => Op::Insert { key },
-                        1 => Op::Update {
-                            key,
-                            version: rng.next_u64() as i64 & 0xFFFF,
-                        },
-                        _ => Op::Delete { key },
-                    }
-                })
-                .collect();
-            Txn {
-                ops,
-                commit: rng.gen_bool(0.8),
-            }
-        })
-        .collect()
-}
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
+use hyrise_nv::DurabilityConfig;
+use nvm::{CrashPoint, CrashSchedule};
 
 /// Which NVM-backed durability mode a scenario class runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,352 +35,73 @@ enum NvKind {
     WithWal,
 }
 
-fn fresh_db(kind: NvKind) -> (Database, TableId) {
-    let cfg = match kind {
-        NvKind::Plain => DurabilityConfig::nvm(16 << 20, LatencyModel::zero()),
-        NvKind::WithWal => DurabilityConfig::nvm_with_wal(16 << 20, LatencyModel::zero()),
-    };
-    let mut db = Database::create(cfg).unwrap();
-    let t = db.create_table("t", schema()).unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
-    (db, t)
-}
-
-fn apply_workload(db: &mut Database, t: TableId, txns: &[Txn], snaps: &mut Vec<(u64, Oracle)>) {
-    let mut oracle = snaps.last().map(|(_, o)| o.clone()).unwrap_or_default();
-    for txn in txns {
-        let mut shadow = oracle.clone();
-        let mut tx = db.begin();
-        for op in &txn.ops {
-            match op {
-                Op::Insert { key } => {
-                    if !shadow.contains_key(key) {
-                        db.insert(&mut tx, t, &[Value::Int(*key), Value::Int(0)])
-                            .unwrap();
-                        shadow.insert(*key, 0);
-                    }
-                }
-                Op::Update { key, version } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key)).unwrap();
-                    if let Some(hit) = hits.first() {
-                        db.update(
-                            &mut tx,
-                            t,
-                            hit.row,
-                            &[Value::Int(*key), Value::Int(*version)],
-                        )
-                        .unwrap();
-                        shadow.insert(*key, *version);
-                    }
-                }
-                Op::Delete { key } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key)).unwrap();
-                    if let Some(hit) = hits.first() {
-                        db.delete(&mut tx, t, hit.row).unwrap();
-                        shadow.remove(key);
-                    }
-                }
-            }
-        }
-        if txn.commit {
-            let cts = db.commit(&mut tx).unwrap();
-            oracle = shadow;
-            snaps.push((cts, oracle.clone()));
-        } else {
-            db.abort(&mut tx).unwrap();
-        }
-    }
-}
-
-/// Pre-trace preload for the media-fault classes: a merged main partition
-/// gives the fault injector durable checksummed extents to aim at. Runs
-/// before `trace_start`, so it shifts no traced fence numbering.
-fn preload_main(db: &mut Database, t: TableId, snaps: &mut Vec<(u64, Oracle)>) {
-    let mut oracle = snaps.last().map(|(_, o)| o.clone()).unwrap_or_default();
-    for batch in 0..4i64 {
-        let mut tx = db.begin();
-        for k in 0..16i64 {
-            let key = 2000 + batch * 16 + k;
-            db.insert(&mut tx, t, &[Value::Int(key), Value::Int(1)])
-                .unwrap();
-            oracle.insert(key, 1);
-        }
-        let cts = db.commit(&mut tx).unwrap();
-        snaps.push((cts, oracle.clone()));
-    }
-    db.merge(t).unwrap();
-}
-
-fn engine_state(db: &mut Database, t: TableId) -> Oracle {
-    let tx = db.begin();
-    db.scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect()
-}
-
-#[derive(Debug)]
-struct Violation {
-    invariant: &'static str,
-    detail: String,
-}
-
-/// Outcome of a successfully recovered chain.
-struct ChainResult {
-    state: Oracle,
-    last_cts: u64,
-    /// Progress-word attempt number reported by the terminal recovery.
-    attempt: u64,
-    lint_findings: usize,
-}
-
-/// Pick a deterministic media-fault spec aimed strictly inside a
-/// checksummed extent (interior lines only). Must be called on the live
-/// pre-crash engine; the layout is a pure function of the seed, so the
-/// oracle and chain runs of one scenario pick the identical target.
-fn pick_fault(db: &Database, t: TableId, seed: u64) -> FaultSpec {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA01_7A6E);
-    let extents: Vec<_> = db
-        .media_extents(t)
-        .unwrap()
-        .into_iter()
-        .filter(|e| e.checksummed && e.len >= 3 * CACHE_LINE)
-        .collect();
-    assert!(!extents.is_empty(), "workload left no checksummed extents");
-    let e = extents[rng.gen_range_usize(0, extents.len())];
-    let lo = e.offset + CACHE_LINE;
-    let hi = e.offset + e.len - CACHE_LINE;
-    let offset = lo + rng.gen_range_u64(0, hi - lo);
-    let room = (e.offset + e.len - CACHE_LINE).saturating_sub(offset);
-    FaultSpec {
-        class: FaultClass::ScribbledBlock {
-            len: 96.min(room.max(8)),
-        },
-        offset,
-        seed,
-    }
-}
-
-/// Extra adversity applied to a chain between the workload crash and the
-/// first recovery — identical in the oracle and chain runs of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Adversity {
-    None,
-    /// Scribble a checksummed extent in *both* images while crashed, so
-    /// every recovery of the chain faces the same damaged media.
-    MediaFault,
-    /// Arm a one-shot allocation fault so the first recovery attempt that
-    /// needs heap space (the media-repair rebuild) fails outright and must
-    /// be retried by the next power cycle.
-    MediaFaultThenAllocFault,
-}
-
-/// Run one nested-crash chain: workload crashed at `p0`, then one power
-/// cycle per nested point, then a terminal recovery. Checks the four
-/// crash-torture invariants; convergence is the caller's job (it needs
-/// the oracle run).
+/// Run one nested-crash chain (the shared scenario): workload crashed at
+/// `p0`, then one power cycle per nested point, then a terminal recovery
+/// and the four invariants; convergence is the caller's job (it needs the
+/// oracle run).
 fn run_chain(
     kind: NvKind,
     seed: u64,
-    txns: &[Txn],
+    txns: &[TortureTxn],
     p0: CrashPoint,
     nested: &[CrashPoint],
     adversity: Adversity,
-) -> Result<ChainResult, Violation> {
-    let (mut db, t) = fresh_db(kind);
-    let mut snaps: Vec<(u64, Oracle)> = vec![(0, Oracle::new())];
-    if adversity != Adversity::None {
-        preload_main(&mut db, t, &mut snaps);
-    }
-    let region = db.nv_backend().unwrap().region().clone();
-    region.trace_start(TraceConfig { keep_events: false });
-    region.arm_crash(p0).unwrap();
-
-    apply_workload(&mut db, t, txns, &mut snaps);
-
-    if adversity != Adversity::None {
-        // The damage lands in both images, so it survives the crash
-        // materialization exactly like real media decay over a power loss.
-        let spec = pick_fault(&db, t, seed);
-        region.inject_fault(&spec).unwrap();
-    }
-    if adversity == Adversity::MediaFaultThenAllocFault {
-        db.arm_alloc_fault(AllocFaultSpec {
-            class: AllocFaultClass::FailNth { nth: 0 },
-            seed,
-        })
-        .unwrap();
-    }
-
-    let mut lint_findings = 0usize;
-    // Each traced restart materializes the previous crash and arms the
-    // next one inside its own recovery. A failed attempt (e.g. the armed
-    // allocation fault firing mid-rebuild) leaves the trace active and the
-    // crashed image untouched; the next iteration retries the power cycle.
-    for p in nested {
-        match db.restart_scheduled_traced(Some(*p)) {
-            Ok(rep) => lint_findings += rep.lint_findings.len(),
-            Err(e) if adversity == Adversity::MediaFaultThenAllocFault => {
-                let _ = e; // expected: the one-shot alloc fault fired
-            }
-            Err(e) => {
-                return Err(Violation {
-                    invariant: "recovery",
-                    detail: format!("seed {seed:#x}: nested recovery failed: {e}"),
-                })
-            }
-        }
-    }
-    let report = db.restart_scheduled().map_err(|e| Violation {
-        invariant: "recovery",
-        detail: format!("seed {seed:#x}: terminal recovery failed: {e}"),
-    })?;
-    lint_findings += report.lint_findings.len();
-
-    // Invariants 1 + 2: the recovered state is exactly the committed
-    // prefix at the durable watermark.
-    let expected = snaps
-        .iter()
-        .rev()
-        .find(|(cts, _)| *cts <= report.last_cts)
-        .map(|(_, o)| o.clone())
-        .ok_or_else(|| Violation {
-            invariant: "committed-prefix",
-            detail: format!(
-                "seed {seed:#x}: recovered last_cts {} matches no commit ledger entry",
-                report.last_cts
-            ),
-        })?;
-    let got = engine_state(&mut db, t);
-    if got != expected {
-        let missing: Vec<_> = expected
-            .iter()
-            .filter(|(k, _)| !got.contains_key(*k))
-            .collect();
-        let extra: Vec<_> = got
-            .iter()
-            .filter(|(k, _)| !expected.contains_key(*k))
-            .collect();
-        let inv = if extra.is_empty() {
-            "committed-prefix-durability"
-        } else {
-            "no-uncommitted-effects"
-        };
-        return Err(Violation {
-            invariant: inv,
-            detail: format!(
-                "seed {seed:#x}: state diverges at last_cts {}: missing {missing:?}, \
-                 extra {extra:?}",
-                report.last_cts
-            ),
-        });
-    }
-
-    // Invariants 2 (pending markers), 3, 4.
-    let integrity = db.verify_integrity().map_err(|e| Violation {
-        invariant: "integrity-check",
-        detail: format!("seed {seed:#x}: verify_integrity failed: {e}"),
-    })?;
-    if integrity.heap_limbo_blocks != 0 {
-        return Err(Violation {
-            invariant: "allocator-leak-free",
-            detail: format!("seed {seed:#x}: {}", integrity.render()),
-        });
-    }
-    if !integrity.mvcc.is_clean() {
-        return Err(Violation {
-            invariant: "no-uncommitted-effects",
-            detail: format!("seed {seed:#x}: {}", integrity.render()),
-        });
-    }
-    if !integrity.index.is_clean() {
-        return Err(Violation {
-            invariant: "index-table-agreement",
-            detail: format!("seed {seed:#x}: {}", integrity.render()),
-        });
-    }
-
-    Ok(ChainResult {
-        state: got,
-        last_cts: report.last_cts,
-        attempt: report.attempt,
-        lint_findings,
-    })
+) -> Result<Recovered, TortureViolation> {
+    let config = sim_config(kind == NvKind::WithWal);
+    crash_scenario(config, seed, txns, p0, nested, adversity)
 }
 
 /// Reference run: how many fences does the recovery after `p0` issue?
-/// Nested points are sampled from this budget; later recoveries of a chain
-/// may issue slightly more or fewer, and an out-of-range fence simply
-/// degrades to a crash at the end of a completed recovery.
-fn recovery_fence_budget(kind: NvKind, txns: &[Txn], p0: CrashPoint, adversity: Adversity) -> u64 {
-    let (mut db, t) = fresh_db(kind);
-    let mut snaps = vec![(0, Oracle::new())];
-    if adversity != Adversity::None {
-        preload_main(&mut db, t, &mut snaps);
-    }
-    let region = db.nv_backend().unwrap().region().clone();
-    region.trace_start(TraceConfig { keep_events: false });
-    region.arm_crash(p0).unwrap();
-    apply_workload(&mut db, t, txns, &mut snaps);
-    if adversity != Adversity::None {
-        let spec = pick_fault(&db, t, 0x0BAD_5EED);
-        region.inject_fault(&spec).unwrap();
-    }
+/// Nested points are sampled from this budget; later recoveries of a chain may issue slightly more or
+/// fewer, and an out-of-range fence simply degrades to a crash at the end
+/// of a completed recovery.
+fn recovery_fence_budget(
+    kind: NvKind,
+    seed: u64,
+    txns: &[TortureTxn],
+    p0: CrashPoint,
+    adversity: Adversity,
+) -> u64 {
+    let config = sim_config(kind == NvKind::WithWal);
+    let (mut db, _t, region, _snaps) = traced_run(config, seed, txns, adversity, Some(p0)).unwrap();
     db.restart_scheduled_traced(None).unwrap();
-    let fences = region.trace_fences();
-    let _ = region.trace_stop();
-    fences.max(1)
+    region.trace_fences().max(1)
 }
 
 /// Workload-phase fence budget for `p0` sampling.
-fn workload_fence_budget(kind: NvKind, txns: &[Txn], adversity: Adversity) -> u64 {
-    let (mut db, t) = fresh_db(kind);
-    let mut snaps = vec![(0, Oracle::new())];
-    if adversity != Adversity::None {
-        preload_main(&mut db, t, &mut snaps);
-    }
-    let region = db.nv_backend().unwrap().region().clone();
-    region.trace_start(TraceConfig { keep_events: false });
-    apply_workload(&mut db, t, txns, &mut snaps);
+fn workload_fence_budget(
+    kind: NvKind,
+    seed: u64,
+    txns: &[TortureTxn],
+    adversity: Adversity,
+) -> u64 {
+    let config = sim_config(kind == NvKind::WithWal);
+    let (_db, _t, region, _snaps) = traced_run(config, seed, txns, adversity, None).unwrap();
     let fences = region.trace_stop().unwrap().fences;
     assert!(fences > 0);
     fences
 }
 
-fn results_path(name: &str) -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.push("../../results");
-    let _ = std::fs::create_dir_all(&p);
-    p.push(name);
-    p
-}
-
 /// Replay artifact: seed, workload point, and the full nested chain, so a
 /// failure reproduces with one targeted run.
-fn write_repro(
+fn write_chain_repro(
     class: &str,
     seed: u64,
     p0: CrashPoint,
     nested: &[CrashPoint],
     shrunk: &[CrashPoint],
-    v: &Violation,
+    v: &TortureViolation,
 ) {
-    let suite = format!("recovery_torture/{class}");
-    let p0_s = format!("{p0:?}");
-    let nested_s = format!("{nested:?}");
-    let shrunk_s = format!("{shrunk:?}");
-    util::repro::write(
-        &results_path("recovery_torture_repro.jsonl"),
-        &suite,
+    write_repro(
+        "recovery_torture_repro.jsonl",
+        &format!("recovery_torture/{class}"),
         seed,
-        [
-            ("workload_point", p0_s.as_str()),
-            ("nested_chain", nested_s.as_str()),
-            ("shrunk_chain", shrunk_s.as_str()),
+        &[
+            ("workload_point", &format!("{p0:?}")),
+            ("nested_chain", &format!("{nested:?}")),
+            ("shrunk_chain", &format!("{shrunk:?}")),
             ("invariant", v.invariant),
-            ("detail", v.detail.as_str()),
+            ("detail", &v.detail),
         ],
     );
 }
@@ -444,11 +112,11 @@ fn write_repro(
 fn shrink_chain(
     kind: NvKind,
     seed: u64,
-    txns: &[Txn],
+    txns: &[TortureTxn],
     p0: CrashPoint,
     nested: &[CrashPoint],
     adversity: Adversity,
-) -> (Vec<CrashPoint>, Violation) {
+) -> (Vec<CrashPoint>, TortureViolation) {
     let mut chain: Vec<CrashPoint> = nested.to_vec();
     let mut last_v = None;
     while chain.len() > 1 {
@@ -482,13 +150,6 @@ fn shrink_chain(
     }
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn scenario_count() -> usize {
     env_usize("RECOVERY_TORTURE_SCENARIOS", 100)
 }
@@ -514,12 +175,12 @@ fn torture_class(class: &'static str, kind: NvKind, adversity: Adversity, seed_b
         }
         let seed = seed_base.wrapping_add(s as u64 * 0x9E37_79B9);
         let txns = gen_workload(seed);
-        let f_work = workload_fence_budget(kind, &txns, adversity);
+        let f_work = workload_fence_budget(kind, seed, &txns, adversity);
         let want = per_seed.min(chains - run);
         let p0s = CrashSchedule::sample(f_work, want, seed ^ 0xA4);
         // One recovery-fence reference run per workload seed: nested
         // points for all of this seed's chains are sampled from it.
-        let f_rec = recovery_fence_budget(kind, &txns, p0s[0], adversity);
+        let f_rec = recovery_fence_budget(kind, seed, &txns, p0s[0], adversity);
         for (i, p0) in p0s.iter().enumerate() {
             // Depth cycles 1..=cap so every class covers plain re-entry
             // (depth 1 ≡ the oracle itself) through doubly nested chains.
@@ -539,30 +200,32 @@ fn torture_class(class: &'static str, kind: NvKind, adversity: Adversity, seed_b
             });
             match run_chain(kind, seed, &txns, *p0, &nested, adversity) {
                 Ok(chain) => {
-                    if chain.state != oracle.state || chain.last_cts != oracle.last_cts {
-                        let v = Violation {
+                    if chain.state != oracle.state
+                        || chain.report.last_cts != oracle.report.last_cts
+                    {
+                        let v = TortureViolation {
                             invariant: "convergence",
                             detail: format!(
                                 "seed {seed:#x}: chain (cts {}, {} rows) diverges from \
                                  single-crash oracle (cts {}, {} rows)",
-                                chain.last_cts,
+                                chain.report.last_cts,
                                 chain.state.len(),
-                                oracle.last_cts,
+                                oracle.report.last_cts,
                                 oracle.state.len()
                             ),
                         };
-                        write_repro(class, seed, *p0, &nested, &nested, &v);
+                        write_chain_repro(class, seed, *p0, &nested, &nested, &v);
                         panic!(
                             "{class}: chain {run} {p0:?} + {nested:?}: {} — {}",
                             v.invariant, v.detail
                         );
                     }
-                    attempts_seen = attempts_seen.max(chain.attempt);
-                    lints += chain.lint_findings;
+                    attempts_seen = attempts_seen.max(chain.report.attempt);
+                    lints += chain.report.lint_findings.len();
                 }
                 Err(_) => {
                     let (shrunk, v) = shrink_chain(kind, seed, &txns, *p0, &nested, adversity);
-                    write_repro(class, seed, *p0, &nested, &shrunk, &v);
+                    write_chain_repro(class, seed, *p0, &nested, &shrunk, &v);
                     panic!(
                         "{class}: chain {run} seed {seed:#x} {p0:?} + {nested:?}: invariant \
                          `{}` violated (shrunk to {shrunk:?}, repro written to \
@@ -625,7 +288,7 @@ fn failed_recovery_attempt_retries_to_convergence() {
     for c in 0..chains {
         let seed = 0xA7_0004u64.wrapping_add(c as u64 * 0x9E37_79B9);
         let txns = gen_workload(seed);
-        let f_work = workload_fence_budget(NvKind::WithWal, &txns, Adversity::MediaFault);
+        let f_work = workload_fence_budget(NvKind::WithWal, seed, &txns, Adversity::MediaFault);
         let p0 = CrashSchedule::sample(f_work, 1, seed ^ 0xA4)[0];
 
         let oracle = run_chain(NvKind::WithWal, seed, &txns, p0, &[], Adversity::MediaFault)
@@ -656,8 +319,11 @@ fn failed_recovery_attempt_retries_to_convergence() {
             chain.state, oracle.state,
             "seed {seed:#x}: retried recovery diverges from the single-crash oracle"
         );
-        assert_eq!(chain.last_cts, oracle.last_cts, "seed {seed:#x}");
-        if chain.attempt > 1 {
+        assert_eq!(
+            chain.report.last_cts, oracle.report.last_cts,
+            "seed {seed:#x}"
+        );
+        if chain.report.attempt > 1 {
             retried += 1;
         }
     }
@@ -678,29 +344,15 @@ fn wal_backend_chains_converge_by_repeated_restart() {
         let depth = 1 + (c % depth_cap);
 
         let run = |cycles: usize| {
-            let mut db = Database::create(DurabilityConfig::wal_temp()).unwrap();
-            let t = db.create_table("t", schema()).unwrap();
-            db.create_index(t, 0, IndexKind::Hash).unwrap();
-            db.create_index(t, 1, IndexKind::Ordered).unwrap();
-            let mut snaps = vec![(0, Oracle::new())];
-            apply_workload(&mut db, t, &txns, &mut snaps);
+            let (mut db, t) = setup(DurabilityConfig::wal_temp()).unwrap();
+            let mut snaps = vec![Default::default()];
+            apply_workload(&mut db, t, &txns, &mut snaps, |_, _| {}).unwrap();
             let mut last_cts = 0;
             for _ in 0..cycles {
                 last_cts = db.restart_after_crash().unwrap().last_cts;
             }
-            let expected = snaps
-                .iter()
-                .rev()
-                .find(|(cts, _)| *cts <= last_cts)
-                .map(|(_, o)| o.clone())
-                .unwrap_or_else(|| panic!("seed {seed:#x}: cts {last_cts} not in ledger"));
-            let got = engine_state(&mut db, t);
-            assert_eq!(
-                got, expected,
-                "seed {seed:#x} cycles {cycles}: not the committed prefix at {last_cts}"
-            );
-            let rep = db.verify_integrity().unwrap();
-            assert!(rep.is_clean(), "seed {seed:#x}: {}", rep.render());
+            let got = check_invariants(&mut db, t, &snaps, last_cts, seed)
+                .unwrap_or_else(|v| panic!("cycles {cycles}: `{}`: {}", v.invariant, v.detail));
             (got, last_cts)
         };
 
@@ -727,19 +379,17 @@ fn exhaustion_chains_converge() {
         // Clamp the heap to just above its post-workload live size, then
         // crash: recovery runs with almost no free space.
         let clamp = {
-            let (mut db, t) = fresh_db(NvKind::WithWal);
-            let mut snaps = vec![(0, Oracle::new())];
-            apply_workload(&mut db, t, &txns, &mut snaps);
+            let (db, ..) =
+                traced_run(sim_config(true), seed, &txns, Adversity::None, None).unwrap();
             let s = db.heap_stats().unwrap();
             (s.high_water - s.free_bytes) + 32 * 1024
         };
 
-        let run = |nested: &[CrashPoint]| -> ChainResult {
-            let (mut db, t) = fresh_db(NvKind::WithWal);
-            let region = db.nv_backend().unwrap().region().clone();
-            region.trace_start(TraceConfig { keep_events: false });
-            let mut snaps = vec![(0, Oracle::new())];
-            apply_workload(&mut db, t, &txns, &mut snaps);
+        // Not `crash_scenario`: the clamp lands between the workload and
+        // the crash, so every recovery — not the workload — runs at the brim.
+        let run = |nested: &[CrashPoint]| {
+            let (mut db, t, region, snaps) =
+                traced_run(sim_config(true), seed, &txns, Adversity::None, None).unwrap();
             db.set_capacity_clamp(Some(clamp)).unwrap();
             region
                 .arm_crash(CrashPoint::AtFence { fence: u64::MAX })
@@ -748,21 +398,13 @@ fn exhaustion_chains_converge() {
                 db.restart_scheduled_traced(Some(*p))
                     .unwrap_or_else(|e| panic!("seed {seed:#x}: brim recovery failed: {e}"));
             }
-            let report = db
+            let last_cts = db
                 .restart_scheduled()
-                .unwrap_or_else(|e| panic!("seed {seed:#x}: brim recovery failed: {e}"));
-            let integrity = db.verify_integrity().unwrap();
-            assert!(
-                integrity.heap_limbo_blocks == 0 && integrity.is_clean(),
-                "seed {seed:#x}: {}",
-                integrity.render()
-            );
-            ChainResult {
-                state: engine_state(&mut db, t),
-                last_cts: report.last_cts,
-                attempt: report.attempt,
-                lint_findings: report.lint_findings.len(),
-            }
+                .unwrap_or_else(|e| panic!("seed {seed:#x}: brim recovery failed: {e}"))
+                .last_cts;
+            let state = check_invariants(&mut db, t, &snaps, last_cts, seed)
+                .unwrap_or_else(|v| panic!("brim chain: `{}`: {}", v.invariant, v.detail));
+            (state, last_cts)
         };
 
         let oracle = run(&[]);
@@ -772,11 +414,10 @@ fn exhaustion_chains_converge() {
                 fence: 1 + (seed >> (8 * i)) % 8,
             })
             .collect();
-        let chain = run(&nested);
         assert_eq!(
-            chain.state, oracle.state,
+            run(&nested),
+            oracle,
             "seed {seed:#x}: brim chain diverges from single-crash oracle"
         );
-        assert_eq!(chain.last_cts, oracle.last_cts, "seed {seed:#x}");
     }
 }
