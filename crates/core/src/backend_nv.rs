@@ -8,13 +8,18 @@
 //! 8:  ntables  u64                 — publish point for CREATE TABLE
 //! 16: registry u64                 — txn-registry base pointer
 //! 24: progress u64                 — recovery attempt counter (0 = clean)
-//! 32: per table (stride 24): name_ptr | table_root | idx_block
-//! idx_block: count u64 | per index (stride 24): kind | column | desc
+//! 32: clean    u64                 — clean-shutdown marker
+//! 40: per table (stride 24): name_ptr | table_root | idx_block
+//! idx_block: count u64 | per index (stride 24): kind | column | unused
 //! ```
 //!
-//! `kind` is [`IndexKind`] as `u64`: 0 = persistent hash (desc = `NvHashIndex`
-//! descriptor), 1 = persistent ordered skip list (desc = `NvOrderedIndex`
-//! descriptor). Both are re-attached on restart in O(1) — no index is ever
+//! `kind` is [`IndexKind`] as `u64`: 0 = persistent hash, 1 = persistent
+//! ordered skip list. The *descriptor* of a table's index `i` is not in the
+//! catalogue but in aux word `i` of the table's pair block (see
+//! `storage::nv`): the pointer swap that publishes a merge replaces main,
+//! delta and every index descriptor at once, so no crash can pair a table
+//! in its post-merge row-id space with an index built for the pre-merge
+//! one. Both kinds are re-attached on restart in O(1) — no index is ever
 //! rebuilt on this backend, matching the paper's "table *and index*
 //! structures on NVM".
 
@@ -81,14 +86,19 @@ pub(crate) struct AttachParts {
     pub last_cts: u64,
 }
 
-/// One persistent index registration read from the catalogue.
+/// One persistent index registration: kind and column from the catalogue,
+/// the descriptor from the table's pair block.
 pub(crate) struct IndexEntrySpec {
     pub kind: IndexKind,
     pub column: usize,
+    /// Descriptor offset; 0 when the table itself could not be opened (its
+    /// indexes are then rebuilt with it).
     pub desc: u64,
-    /// Catalogue offset of this entry (for the desc swap on rebuild).
-    pub entry_base: u64,
+    /// Position in the table's index list = aux slot of the descriptor.
+    pub slot: usize,
 }
+
+const _: () = assert!(MAX_INDEXES_PER_TABLE <= storage::nv::PAIR_AUX_SLOTS);
 
 impl AttachParts {
     /// Decode the index registrations of table `t` (descriptors are not
@@ -104,15 +114,17 @@ impl AttachParts {
         if icount as usize > MAX_INDEXES_PER_TABLE {
             return Err(EngineError::Catalog("implausible index count".into()));
         }
+        let table = self.tables.get(t).and_then(|slot| slot.as_ref().ok());
         let mut out = Vec::with_capacity(icount as usize);
-        for i in 0..icount {
-            let ib = idx_block + IDX_ENTRIES + i * IDX_ENTRY_STRIDE;
+        for slot in 0..icount as usize {
+            let ib = idx_block + IDX_ENTRIES + slot as u64 * IDX_ENTRY_STRIDE;
             out.push(IndexEntrySpec {
                 kind: IndexKind::from_tag(r.read_pod(ib)?)
                     .ok_or_else(|| EngineError::Catalog("unknown index kind".into()))?,
                 column: r.read_pod::<u64>(ib + 8)? as usize,
-                desc: r.read_pod(ib + 16)?,
-                entry_base: ib,
+                // pmlint: observe(index-desc)
+                desc: table.map_or(Ok(0), |tab| tab.aux(slot))?,
+                slot,
             });
         }
         Ok(out)
@@ -135,14 +147,15 @@ impl AttachParts {
         Ok(())
     }
 
-    /// Durably swap an index entry's descriptor to a rebuilt index (same
-    /// publish idiom as the post-merge rebuild). The old structure is
-    /// quarantined, not destroyed.
-    pub fn swap_index_desc(&self, e: &IndexEntrySpec, new_desc: u64) -> Result<()> {
-        let r = self.heap.region();
+    /// Durably swap an index descriptor of `table` to a rebuilt index: one
+    /// drain for the staged structure, then the aux-word publish. The old
+    /// structure is quarantined, not destroyed.
+    pub fn swap_index_desc(table: &NvTable, e: &IndexEntrySpec, new_desc: u64) -> Result<()> {
+        let r = table.heap().region();
+        r.fence();
         // pmlint: publish(index-desc)
-        r.store_u64_release(e.entry_base + 16, new_desc)?;
-        r.persist(e.entry_base + 16, 8)?;
+        table.stage_aux(e.slot, new_desc)?;
+        r.fence();
         Ok(())
     }
 
@@ -309,6 +322,13 @@ impl NvBackend {
         ))
     }
 
+    /// `(offset, len)` of the descriptor word of index `i` of table `table`
+    /// (an aux word of the table's pair block) — the other half of label
+    /// `index-entry`, and the publish word `index-desc` of a rebuild.
+    pub fn idx_desc_extent(&self, table: usize, i: usize) -> Option<(u64, u64)> {
+        self.tables.get(table).map(|tab| tab.aux_extent(i))
+    }
+
     /// `(offset, len)` of the catalogue's recovery-progress word — the
     /// publish word of the `recovery-progress` protocol.
     pub fn recovery_progress_extent(&self) -> (u64, u64) {
@@ -357,6 +377,52 @@ impl NvBackend {
         Ok(self.heap.region().read_pod(base + 16)?)
     }
 
+    /// Publish everything staged on any table or index, in phases under
+    /// shared fences: drain (staged rows, entries, registry records) →
+    /// length words → fence → row counters → fence → index entry points,
+    /// written back for the caller's next fence (the commit's own drain).
+    /// Each phase may only become durable after what it covers: a row
+    /// counter never covers a cell whose dictionary entry is unpublished,
+    /// an index never names a row the counter does not cover.
+    fn publish_staged(&mut self) -> Result<()> {
+        let staged = |list: &Vec<NvIndex>| list.iter().any(|i| i.has_staged());
+        if !self.tables.iter().any(|t| t.has_staged()) && !self.indexes.iter().any(staged) {
+            return Ok(());
+        }
+        let r = self.heap.region().clone();
+        r.fence();
+        let mut lens = false;
+        for t in &mut self.tables {
+            lens |= t.publish_lens()?;
+        }
+        for idx in self.indexes.iter_mut().flatten() {
+            lens |= idx.publish_lens()?;
+        }
+        if lens {
+            r.fence();
+        }
+        let mut rows = false;
+        for t in &mut self.tables {
+            rows |= t.publish_rows()?;
+        }
+        if rows {
+            r.fence();
+        }
+        for idx in self.indexes.iter_mut().flatten() {
+            idx.publish()?;
+        }
+        Ok(())
+    }
+
+    /// After the fence that made the published index entry points durable:
+    /// the indexes' best-effort acceleration stores.
+    fn publish_upper(&mut self) -> Result<()> {
+        for idx in self.indexes.iter_mut().flatten() {
+            idx.publish_upper()?;
+        }
+        Ok(())
+    }
+
     /// Index↔table agreement over every persistent index, folded into one
     /// check, plus the number of indexes walked.
     pub(crate) fn verify_indexes(&self) -> Result<(IndexCheck, u64)> {
@@ -402,15 +468,30 @@ impl Engine for NvBackend {
         }
     }
 
+    /// The abort epilogue. The undo published (and fenced) the rolled-back
+    /// rows; they stay physically, so their staged index entries are
+    /// published too before the registry forgets the transaction.
     fn release(&mut self, tid: u64) -> Result<()> {
-        self.registry.release(tid)
+        let staged = self.indexes.iter().flatten().any(|i| i.has_staged());
+        if staged {
+            self.publish_staged()?;
+            self.heap.region().fence();
+        }
+        self.registry.release(tid)?;
+        self.publish_upper()
     }
 
-    /// Run the commit protocol: stamp the transaction's writes, sync the
-    /// shadow log (when configured) and only then durably publish the
-    /// commit timestamp to NVM — the ordering that keeps the shadow log a
-    /// superset of the published state.
+    /// Run the commit protocol: publish what the transaction (or anyone
+    /// else) staged, stamp the transaction's writes, sync the shadow log
+    /// (when configured), drain once, and only then durably publish the
+    /// commit timestamp to NVM — the shadow sync before it keeps the log a
+    /// superset of the published state. Returns after that publish's fence;
+    /// the index acceleration stores and the registry slot clear that
+    /// follow are written back and ride the next fence.
     fn commit(&mut self, mgr: &mut TxnManager, tx: &mut Transaction) -> Result<u64> {
+        if !tx.is_read_only() {
+            self.publish_staged()?;
+        }
         let mut publisher = ShadowedNvPublisher {
             heap: self.heap.clone(),
             catalog: self.catalog,
@@ -418,6 +499,7 @@ impl Engine for NvBackend {
         };
         let cts = mgr.commit(tx, &mut as_stores(&mut self.tables), &mut publisher)?;
         self.registry.release(tx.tid)?;
+        self.publish_upper()?;
         Ok(cts)
     }
 
@@ -458,21 +540,29 @@ impl Engine for NvBackend {
         if self.indexes[table].len() >= MAX_INDEXES_PER_TABLE {
             return Err(EngineError::Catalog("index limit reached".into()));
         }
+        // Rows an open transaction has staged are indexed too: let the row
+        // counter cover them first, so the registration below never
+        // outlives a row it names. The fence before the count drains the
+        // entry points this leaves written back.
+        self.publish_staged()?;
         let idx = NvIndex::build(&self.heap, kind, &self.tables[table], column)?;
         let idx_block = self.idx_block(table)?;
         let r = self.heap.region();
         // pmlint: observe(index-count)
         let count: u64 = r.load_u64_acquire(idx_block + IDX_COUNT)?;
+        // The registration — catalogue entry plus the descriptor word in
+        // the table's pair block, which nothing reads beyond the count — is
+        // staged like the index itself; one fence drains all three.
         let ib = idx_block + IDX_ENTRIES + count * IDX_ENTRY_STRIDE;
-        r.write_pod(ib, &(kind as u64))?;
-        r.write_pod(ib + 8, &(column as u64))?;
-        r.write_pod(ib + 16, &idx.desc_offset())?;
-        r.persist(ib, IDX_ENTRY_STRIDE)?;
+        r.write_bytes(ib, nvm::slice_bytes(&[kind as u64, column as u64, 0]))?;
+        r.flush(ib, IDX_ENTRY_STRIDE)?;
+        self.tables[table].stage_aux(count as usize, idx.desc_offset())?;
+        r.fence();
         // pmlint: publish(index-count)
         r.store_u64_release(idx_block + IDX_COUNT, count + 1)?;
         r.persist(idx_block + IDX_COUNT, 8)?;
         self.indexes[table].push(idx);
-        Ok(())
+        self.publish_upper()
     }
 
     fn index_insert(&mut self, t: usize, values: &[Value], row: RowId) -> Result<()> {
@@ -497,16 +587,16 @@ impl Engine for NvBackend {
     /// Merge a table and rebuild its indexes (row ids shift), in the
     /// exhaustion-safe order: plan the merge read-only, build every
     /// replacement index against the planned post-merge row space, and
-    /// only then execute the merge and swap the descriptors. Every
-    /// fallible allocation happens before anything is published, so a
-    /// capacity failure at any point unwinds to a clean abort — old table
-    /// and old indexes fully intact. (A crash between the pair swap and
-    /// the descriptor swaps leaks the new indexes until the next merge.)
+    /// only then execute the merge, whose single pair publish carries the
+    /// new index descriptors with it. Every fallible allocation happens
+    /// before anything is published, so a capacity failure at any point
+    /// unwinds to a clean abort — old table and old indexes fully intact.
+    /// (A crash after the publish leaks whatever of the old tree and the old
+    /// indexes was not yet freed.)
     fn merge_table(&mut self, table: usize, snapshot: u64) -> Result<MergeStats> {
         // Phase 1: plan (read-only) and build replacement indexes against
         // the plan. Post-merge row ids are positions in the survivor list.
         let plan = self.tables[table].merge_plan(snapshot)?;
-        let idx_block = self.idx_block(table)?;
         let mut built: Vec<NvIndex> = Vec::with_capacity(self.indexes[table].len());
         let destroy = |built: Vec<NvIndex>| {
             for idx in built {
@@ -536,7 +626,11 @@ impl Engine for NvBackend {
                 return Err(e);
             }
         }
-        let stats = match self.tables[table].merge_from_plan(plan) {
+        // Catalogue entry `i` describes list slot `i`, whose descriptor is
+        // aux word `i` of the pair block: the merge's drain covers the
+        // staged replacement indexes, its publish swaps them in.
+        let descs: Vec<u64> = built.iter().map(|idx| idx.desc_offset()).collect();
+        let stats = match self.tables[table].merge_from_plan(plan, &descs) {
             Ok(stats) => stats,
             Err(e) => {
                 destroy(built);
@@ -549,15 +643,9 @@ impl Engine for NvBackend {
             }
         };
 
-        // Phase 3: publish the replacement indexes — descriptor stores and
-        // frees only, no allocation left to fail. Catalogue entry `i`
-        // describes list slot `i`.
-        let r = self.heap.region().clone();
-        for (i, new) in built.into_iter().enumerate() {
-            let ib = idx_block + IDX_ENTRIES + i as u64 * IDX_ENTRY_STRIDE;
-            r.write_pod(ib + 16, &new.desc_offset())?;
-            r.persist(ib + 16, 8)?;
-            std::mem::replace(&mut self.indexes[table][i], new).destroy()?;
+        // Phase 3: the old indexes are unreachable — frees only.
+        for old in std::mem::replace(&mut self.indexes[table], built) {
+            old.destroy()?;
         }
         Ok(stats)
     }
@@ -632,9 +720,11 @@ pub(crate) fn begin_recovery_attempt(heap: &NvmHeap) -> Result<u64> {
     Ok(attempt)
 }
 
-/// Commit publish of the NVM engine: shadow-log sync first
-/// (when configured), then the one-persist NVM publish. The order is the
-/// rung-2 invariant — a commit the NVM image claims must be in the log.
+/// Commit publish of the NVM engine: shadow-log sync first (when
+/// configured), one drain for every stamp of the transaction (and the index
+/// entry points its commit published), then the one-persist NVM publish.
+/// The sync-before-publish order is the rung-2 invariant — a commit the NVM
+/// image claims must be in the log.
 struct ShadowedNvPublisher<'a> {
     heap: NvmHeap,
     catalog: u64,
@@ -647,6 +737,9 @@ impl CommitPublish for ShadowedNvPublisher<'_> {
             sw.publish(cts, txn)?;
         }
         let r = self.heap.region();
+        if !txn.is_read_only() {
+            r.fence();
+        }
         // pmlint: publish(catalog-cts)
         r.store_u64_release(self.catalog + CAT_LAST_CTS, cts)
             .map_err(|e| txn::TxnError::Publish(e.to_string()))?;

@@ -10,7 +10,7 @@ use storage::{RowId, ScanResult, Schema, TableStore, Value};
 use txn::{Transaction, TxnManager};
 
 use crate::backend_dram::DramEngine;
-use crate::backend_nv::NvBackend;
+use crate::backend_nv::{AttachParts, NvBackend};
 use crate::config::{DurabilityConfig, WalConfig};
 use crate::engine::{Backend, Engine};
 use crate::error::{EngineError, Result};
@@ -1092,6 +1092,7 @@ fn attach_with_ladder(
                 })?;
                 let mut nt = NvTable::create(&parts.heap, src.schema().clone())?;
                 crate::backend_nv::copy_versions(src, &mut nt)?;
+                nt.publish()?;
                 parts.swap_table_root(t, nt.root_offset())?;
                 let slot = parts.tables.get_mut(t).ok_or_else(|| {
                     EngineError::Catalog("rebuilt table slot vanished from catalogue".into())
@@ -1135,7 +1136,7 @@ fn attach_with_ladder(
                     }
                     None => {
                         let idx = NvIndex::build(&parts.heap, e.kind, table, e.column)?;
-                        parts.swap_index_desc(&e, idx.desc_offset())?;
+                        AttachParts::swap_index_desc(table, &e, idx.desc_offset())?;
                         rebuilt += 1;
                         idx
                     }

@@ -381,6 +381,120 @@ pub fn traced_run(
     Ok((db, t, region, snaps))
 }
 
+/// One instance of a write-side protocol, short enough that *every* crash
+/// point inside it can be enumerated rather than sampled (see
+/// [`protocol_scenario`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProtocolOp {
+    /// One `Database::merge` of a table with a main, a delta holding
+    /// updated and deleted versions, and both indexes.
+    Merge,
+    /// One committed single-row update transaction.
+    Update,
+    /// One committed transaction inserting 256 fresh rows.
+    Insert256,
+}
+
+/// The first half of [`protocol_scenario`]: [`setup`], then 40 committed
+/// rows, a merge, 13 updates and 7 deletes (so the table has a main, a live
+/// delta with dead versions, and indexes built once in bulk and grown by
+/// inserts since), then — traced, with `p0` armed — the one `op`. With
+/// `p0 = None` this is the reference run whose `region.trace_stop()` yields
+/// the op's fence budget.
+pub fn protocol_run(
+    config: DurabilityConfig,
+    seed: u64,
+    op: ProtocolOp,
+    p0: Option<CrashPoint>,
+) -> Result<Run> {
+    let (mut db, t) = setup(config)?;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut oracle = Oracle::new();
+    let mut cts = 0;
+    let row = |k: i64, v: i64| [Value::Int(k), Value::Int(v)];
+    let live_row = |db: &Database, tx: &txn::Transaction, k: i64| -> Result<storage::RowId> {
+        let hits = db.index_lookup(tx, t, 0, &Value::Int(k))?;
+        let hit = hits.first();
+        Ok(hit.ok_or(EngineError::Unsupported("preloaded key"))?.row)
+    };
+    for chunk in 0..4i64 {
+        let mut tx = db.begin();
+        for k in chunk * 10..chunk * 10 + 10 {
+            let ver = rng.next_u64() as i64 & 0xFFFF;
+            db.insert(&mut tx, t, &row(k, ver))?;
+            oracle.insert(k, ver);
+        }
+        cts = db.commit(&mut tx)?;
+    }
+    db.merge(t)?;
+    for k in (0..40i64).filter(|k| k % 2 == 0) {
+        let mut tx = db.begin();
+        let hit = live_row(&db, &tx, k)?;
+        if k % 6 == 0 {
+            db.delete(&mut tx, t, hit)?;
+            oracle.remove(&k);
+        } else {
+            let ver = rng.next_u64() as i64 & 0xFFFF;
+            db.update(&mut tx, t, hit, &row(k, ver))?;
+            oracle.insert(k, ver);
+        }
+        cts = db.commit(&mut tx)?;
+    }
+    let mut snaps = vec![(cts, oracle.clone())];
+
+    let nvm_only = EngineError::Unsupported("traced scenarios run on NVM");
+    let region = db.nv_backend().ok_or(nvm_only)?.region().clone();
+    region.trace_start(TraceConfig { keep_events: false });
+    if let Some(p0) = p0 {
+        region.arm_crash(p0)?;
+    }
+    match op {
+        ProtocolOp::Merge => {
+            db.merge(t)?;
+        }
+        ProtocolOp::Update => {
+            let mut tx = db.begin();
+            let hit = live_row(&db, &tx, 7)?;
+            db.update(&mut tx, t, hit, &row(7, -1))?;
+            oracle.insert(7, -1);
+            snaps.push((db.commit(&mut tx)?, oracle));
+        }
+        ProtocolOp::Insert256 => {
+            let mut tx = db.begin();
+            for k in 1000..1256i64 {
+                db.insert(&mut tx, t, &row(k, k % 97))?;
+                oracle.insert(k, k % 97);
+            }
+            snaps.push((db.commit(&mut tx)?, oracle));
+        }
+    }
+    Ok((db, t, region, snaps))
+}
+
+/// The enumeration scenario of the crash-torture suite: [`protocol_run`]
+/// crashed at `p0`, recovered, and checked against the four invariants —
+/// which include index↔table agreement, so a merge that published its
+/// table without its indexes fails here.
+pub fn protocol_scenario(
+    config: DurabilityConfig,
+    seed: u64,
+    op: ProtocolOp,
+    p0: CrashPoint,
+) -> std::result::Result<Recovered, TortureViolation> {
+    let (mut db, t, _, snaps) = protocol_run(config, seed, op, Some(p0))
+        .map_err(|e| violation("harness", seed, e.to_string()))?;
+    let t0 = Instant::now();
+    let report = db
+        .restart_scheduled()
+        .map_err(|e| violation("recovery", seed, format!("recovery failed: {e}")))?;
+    let wall = t0.elapsed();
+    Ok(Recovered {
+        state: check_invariants(&mut db, t, &snaps, report.last_cts, seed)?,
+        report,
+        wall,
+    })
+}
+
 /// Adversity a [`traced_run`] plants between its workload and the crash, for
 /// the recoveries of a [`crash_scenario`] to face.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,20 +15,31 @@
 //!                 word1 = row
 //! ```
 //!
-//! Protocol (write-ahead with respect to the table operation):
+//! Protocol (write-ahead with respect to the table operation). The one
+//! invariant: **a record is durable before any in-place marker of its row
+//! can be.**
 //!
-//! 1. on a transaction's first write, claim a slot and durably store its
-//!    tid;
-//! 2. before *each* table write, append the (table, row, kind) entry and
-//!    durably bump `nwrites` — the entry may thus reference a row the crash
-//!    prevented from materializing, which recovery skips;
-//! 3. after the commit publish (or after abort undo), durably clear the
-//!    slot.
+//! 1. before *each* table write, stage the (table, row, kind) entry, the
+//!    bumped `nwrites` and — on a transaction's first write — its tid: plain
+//!    stores plus write-backs under one fence at most. The record of an
+//!    *invalidation* is fenced on the spot, since the end marker that
+//!    follows lands on a row recovery can already reach. The record of an
+//!    *insert* is only written back: the row it names cannot be reached
+//!    before the commit's row-counter publish, which follows the commit's
+//!    drain — and that drain covers the record. Either way the entry may
+//!    reference a row the crash prevented from materializing, which
+//!    recovery skips;
+//! 2. after the commit publish (or after abort undo, whose stores are
+//!    fenced), clear the slot with a write-back and no fence: it is durable
+//!    with whatever fence comes next.
 //!
 //! Recovery walks the (bounded) slot array; for each occupied slot it
-//! repairs exactly the referenced rows, idempotently: pending markers and
+//! repairs the referenced rows, idempotently: pending markers and
 //! timestamps beyond the published CTS roll back, everything else is left
-//! alone (the slot may have been cleared *after* a successful publish).
+//! alone. That makes every partial outcome of the steps above safe — a tid
+//! durable over the entries or the count of the slot's previous owner, a
+//! slot whose clear was lost after a successful commit: the walk then
+//! visits rows that need no repair and changes nothing.
 
 use std::collections::HashMap;
 
@@ -57,8 +68,8 @@ const KIND_INVALIDATE: u64 = 1;
 pub struct TxnRegistry {
     heap: NvmHeap,
     base: u64,
-    /// tid → slot index for active transactions.
-    active: HashMap<u64, u64>,
+    /// tid → (slot index, entries recorded) for active transactions.
+    active: HashMap<u64, (u64, u64)>,
     /// Cached per-slot writes-block capacity (entries).
     caps: Vec<u64>,
 }
@@ -124,11 +135,14 @@ impl TxnRegistry {
         self.base + slot * SLOT_SIZE
     }
 
-    fn claim(&mut self, tid: u64) -> Result<u64> {
-        if let Some(&slot) = self.active.get(&tid) {
-            return Ok(slot);
+    /// The slot of `tid` and the entries it holds, claiming a free slot —
+    /// volatile only; the tid is stored with the first entry — on the
+    /// transaction's first write.
+    fn claim(&mut self, tid: u64) -> Result<(u64, u64)> {
+        if let Some(&claimed) = self.active.get(&tid) {
+            return Ok(claimed);
         }
-        let used: std::collections::HashSet<u64> = self.active.values().copied().collect();
+        let used: std::collections::HashSet<u64> = self.active.values().map(|c| c.0).collect();
         let slot = (0..REGISTRY_SLOTS)
             .find(|s| !used.contains(s))
             .ok_or_else(|| {
@@ -136,30 +150,26 @@ impl TxnRegistry {
                     "more than {REGISTRY_SLOTS} concurrently writing transactions"
                 ))
             })?;
-        let region = self.heap.region().clone();
-        let off = self.slot_off(slot);
         // Writes block allocated lazily, then kept across slot reuses.
         if self.caps[slot as usize] == 0 {
             let writes = self.heap.reserve(INITIAL_ENTRIES * ENTRY_SIZE)?;
             self.heap
-                .activate(writes, Some((off + S_WRITES, writes)), None)?;
+                .activate(writes, Some((self.slot_off(slot) + S_WRITES, writes)), None)?;
             self.caps[slot as usize] = INITIAL_ENTRIES;
         }
-        region.write_pod(off + S_NWRITES, &0u64)?;
-        region.write_pod(off + S_TID, &tid)?;
-        region.persist(off, SLOT_SIZE)?;
-        self.active.insert(tid, slot);
-        Ok(slot)
+        self.active.insert(tid, (slot, 0));
+        Ok((slot, 0))
     }
 
+    /// Stage one record: entry, count and (first entry) tid, written back.
     fn append(&mut self, tid: u64, table: usize, row: u64, kind: u64) -> Result<()> {
-        let slot = self.claim(tid)?;
+        let (slot, n) = self.claim(tid)?;
         let region = self.heap.region().clone();
         let off = self.slot_off(slot);
-        let n: u64 = region.read_pod(off + S_NWRITES)?;
         let cap = self.caps[slot as usize];
         if n >= cap {
-            // Grow the writes block (crash-safe pointer swap).
+            // Grow the writes block (crash-safe pointer swap; the copy is
+            // durable before the activation record can be).
             let old: u64 = region.read_pod(off + S_WRITES)?;
             let new_cap = cap * 2;
             let new = self.heap.reserve(new_cap * ENTRY_SIZE)?;
@@ -172,33 +182,45 @@ impl TxnRegistry {
         }
         let writes: u64 = region.read_pod(off + S_WRITES)?;
         let e = writes + n * ENTRY_SIZE;
-        region.write_pod(e, &((table as u64) << 8 | kind))?;
-        region.write_pod(e + 8, &row)?;
-        region.persist(e, ENTRY_SIZE)?;
+        region.write_bytes(e, nvm::slice_bytes(&[(table as u64) << 8 | kind, row]))?;
+        region.flush(e, ENTRY_SIZE)?;
         region.write_pod(off + S_NWRITES, &(n + 1))?;
-        region.persist(off + S_NWRITES, 8)?;
+        if n == 0 {
+            region.write_pod(off + S_TID, &tid)?;
+        }
+        region.flush(off, SLOT_SIZE)?;
+        self.active.insert(tid, (slot, n + 1));
         Ok(())
     }
 
     /// Record an upcoming insert of `row` (call *before* the table write).
+    /// Written back, not fenced: the commit's drain precedes the publish
+    /// that lets recovery reach the row.
+    // pmlint: caller-flushes
     pub fn record_insert(&mut self, tid: u64, table: usize, row: u64) -> Result<()> {
         self.append(tid, table, row, KIND_INSERT)
     }
 
-    /// Record an upcoming invalidation of `row`.
+    /// Record an upcoming invalidation of `row`, durably: the marker that
+    /// follows lands on a row recovery can already reach.
     pub fn record_invalidate(&mut self, tid: u64, table: usize, row: u64) -> Result<()> {
-        self.append(tid, table, row, KIND_INVALIDATE)
+        self.append(tid, table, row, KIND_INVALIDATE)?;
+        self.heap.region().fence();
+        Ok(())
     }
 
-    /// Durably release a transaction's slot (after commit publish or abort
-    /// undo). No-op for read-only transactions that never claimed one.
+    /// Release a transaction's slot (after its commit publish, or after the
+    /// fenced stores of its abort undo): cleared and written back, durable
+    /// with the next fence — recovery tolerates finding it occupied. No-op
+    /// for read-only transactions that never claimed one.
+    // pmlint: caller-flushes
     pub fn release(&mut self, tid: u64) -> Result<()> {
-        if let Some(slot) = self.active.remove(&tid) {
+        if let Some((slot, _)) = self.active.remove(&tid) {
             let region = self.heap.region();
             let off = self.slot_off(slot);
             // pmlint: publish(registry-slot-clear)
             region.store_u64_release(off + S_TID, 0)?;
-            region.persist(off + S_TID, 8)?;
+            region.flush(off + S_TID, 8)?;
         }
         Ok(())
     }

@@ -7,8 +7,8 @@
 //!   restart the baseline must rebuild them by scanning the recovered table,
 //!   which is part of its size-dependent recovery cost (experiment E6).
 //! * [`NvHashIndex`] — the Hyrise-NV multi-version hash index. Buckets and
-//!   entry chains live on NVM and are updated with the allocator's
-//!   crash-safe activate protocol, so after a restart the index is simply
+//!   entry chains live on NVM; entries are staged and then published with
+//!   one 8-byte store per bucket, so after a restart the index is simply
 //!   *mapped*, never rebuilt. Entries are versioned implicitly: the index
 //!   stores one entry per physical row version; readers filter through the
 //!   table's MVCC metadata and verify the key against the base table (the

@@ -81,7 +81,9 @@ pub fn insert_all<I: TableIndex>(list: &mut [I], values: &[Value], row: RowId) -
 }
 
 /// A persistent index of either kind — attached after a restart, never
-/// rebuilt.
+/// rebuilt. Inserts through [`TableIndex::insert`] are staged; the engine
+/// publishes them in phases shared with its tables' (see
+/// [`NvIndex::publish`]).
 #[derive(Debug, Clone)]
 pub enum NvIndex {
     /// Persistent multi-version hash index.
@@ -146,6 +148,49 @@ impl NvIndex {
         }
     }
 
+    /// True while entries are staged beyond what [`NvIndex::publish`] has
+    /// made reachable.
+    pub fn has_staged(&self) -> bool {
+        match self {
+            NvIndex::Hash(i) => i.has_staged(),
+            NvIndex::Ordered(i) => i.has_staged(),
+        }
+    }
+
+    /// First publish phase, after the drain of everything staged: length
+    /// words that cover staged content (an ordered index's text-key blob).
+    /// Returns whether anything was stored; the caller then fences.
+    // pmlint: caller-flushes
+    pub fn publish_lens(&mut self) -> Result<bool> {
+        match self {
+            NvIndex::Hash(_) => Ok(false),
+            NvIndex::Ordered(i) => i.publish_lens(),
+        }
+    }
+
+    /// Second publish phase, once the staged entries *and the rows they
+    /// name* are durable: the stores that make the entries reachable
+    /// (bucket heads, level-0 links), written back for the caller's next
+    /// fence. Returns whether anything was stored.
+    // pmlint: caller-flushes
+    pub fn publish(&mut self) -> Result<bool> {
+        match self {
+            NvIndex::Hash(i) => i.publish(),
+            NvIndex::Ordered(i) => i.publish(),
+        }
+    }
+
+    /// After the fence that followed [`NvIndex::publish`]: best-effort
+    /// acceleration stores (an ordered index's upper links and count),
+    /// written back for whatever fence comes next.
+    // pmlint: caller-flushes
+    pub fn publish_upper(&mut self) -> Result<()> {
+        match self {
+            NvIndex::Hash(_) => Ok(()),
+            NvIndex::Ordered(i) => i.publish_upper(),
+        }
+    }
+
     /// Free every block of the index.
     pub fn destroy(self) -> Result<()> {
         match self {
@@ -185,10 +230,12 @@ impl TableIndex for NvIndex {
         }
     }
 
+    /// Staged: the entry is the writer's own until the engine's commit
+    /// runs the publish phases.
     fn insert(&mut self, value: &Value, row: RowId) -> Result<()> {
         match self {
-            NvIndex::Hash(i) => i.insert(value, row),
-            NvIndex::Ordered(i) => i.insert(value, row),
+            NvIndex::Hash(i) => i.stage(value, row),
+            NvIndex::Ordered(i) => i.stage(value, row),
         }
     }
 

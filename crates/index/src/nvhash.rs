@@ -5,23 +5,30 @@
 //! ```text
 //! Desc block (40 B): nbuckets | buckets_ptr | column | pool_head | pool_used
 //! Buckets: array of u64 — head entry offset per bucket (0 = empty)
-//! Pool block: next_pool u64, then POOL_ENTRIES × entry
+//! Pool block: next_pool u64, then the entries
 //! Entry (32 B): next u64 | key_hash u64 | row u64 | checksum u64
 //! ```
 //!
-//! Entries are sub-allocated from **pool blocks** of [`POOL_ENTRIES`]
-//! entries each, so the heap's block count — and therefore the allocator's
-//! restart recovery scan — grows with `rows / 1024`, not `rows` (small-
-//! object pooling, as nvm_malloc-backed engines do).
+//! Entries are sub-allocated from **pool blocks** — [`POOL_ENTRIES`] entries
+//! each when the index grows by inserts, one block for all of them when it
+//! is bulk-built — so the heap's block count, and therefore the allocator's
+//! restart recovery scan, grows with `rows / 1024` at most, not `rows`
+//! (small-object pooling, as nvm_malloc-backed engines do).
 //!
-//! Insertion publish protocol: write the entry (its `next` already pointing
-//! at the old chain head) and flush it, fence, then durably store the
-//! bucket slot — an 8-byte line-atomic publish. A crash before the publish
-//! wastes at most one pooled entry slot (bytes, not blocks); the index is
-//! never rebuilt on restart. This is the paper's "multi-version data
-//! structure" pattern: one entry per physical row *version*, stale versions
-//! filtered by MVCC visibility at read time and dropped wholesale when a
-//! merge rebuilds the index.
+//! Insertion is staged and published in two steps the caller orders:
+//! [`NvHashIndex::stage`] claims a pool slot and writes the entry (its
+//! `next` already pointing at the chain head) with a write-back and no
+//! fence; [`NvHashIndex::publish`], called once the entries *and the rows
+//! they name* are durable, stores the bucket slots — one 8-byte line-atomic
+//! publish each — and issues their write-backs for the caller's next fence.
+//! Between the two, the new heads live in the handle, so the writer's own
+//! lookups see its entries. A crash before the publish wastes at most the
+//! claimed slots (bytes, not blocks); the index is never rebuilt on restart.
+//! This is the paper's "multi-version data structure" pattern: one entry per
+//! physical row *version*, stale versions filtered by MVCC visibility at read
+//! time and dropped wholesale when a merge rebuilds the index.
+
+use std::collections::BTreeMap;
 
 use nvm::NvmHeap;
 use storage::{Result, RowId, StorageError, Value};
@@ -31,7 +38,7 @@ use crate::key_hash;
 /// Byte size of the persistent descriptor block.
 pub const NVHASH_DESC_SIZE: u64 = 40;
 
-/// Entries per pool block.
+/// Entries per pool block of an index growing by inserts.
 pub const POOL_ENTRIES: u64 = 1024;
 
 const D_NBUCKETS: u64 = 0;
@@ -52,12 +59,18 @@ const ENTRY_SIZE: u64 = 32;
 fn entry_sum(next: u64, hash: u64, row: u64) -> u64 {
     util::hash::fnv1a_words(&[next, hash, row])
 }
+
+/// The four words of a sealed entry.
+fn entry_words(next: u64, hash: u64, row: u64) -> [u64; 4] {
+    [next, hash, row, entry_sum(next, hash, row)]
+}
+
 /// Pool block: one next-pointer word, then the entries.
 const POOL_HDR: u64 = 8;
 const POOL_BYTES: u64 = POOL_HDR + POOL_ENTRIES * ENTRY_SIZE;
 
-/// Handle to a persistent hash index. Plain data; re-attach after restart
-/// with [`NvHashIndex::open`] — O(1), no scan.
+/// Handle to a persistent hash index. Re-attach after restart with
+/// [`NvHashIndex::open`] — O(1), no scan.
 #[derive(Debug, Clone)]
 pub struct NvHashIndex {
     heap: NvmHeap,
@@ -65,32 +78,18 @@ pub struct NvHashIndex {
     nbuckets: u64,
     buckets: u64,
     column: usize,
+    /// Bucket slot → chain head, for the buckets with entries staged but
+    /// not yet published. Ordered, so the publish stores replay
+    /// identically from run to run.
+    staged: BTreeMap<u64, u64>,
 }
 
 impl NvHashIndex {
-    /// Create a fresh index with `nbuckets` buckets over `column`.
+    /// Create a fresh, empty index with `nbuckets` buckets over `column`.
+    /// Staged only — nothing can reach the index until its creator
+    /// publishes the descriptor offset, after one drain.
     pub fn create(heap: &NvmHeap, column: usize, nbuckets: u64) -> Result<NvHashIndex> {
-        let nbuckets = nbuckets.next_power_of_two().max(16);
-        let region = heap.region();
-        let buckets = heap.alloc(nbuckets * 8)?;
-        for i in 0..nbuckets {
-            region.write_pod(buckets + i * 8, &0u64)?;
-        }
-        region.persist(buckets, nbuckets * 8)?;
-        let desc = heap.alloc(NVHASH_DESC_SIZE)?;
-        region.write_pod(desc + D_NBUCKETS, &nbuckets)?;
-        region.write_pod(desc + D_BUCKETS, &buckets)?;
-        region.write_pod(desc + D_COLUMN, &(column as u64))?;
-        region.write_pod(desc + D_POOL_HEAD, &0u64)?;
-        region.write_pod(desc + D_POOL_USED, &POOL_ENTRIES)?; // forces a pool on first insert
-        region.persist(desc, NVHASH_DESC_SIZE)?;
-        Ok(NvHashIndex {
-            heap: heap.clone(),
-            desc,
-            nbuckets,
-            buckets,
-            column,
-        })
+        Self::bulk(heap, column, nbuckets, &[])
     }
 
     /// Re-attach to an existing index by descriptor offset.
@@ -110,6 +109,7 @@ impl NvHashIndex {
             nbuckets,
             buckets,
             column: column as usize,
+            staged: BTreeMap::new(),
         })
     }
 
@@ -127,13 +127,23 @@ impl NvHashIndex {
         self.buckets + (hash & (self.nbuckets - 1)) * 8
     }
 
+    /// The chain head of a bucket as the writer sees it: staged, else
+    /// published.
+    fn head(&self, slot: u64) -> Result<u64> {
+        match self.staged.get(&slot) {
+            Some(head) => Ok(*head),
+            None => Ok(self.heap.region().read_pod(slot)?),
+        }
+    }
+
     /// Sub-allocate one entry slot from the pool (growing it if needed).
     fn alloc_entry(&self) -> Result<u64> {
         let region = self.heap.region();
         let used: u64 = region.read_pod(self.desc + D_POOL_USED)?;
         let head: u64 = region.read_pod(self.desc + D_POOL_HEAD)?;
         let (pool, slot) = if used >= POOL_ENTRIES || head == 0 {
-            // New pool block, linked at the head of the pool chain.
+            // New pool block, linked at the head of the pool chain; its
+            // next pointer is durable before the activation record can be.
             let pool = self.heap.reserve(POOL_BYTES)?;
             region.write_pod(pool, &head)?;
             region.persist(pool, 8)?;
@@ -143,27 +153,63 @@ impl NvHashIndex {
         } else {
             (head, used)
         };
-        // Claim the slot durably; a crash after this wastes the slot only.
+        // Claim the slot. The claim may become durable at any time — early
+        // only wastes the slot — and must be before the entry is published:
+        // it rides the same drain as the entry.
         region.write_pod(self.desc + D_POOL_USED, &(slot + 1))?;
-        region.persist(self.desc + D_POOL_USED, 8)?;
+        region.flush(self.desc + D_POOL_USED, 8)?;
         Ok(pool + POOL_HDR + slot * ENTRY_SIZE)
     }
 
-    /// Register a new row version carrying `value`. Crash-atomic.
-    pub fn insert(&self, value: &Value, row: RowId) -> Result<()> {
+    /// Stage a new row version carrying `value`: claim a slot, write the
+    /// sealed entry in front of its bucket's chain, issue the write-backs.
+    /// No fence, and the bucket slot is untouched until
+    /// [`NvHashIndex::publish`].
+    // pmlint: caller-flushes
+    pub fn stage(&mut self, value: &Value, row: RowId) -> Result<()> {
         let region = self.heap.region();
         let hash = key_hash(value);
         let slot = self.bucket_slot(hash);
-        let old_head: u64 = region.read_pod(slot)?;
+        let next = self.head(slot)?;
         let entry = self.alloc_entry()?;
-        region.write_pod(entry + E_NEXT, &old_head)?;
-        region.write_pod(entry + E_HASH, &hash)?;
-        region.write_pod(entry + E_ROW, &row)?;
-        region.write_pod(entry + E_SUM, &entry_sum(old_head, hash, row))?;
-        region.persist(entry, ENTRY_SIZE)?;
-        // Publish: line-atomic 8-byte store of the bucket head.
-        region.write_pod(slot, &entry)?;
-        region.persist(slot, 8)?;
+        region.write_bytes(entry, nvm::slice_bytes(&entry_words(next, hash, row)))?;
+        region.flush(entry, ENTRY_SIZE)?;
+        self.staged.insert(slot, entry);
+        Ok(())
+    }
+
+    /// True while entries are staged and unpublished.
+    pub fn has_staged(&self) -> bool {
+        !self.staged.is_empty()
+    }
+
+    /// Publish every staged entry: store the bucket slots and issue their
+    /// write-backs; the caller's next fence makes them durable. The entries
+    /// and the rows they name must have been drained before. Returns
+    /// whether anything was stored.
+    // pmlint: caller-flushes
+    pub fn publish(&mut self) -> Result<bool> {
+        let region = self.heap.region();
+        let any = !self.staged.is_empty();
+        for (slot, head) in std::mem::take(&mut self.staged) {
+            region.write_pod(slot, &head)?;
+            region.flush(slot, 8)?;
+        }
+        Ok(any)
+    }
+
+    /// Register one row version through the whole protocol, on a handle
+    /// with nothing staged: stage, drain, publish. The bucket store's
+    /// write-back rides the caller's next fence.
+    pub fn insert(&self, value: &Value, row: RowId) -> Result<()> {
+        debug_assert!(
+            self.staged.is_empty(),
+            "insert on a handle with staged entries"
+        );
+        let mut one = self.clone();
+        one.stage(value, row)?;
+        self.heap.region().fence();
+        one.publish()?;
         Ok(())
     }
 
@@ -176,7 +222,7 @@ impl NvHashIndex {
         // A chain longer than the entries the region can hold is a cycle
         // (a scribbled next pointer), not a long chain.
         let max_hops = region.capacity() / ENTRY_SIZE;
-        let mut cur: u64 = region.read_pod(self.bucket_slot(hash))?;
+        let mut cur = self.head(self.bucket_slot(hash))?;
         let mut out = Vec::new();
         let mut hops = 0u64;
         while cur != 0 {
@@ -327,18 +373,17 @@ impl NvHashIndex {
     }
 
     /// Bulk-build a fresh index over every physical row of `table`'s
-    /// indexed column (used at merge time; the result replaces the old
-    /// index).
+    /// indexed column.
     pub fn build_from(
         heap: &NvmHeap,
         table: &dyn storage::TableStore,
         column: usize,
         nbuckets: u64,
     ) -> Result<NvHashIndex> {
-        let nrows = table.row_count();
-        Self::build_with(heap, column, nbuckets, nrows, |row| {
-            table.value(row, column)
-        })
+        let hashes = (0..table.row_count())
+            .map(|row| Ok(key_hash(&table.value(row, column)?)))
+            .collect::<Result<Vec<u64>>>()?;
+        Self::bulk(heap, column, nbuckets, &hashes)
     }
 
     /// Bulk-build over in-memory rows whose index id is their position —
@@ -350,39 +395,71 @@ impl NvHashIndex {
         nbuckets: u64,
         rows: &[Vec<Value>],
     ) -> Result<NvHashIndex> {
-        Self::build_with(heap, column, nbuckets, rows.len() as u64, |row| {
-            rows[row as usize]
-                .get(column)
-                .cloned()
-                .ok_or(StorageError::Corrupt {
+        let hashes = rows
+            .iter()
+            .map(|r| {
+                r.get(column).map(key_hash).ok_or(StorageError::Corrupt {
                     reason: "planned row narrower than the indexed column",
                 })
-        })
+            })
+            .collect::<Result<Vec<u64>>>()?;
+        Self::bulk(heap, column, nbuckets, &hashes)
     }
 
-    /// Shared bulk-build loop. On any failure the partially built index is
-    /// destroyed before the error propagates — a capacity-failed build
-    /// must not leak its allocations.
-    fn build_with(
-        heap: &NvmHeap,
-        column: usize,
-        nbuckets: u64,
-        nrows: u64,
-        mut value_of: impl FnMut(u64) -> storage::Result<Value>,
-    ) -> Result<NvHashIndex> {
-        let idx = NvHashIndex::create(heap, column, nbuckets)?;
-        let filled: Result<()> = (|| {
-            for row in 0..nrows {
-                let v = value_of(row)?;
-                idx.insert(&v, row)?;
+    /// The one build path: an index over rows `0..hashes.len()` with the
+    /// given key hashes, assembled in DRAM and staged with one bulk store
+    /// and one range write-back per block (all entries in a single pool
+    /// block). Nothing is fenced beyond the allocator's own protocols: the
+    /// index is unreachable until its creator publishes the descriptor
+    /// offset, after one drain. On failure every block allocated so far is
+    /// freed before the error propagates.
+    fn bulk(heap: &NvmHeap, column: usize, nbuckets: u64, hashes: &[u64]) -> Result<NvHashIndex> {
+        let nbuckets = nbuckets.next_power_of_two().max(16);
+        let region = heap.region();
+        let mut blocks: Vec<u64> = Vec::new();
+        let built = (|| -> Result<(u64, u64)> {
+            let mut stage = |ptr: u64, words: &[u64]| -> Result<u64> {
+                blocks.push(ptr);
+                region.write_bytes(ptr, nvm::slice_bytes(words))?;
+                region.flush(ptr, size_of_val(words) as u64)?;
+                Ok(ptr)
+            };
+            // Entries chain in front of their bucket in row order, exactly
+            // as one insert per row would have left them.
+            let mut heads = vec![0u64; nbuckets as usize];
+            let mut pool = 0u64;
+            if !hashes.is_empty() {
+                pool = heap.alloc(POOL_HDR + hashes.len() as u64 * ENTRY_SIZE)?;
+                let mut image = Vec::with_capacity(1 + 4 * hashes.len());
+                image.push(0u64); // no next pool
+                for (row, hash) in hashes.iter().enumerate() {
+                    let head = &mut heads[(hash & (nbuckets - 1)) as usize];
+                    image.extend_from_slice(&entry_words(*head, *hash, row as u64));
+                    *head = pool + POOL_HDR + row as u64 * ENTRY_SIZE;
+                }
+                stage(pool, &image)?;
             }
-            Ok(())
+            let buckets = stage(heap.alloc(nbuckets * 8)?, &heads)?;
+            // A full `pool_used` forces a regular pool on the first insert.
+            let desc = [nbuckets, buckets, column as u64, pool, POOL_ENTRIES];
+            Ok((stage(heap.alloc(NVHASH_DESC_SIZE)?, &desc)?, buckets))
         })();
-        if let Err(e) = filled {
-            let _ = idx.destroy();
-            return Err(e);
+        match built {
+            Ok((desc, buckets)) => Ok(NvHashIndex {
+                heap: heap.clone(),
+                desc,
+                nbuckets,
+                buckets,
+                column,
+                staged: BTreeMap::new(),
+            }),
+            Err(e) => {
+                for p in blocks.iter().rev() {
+                    let _ = heap.free(*p, None);
+                }
+                Err(e)
+            }
         }
-        Ok(idx)
     }
 }
 
@@ -437,17 +514,63 @@ mod tests {
         let idx = NvHashIndex::create(&h, 0, 16).unwrap();
         let desc = idx.desc_offset();
         idx.insert(&Value::Int(1), 10).unwrap();
-        // Claim a slot and write the entry, but never publish the bucket.
-        let e = idx.alloc_entry().unwrap();
-        h.region()
-            .write_pod(e + E_HASH, &key_hash(&Value::Int(1)))
-            .unwrap();
-        h.region().persist(e, ENTRY_SIZE).unwrap();
+        // Stage an entry — slot claimed, entry written back — but never
+        // publish the bucket. The writer's own lookups see it…
+        let mut idx = idx;
+        idx.stage(&Value::Int(1), 11).unwrap();
+        assert_eq!(idx.lookup(&Value::Int(1)).unwrap(), vec![10, 11]);
+        h.region().fence();
+        // …a crash does not.
         h.region().crash(CrashPolicy::DropUnflushed);
         let (h2, _) = NvmHeap::open(h.region().clone()).unwrap();
         let idx2 = NvHashIndex::open(&h2, desc).unwrap();
         assert_eq!(idx2.lookup(&Value::Int(1)).unwrap(), vec![10]);
         assert_eq!(idx2.entry_count().unwrap(), 1);
+    }
+
+    #[test]
+    fn staged_entries_publish_together() {
+        let h = heap();
+        let mut idx = NvHashIndex::create(&h, 0, 16).unwrap();
+        let desc = idx.desc_offset();
+        // Two entries of one bucket and one of another, one publish.
+        for (k, r) in [(7i64, 1u64), (7, 2), (8, 3)] {
+            idx.stage(&Value::Int(k), r).unwrap();
+        }
+        h.region().fence();
+        assert!(idx.publish().unwrap());
+        assert!(!idx.publish().unwrap(), "nothing left to publish");
+        h.region().fence();
+        h.region().crash(CrashPolicy::DropUnflushed);
+        let (h2, _) = NvmHeap::open(h.region().clone()).unwrap();
+        let idx2 = NvHashIndex::open(&h2, desc).unwrap();
+        assert_eq!(idx2.lookup(&Value::Int(7)).unwrap(), vec![1, 2]);
+        assert_eq!(idx2.lookup(&Value::Int(8)).unwrap(), vec![3]);
+    }
+
+    /// The bulk build lays out what one insert per row would have: same
+    /// lookups in the same order, one pool block, and inserts carry on
+    /// from it with regular pools.
+    #[test]
+    fn bulk_build_matches_row_by_row_inserts() {
+        let h = heap();
+        let rows: Vec<Vec<Value>> = (0..3000i64).map(|i| vec![Value::Int(i % 700)]).collect();
+        let bulk = NvHashIndex::build_from_rows(&h, 0, 64, &rows).unwrap();
+        let one_by_one = NvHashIndex::create(&h, 0, 64).unwrap();
+        for (row, r) in rows.iter().enumerate() {
+            one_by_one.insert(&r[0], row as u64).unwrap();
+        }
+        for k in 0..701i64 {
+            let key = Value::Int(k);
+            assert_eq!(bulk.lookup(&key).unwrap(), one_by_one.lookup(&key).unwrap());
+        }
+        assert_eq!(bulk.entry_count().unwrap(), 3000);
+        assert_eq!(bulk.pool_blocks().unwrap(), 1);
+        bulk.insert(&Value::Int(5), 3000).unwrap();
+        assert_eq!(bulk.pool_blocks().unwrap(), 2);
+        assert_eq!(bulk.lookup(&Value::Int(5)).unwrap().last(), Some(&3000));
+        let narrow = NvHashIndex::build_from_rows(&h, 1, 64, &rows);
+        assert!(matches!(narrow, Err(StorageError::Corrupt { .. })));
     }
 
     #[test]

@@ -17,16 +17,26 @@
 //! ## Crash safety without a recovery pass
 //!
 //! The **level-0 linked list is the sole source of truth**; levels ≥ 1 are
-//! an acceleration structure. An insert writes and flushes the whole node
-//! (with its `next` pointers already aimed at the successors), then
-//! publishes it with one 8-byte durable store into the level-0 predecessor.
-//! The upper-level links follow best-effort: a crash between them leaves a
-//! node that is merely *under-indexed* — still found by every search, since
-//! searches always finish on level 0. Nothing to repair on restart; the
-//! index is re-attached O(1), exactly like the hash index.
+//! an acceleration structure. An insert is staged and published in steps
+//! the caller orders. [`NvOrderedIndex::stage`] writes the whole node (with
+//! its `next` pointers already aimed at the successors) and, for a text key,
+//! its blob run, with write-backs and no fence; the pointer stores that
+//! would link it are kept in the handle, where the writer's own searches
+//! see them. After the drain, [`NvOrderedIndex::publish_lens`] publishes the
+//! key blob's length; once the nodes *and the rows they name* are durable,
+//! [`NvOrderedIndex::publish`] stores the level-0 links — one 8-byte store
+//! per node — for the caller's next fence; and only after that fence
+//! [`NvOrderedIndex::publish_upper`] stores the upper-level links and the count,
+//! best-effort: a crash that loses them leaves a node that is merely
+//! *under-indexed* — still found by every search, since searches always
+//! finish on level 0 — while an upper link durable *before* its node's
+//! level-0 link would let a search skip entries. Nothing to repair on
+//! restart; the index is re-attached O(1), exactly like the hash index.
 //!
 //! Like all indexes here it is multi-version: one entry per physical row
 //! version; readers filter through MVCC and merges rebuild it wholesale.
+
+use std::collections::BTreeMap;
 
 use nvm::{NvmHeap, PVec, PVEC_HEADER};
 use storage::{DataType, Result, RowId, StorageError, Value};
@@ -91,34 +101,56 @@ pub struct NvOrderedIndex {
     column: usize,
     dtype: DataType,
     blob: PVec<u8>,
+    /// Key-blob length including the runs staged beyond the published
+    /// length; `None` when none are.
+    staged_blob_len: Option<u64>,
+    /// Entry count including the staged entries, until `publish_upper`
+    /// stores it.
+    staged_count: Option<u64>,
+    /// Pointer slot → node, for the level-0 links staged but not yet
+    /// stored. Ordered, so the publish stores replay identically.
+    staged: BTreeMap<u64, u64>,
+    /// The same for levels ≥ 1 (kept until `publish_upper`, past the
+    /// publish of their level-0 siblings).
+    staged_upper: BTreeMap<u64, u64>,
+}
+
+/// The words of a sealed node.
+fn node_words(key: u64, row: u64, height: u64, next: [u64; MAX_HEIGHT as usize]) -> [u64; 12] {
+    let mut w = [0u64; (NODE_SIZE / 8) as usize];
+    w[(NODE_KEY / 8) as usize] = key;
+    w[(NODE_ROW / 8) as usize] = row;
+    w[(NODE_HEIGHT / 8) as usize] = height;
+    w[(NODE_NEXT / 8) as usize..(NODE_SUM / 8) as usize].copy_from_slice(&next);
+    w[(NODE_SUM / 8) as usize] = node_sum(key, row, height);
+    w
+}
+
+/// Deterministic pseudo-random tower height of the `count`-th entry.
+fn height_for(count: u64) -> u64 {
+    let mut x = count
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(0xA24B_1741);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    ((x.trailing_ones() as u64 / 2) + 1).min(MAX_HEIGHT)
+}
+
+/// The length-prefixed blob run of a text key.
+fn text_run(s: &str) -> Vec<u8> {
+    let mut run = Vec::with_capacity(4 + s.len());
+    run.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    run.extend_from_slice(s.as_bytes());
+    run
 }
 
 impl NvOrderedIndex {
-    /// Create a fresh index over `column` of declared type `dtype`.
+    /// Create a fresh, empty index over `column` of declared type `dtype`.
+    /// Staged only — nothing can reach the index until its creator
+    /// publishes the descriptor offset, after one drain.
     pub fn create(heap: &NvmHeap, column: usize, dtype: DataType) -> Result<NvOrderedIndex> {
-        let region = heap.region();
-        let desc = heap.alloc(NVORDERED_DESC_SIZE)?;
-        for l in 0..MAX_HEIGHT {
-            region.write_pod(desc + D_HEAD + l * 8, &0u64)?;
-        }
-        // Column word also carries the type tag in its high byte so `open`
-        // is self-contained.
-        region.write_pod(
-            desc + D_COLUMN,
-            &((dtype.tag() as u64) << 56 | column as u64),
-        )?;
-        region.write_pod(desc + D_COUNT, &0u64)?;
-        region.write_pod(desc + D_POOL_HEAD, &0u64)?;
-        region.write_pod(desc + D_POOL_USED, &ORD_POOL_ENTRIES)?;
-        region.persist(desc, NVORDERED_DESC_SIZE)?;
-        let blob = PVec::<u8>::create(heap, desc + D_BLOB, 64)?;
-        Ok(NvOrderedIndex {
-            heap: heap.clone(),
-            desc,
-            column,
-            dtype,
-            blob,
-        })
+        Self::bulk(heap, column, dtype, &[])
     }
 
     /// Re-attach to an existing index by descriptor offset.
@@ -134,6 +166,10 @@ impl NvOrderedIndex {
             column: (colword & 0x00FF_FFFF_FFFF_FFFF) as usize,
             dtype,
             blob: PVec::open(desc + D_BLOB),
+            staged_blob_len: None,
+            staged_count: None,
+            staged: BTreeMap::new(),
+            staged_upper: BTreeMap::new(),
         })
     }
 
@@ -147,9 +183,12 @@ impl NvOrderedIndex {
         self.column
     }
 
-    /// Number of entries.
+    /// Number of entries, staged ones included.
     pub fn len(&self) -> Result<u64> {
-        Ok(self.heap.region().read_pod(self.desc + D_COUNT)?)
+        match self.staged_count {
+            Some(n) => Ok(n),
+            None => Ok(self.heap.region().read_pod(self.desc + D_COUNT)?),
+        }
     }
 
     /// True when no entries exist.
@@ -157,8 +196,9 @@ impl NvOrderedIndex {
         Ok(self.len()? == 0)
     }
 
-    /// Encode a key for storage; text keys are appended to the blob.
-    fn encode_key(&self, v: &Value) -> Result<u64> {
+    /// Encode a key for storage; a text key's run is staged at the end of
+    /// the blob.
+    fn stage_key(&mut self, v: &Value) -> Result<u64> {
         if let Some(w) = encode_fixed(v) {
             return Ok(w);
         }
@@ -166,10 +206,14 @@ impl NvOrderedIndex {
             column: self.column,
             expected: self.dtype,
         })?;
-        let mut run = Vec::with_capacity(4 + s.len());
-        run.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        run.extend_from_slice(s.as_bytes());
-        Ok(self.blob.append_bytes(&self.heap, &run)?)
+        let run = text_run(s);
+        let at = match self.staged_blob_len {
+            Some(len) => len,
+            None => self.blob.len(self.heap.region())?,
+        };
+        self.blob.stage_bytes(&self.heap, at, &run)?;
+        self.staged_blob_len = Some(at + run.len() as u64);
+        Ok(at)
     }
 
     /// Compare a stored key word against a probe value.
@@ -199,23 +243,13 @@ impl NvOrderedIndex {
         }
     }
 
-    /// Deterministic pseudo-random tower height from the entry count.
-    fn height_for(&self, count: u64) -> u64 {
-        let mut x = count
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0xA24B_1741);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        x ^= x >> 33;
-        ((x.trailing_ones() as u64 / 2) + 1).min(MAX_HEIGHT)
-    }
-
     /// Sub-allocate one node slot from the pool.
     fn alloc_node(&self) -> Result<u64> {
         let region = self.heap.region();
         let used: u64 = region.read_pod(self.desc + D_POOL_USED)?;
         let head: u64 = region.read_pod(self.desc + D_POOL_HEAD)?;
         let (pool, slot) = if used >= ORD_POOL_ENTRIES || head == 0 {
+            // The next pointer is durable before the activation record can be.
             let pool = self.heap.reserve(POOL_BYTES)?;
             region.write_pod(pool, &head)?;
             region.persist(pool, 8)?;
@@ -225,8 +259,10 @@ impl NvOrderedIndex {
         } else {
             (head, used)
         };
+        // Claim the slot: durable early only wastes it, and it rides the
+        // same drain as the node, before any link to the node.
         region.write_pod(self.desc + D_POOL_USED, &(slot + 1))?;
-        region.persist(self.desc + D_POOL_USED, 8)?;
+        region.flush(self.desc + D_POOL_USED, 8)?;
         Ok(pool + POOL_HDR + slot * NODE_SIZE)
     }
 
@@ -239,16 +275,32 @@ impl NvOrderedIndex {
         }
     }
 
+    /// `next` of `node` (0 = head) at `level` as the writer sees it: a
+    /// staged link, else the stored pointer.
+    #[inline]
+    fn next(&self, node: u64, level: u64) -> Result<u64> {
+        let slot = self.next_slot(node, level);
+        let staged = if level == 0 {
+            &self.staged
+        } else {
+            &self.staged_upper
+        };
+        match staged.get(&slot) {
+            Some(n) => Ok(*n),
+            None => Ok(self.heap.region().read_pod(slot)?),
+        }
+    }
+
     /// Find, per level, the last node (0 = head) whose key is `< probe`
-    /// (strictly, so inserts go after equal keys and range scans start at
-    /// the first equal entry).
+    /// (strictly, so an insert lands in front of its equals and range scans
+    /// start at the first equal entry).
     fn predecessors(&self, probe: &Value) -> Result<[u64; MAX_HEIGHT as usize]> {
         let region = self.heap.region();
         let mut preds = [0u64; MAX_HEIGHT as usize];
         let mut cur = 0u64; // head
         for level in (0..MAX_HEIGHT).rev() {
             loop {
-                let next: u64 = region.read_pod(self.next_slot(cur, level))?;
+                let next = self.next(cur, level)?;
                 if next == 0 {
                     break;
                 }
@@ -264,44 +316,102 @@ impl NvOrderedIndex {
         Ok(preds)
     }
 
-    /// Register a new row version carrying `value`. Crash-atomic: the
-    /// level-0 publish is one 8-byte durable store; upper links are
-    /// best-effort acceleration.
-    pub fn insert(&self, value: &Value, row: RowId) -> Result<()> {
-        let region = self.heap.region();
-        let key = self.encode_key(value)?;
-        let count: u64 = region.read_pod(self.desc + D_COUNT)?;
-        let height = self.height_for(count);
+    /// Stage a new row version carrying `value`: claim a slot, write the
+    /// sealed node (and a text key's blob run) aimed at its successors,
+    /// issue the write-backs, and remember the pointer stores that will link
+    /// it. No fence, and no stored pointer changes until
+    /// [`NvOrderedIndex::publish`].
+    // pmlint: caller-flushes
+    pub fn stage(&mut self, value: &Value, row: RowId) -> Result<()> {
+        let key = self.stage_key(value)?;
+        let count = self.len()?;
+        let height = height_for(count);
         let preds = self.predecessors(value)?;
-
         let node = self.alloc_node()?;
-        region.write_pod(node + NODE_KEY, &key)?;
-        region.write_pod(node + NODE_ROW, &row)?;
-        region.write_pod(node + NODE_HEIGHT, &height)?;
-        region.write_pod(node + NODE_SUM, &node_sum(key, row, height))?;
-        for l in 0..MAX_HEIGHT {
-            let succ: u64 = if l < height {
-                region.read_pod(self.next_slot(preds[l as usize], l))?
-            } else {
-                0
-            };
-            region.write_pod(node + NODE_NEXT + l * 8, &succ)?;
+        let mut next = [0u64; MAX_HEIGHT as usize];
+        for l in 0..height {
+            next[l as usize] = self.next(preds[l as usize], l)?;
         }
-        region.persist(node, NODE_SIZE)?;
-
-        // Publish at level 0 (the durable truth).
-        let slot0 = self.next_slot(preds[0], 0);
-        region.write_pod(slot0, &node)?;
-        region.persist(slot0, 8)?;
-        // Best-effort upper links + count.
+        let region = self.heap.region();
+        region.write_bytes(node, nvm::slice_bytes(&node_words(key, row, height, next)))?;
+        region.flush(node, NODE_SIZE)?;
+        self.staged.insert(self.next_slot(preds[0], 0), node);
         for l in 1..height {
-            let slot = self.next_slot(preds[l as usize], l);
-            region.write_pod(slot, &node)?;
-            region.persist(slot, 8)?;
+            self.staged_upper
+                .insert(self.next_slot(preds[l as usize], l), node);
         }
-        region.write_pod(self.desc + D_COUNT, &(count + 1))?;
-        region.persist(self.desc + D_COUNT, 8)?;
+        self.staged_count = Some(count + 1);
         Ok(())
+    }
+
+    /// True while nodes are staged whose level-0 links are unpublished.
+    pub fn has_staged(&self) -> bool {
+        !self.staged.is_empty()
+    }
+
+    /// First publish phase: the key blob's length word, if text keys were
+    /// staged — stored and written back after the drain of their runs.
+    /// Returns whether it was stored; the caller fences before
+    /// [`NvOrderedIndex::publish`].
+    // pmlint: caller-flushes
+    pub fn publish_lens(&mut self) -> Result<bool> {
+        let Some(len) = self.staged_blob_len.take() else {
+            return Ok(false);
+        };
+        self.blob.publish_len(self.heap.region(), len)?;
+        Ok(true)
+    }
+
+    /// Second publish phase: store the level-0 links of every staged node
+    /// and issue their write-backs; the caller's next fence makes them
+    /// durable. The nodes, the blob length and the rows the nodes name must
+    /// have been drained before. Returns whether anything was stored.
+    // pmlint: caller-flushes
+    pub fn publish(&mut self) -> Result<bool> {
+        let region = self.heap.region();
+        let any = !self.staged.is_empty();
+        for (slot, node) in std::mem::take(&mut self.staged) {
+            region.write_pod(slot, &node)?;
+            region.flush(slot, 8)?;
+        }
+        Ok(any)
+    }
+
+    /// After the fence that made the level-0 links durable: store the
+    /// upper-level links and the entry count, best-effort — written back,
+    /// durable with whatever fence comes next, harmless if lost.
+    // pmlint: caller-flushes
+    pub fn publish_upper(&mut self) -> Result<()> {
+        let region = self.heap.region();
+        for (slot, node) in std::mem::take(&mut self.staged_upper) {
+            region.write_pod(slot, &node)?;
+            region.flush(slot, 8)?;
+        }
+        if let Some(count) = self.staged_count.take() {
+            region.write_pod(self.desc + D_COUNT, &count)?;
+            region.flush(self.desc + D_COUNT, 8)?;
+        }
+        Ok(())
+    }
+
+    /// Register one row version through the whole protocol, on a handle
+    /// with nothing staged: stage, drain, blob length, level-0 link, drain,
+    /// upper links.
+    pub fn insert(&self, value: &Value, row: RowId) -> Result<()> {
+        debug_assert!(
+            self.staged.is_empty(),
+            "insert on a handle with staged nodes"
+        );
+        let region = self.heap.region();
+        let mut one = self.clone();
+        one.stage(value, row)?;
+        region.fence();
+        if one.publish_lens()? {
+            region.fence();
+        }
+        one.publish()?;
+        region.fence();
+        one.publish_upper()
     }
 
     /// Candidate rows with key exactly `value`, in insertion order among
@@ -310,7 +420,7 @@ impl NvOrderedIndex {
     pub fn lookup(&self, value: &Value) -> Result<Vec<RowId>> {
         let region = self.heap.region();
         let preds = self.predecessors(value)?;
-        let mut cur: u64 = region.read_pod(self.next_slot(preds[0], 0))?;
+        let mut cur = self.next(preds[0], 0)?;
         let mut out = Vec::new();
         while cur != 0 {
             let key: u64 = region.read_pod(cur + NODE_KEY)?;
@@ -325,7 +435,7 @@ impl NvOrderedIndex {
                     })
                 }
             }
-            cur = region.read_pod(cur + NODE_NEXT)?;
+            cur = self.next(cur, 0)?;
         }
         Ok(out)
     }
@@ -333,12 +443,9 @@ impl NvOrderedIndex {
     /// Candidate rows with `lo <= key < hi` (either bound optional).
     pub fn lookup_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Result<Vec<RowId>> {
         let region = self.heap.region();
-        let mut cur: u64 = match lo {
-            Some(v) => {
-                let preds = self.predecessors(v)?;
-                region.read_pod(self.next_slot(preds[0], 0))?
-            }
-            None => region.read_pod(self.desc + D_HEAD)?,
+        let mut cur = match lo {
+            Some(v) => self.next(self.predecessors(v)?[0], 0)?,
+            None => self.next(0, 0)?,
         };
         let mut out = Vec::new();
         while cur != 0 {
@@ -349,7 +456,7 @@ impl NvOrderedIndex {
                 }
             }
             out.push(region.read_pod(cur + NODE_ROW)?);
-            cur = region.read_pod(cur + NODE_NEXT)?;
+            cur = self.next(cur, 0)?;
         }
         Ok(out)
     }
@@ -476,8 +583,10 @@ impl NvOrderedIndex {
         column: usize,
     ) -> Result<NvOrderedIndex> {
         let dtype = table.schema().column(column)?.dtype;
-        let nrows = table.row_count();
-        Self::build_with(heap, column, dtype, nrows, |row| table.value(row, column))
+        let keys = (0..table.row_count())
+            .map(|row| table.value(row, column))
+            .collect::<Result<Vec<Value>>>()?;
+        Self::bulk(heap, column, dtype, &keys.iter().collect::<Vec<_>>())
     }
 
     /// Bulk-build over in-memory rows whose index id is their position —
@@ -489,39 +598,105 @@ impl NvOrderedIndex {
         dtype: DataType,
         rows: &[Vec<Value>],
     ) -> Result<NvOrderedIndex> {
-        Self::build_with(heap, column, dtype, rows.len() as u64, |row| {
-            rows[row as usize]
-                .get(column)
-                .cloned()
-                .ok_or(StorageError::Corrupt {
+        let keys = rows
+            .iter()
+            .map(|r| {
+                r.get(column).ok_or(StorageError::Corrupt {
                     reason: "planned row narrower than the indexed column",
                 })
-        })
+            })
+            .collect::<Result<Vec<&Value>>>()?;
+        Self::bulk(heap, column, dtype, &keys)
     }
 
-    /// Shared bulk-build loop. On any failure the partially built index is
-    /// destroyed before the error propagates — a capacity-failed build
-    /// must not leak its allocations.
-    fn build_with(
+    /// The one build path: an index over rows `0..keys.len()` with the
+    /// given keys. The rows are sorted once (equal keys newest first, where
+    /// one insert per row would have left them), the skip list is assembled
+    /// in DRAM — all nodes in a single pool block — and staged with one bulk
+    /// store and one range write-back per block. Nothing is fenced beyond
+    /// the allocator's own protocols: the index is unreachable until its
+    /// creator publishes the descriptor offset, after one drain. On failure
+    /// every block allocated so far is freed before the error propagates.
+    fn bulk(
         heap: &NvmHeap,
         column: usize,
         dtype: DataType,
-        nrows: u64,
-        mut value_of: impl FnMut(u64) -> storage::Result<Value>,
+        keys: &[&Value],
     ) -> Result<NvOrderedIndex> {
-        let idx = NvOrderedIndex::create(heap, column, dtype)?;
-        let filled: Result<()> = (|| {
-            for row in 0..nrows {
-                let v = value_of(row)?;
-                idx.insert(&v, row)?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = filled {
-            let _ = idx.destroy();
-            return Err(e);
+        let region = heap.region();
+        let n = keys.len();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|a, b| keys[*a as usize].cmp(keys[*b as usize]).then(b.cmp(a)));
+
+        let mut blob_bytes: Vec<u8> = Vec::new();
+        let mut words = Vec::with_capacity(n);
+        for row in &order {
+            let v = keys[*row as usize];
+            words.push(match (encode_fixed(v), v.as_text()) {
+                (Some(w), _) => w,
+                (None, Some(s)) => {
+                    let at = blob_bytes.len() as u64;
+                    blob_bytes.extend_from_slice(&text_run(s));
+                    at
+                }
+                (None, None) => {
+                    return Err(StorageError::TypeMismatch {
+                        column,
+                        expected: dtype,
+                    })
+                }
+            });
         }
-        Ok(idx)
+
+        let mut blocks: Vec<u64> = Vec::new();
+        let built =
+            (|| -> Result<u64> {
+                let desc = heap.alloc(NVORDERED_DESC_SIZE)?;
+                blocks.push(desc);
+                let mut head = [0u64; MAX_HEIGHT as usize];
+                let mut pool = 0u64;
+                if n > 0 {
+                    pool = heap.alloc(POOL_HDR + n as u64 * NODE_SIZE)?;
+                    blocks.push(pool);
+                    // Back to front, so each node finds its successor per level
+                    // in `head`, which ends up holding the list heads.
+                    let mut image = vec![0u64; ((POOL_HDR + n as u64 * NODE_SIZE) / 8) as usize];
+                    for pos in (0..n).rev() {
+                        let height = height_for(pos as u64);
+                        let mut next = [0u64; MAX_HEIGHT as usize];
+                        next[..height as usize].copy_from_slice(&head[..height as usize]);
+                        let at = (POOL_HDR + pos as u64 * NODE_SIZE) / 8;
+                        image[at as usize..(at + NODE_SIZE / 8) as usize].copy_from_slice(
+                            &node_words(words[pos], order[pos] as u64, height, next),
+                        );
+                        head[..height as usize].fill(pool + at * 8);
+                    }
+                    region.write_bytes(pool, nvm::slice_bytes(&image))?;
+                    region.flush(pool, image.len() as u64 * 8)?;
+                }
+                // Column word also carries the type tag in its high byte so
+                // `open` is self-contained. A full `pool_used` forces a regular
+                // pool on the first insert.
+                let mut image = [0u64; (D_BLOB / 8) as usize];
+                image[..MAX_HEIGHT as usize].copy_from_slice(&head);
+                image[(D_COLUMN / 8) as usize] = (dtype.tag() as u64) << 56 | column as u64;
+                image[(D_COUNT / 8) as usize] = n as u64;
+                image[(D_POOL_HEAD / 8) as usize] = pool;
+                image[(D_POOL_USED / 8) as usize] = ORD_POOL_ENTRIES;
+                region.write_bytes(desc, nvm::slice_bytes(&image))?;
+                region.flush(desc, D_BLOB)?;
+                PVec::<u8>::create_from(heap, desc + D_BLOB, &blob_bytes, 64)?;
+                Ok(desc)
+            })();
+        match built {
+            Ok(desc) => Self::open(heap, desc),
+            Err(e) => {
+                for p in blocks.iter().rev() {
+                    let _ = heap.free(*p, None);
+                }
+                Err(e)
+            }
+        }
     }
 }
 
@@ -659,6 +834,117 @@ mod tests {
         let idx2 = NvOrderedIndex::open(&h2, desc).unwrap();
         for k in 0..50i64 {
             assert_eq!(idx2.lookup(&Value::Int(k)).unwrap(), vec![k as u64]);
+        }
+    }
+
+    /// Staged nodes are the writer's own — found by its lookups, chained to
+    /// each other — until the publish phases; a crash in between drops them
+    /// all, and one after the level-0 publish keeps them even though the
+    /// upper links were never stored.
+    #[test]
+    fn staged_nodes_publish_in_phases() {
+        let h = heap();
+        let mut idx = NvOrderedIndex::create(&h, 0, DataType::Text).unwrap();
+        let desc = idx.desc_offset();
+        idx.insert(&"m".into(), 0).unwrap();
+        h.region().fence();
+        let keys = ["d", "x", "e", "a", "dd", "z", "b", "c", "y"];
+        for (i, k) in keys.iter().enumerate() {
+            idx.stage(&Value::Text(k.to_string()), i as u64 + 1)
+                .unwrap();
+        }
+        let all = idx.lookup_range(None, None).unwrap();
+        assert_eq!(
+            all,
+            vec![4, 7, 8, 1, 5, 3, 0, 2, 9, 6],
+            "a b c d dd e m x y z"
+        );
+        assert_eq!(idx.lookup(&"dd".into()).unwrap(), vec![5]);
+        assert_eq!(idx.len().unwrap(), 10);
+
+        let reopened = |h: &NvmHeap| {
+            let (h2, _) = NvmHeap::open(h.region().clone()).unwrap();
+            NvOrderedIndex::open(&h2, desc).unwrap()
+        };
+        h.region().fence();
+        assert!(idx.publish_lens().unwrap());
+        h.region().fence();
+        assert!(idx.publish().unwrap());
+        h.region().fence();
+        // Crash before `publish_upper`: every node is on level 0.
+        h.region().crash(CrashPolicy::DropUnflushed);
+        let idx2 = reopened(&h);
+        assert_eq!(idx2.lookup_range(None, None).unwrap(), all);
+        for (i, k) in keys.iter().enumerate() {
+            let hits = idx2.lookup(&Value::Text(k.to_string())).unwrap();
+            assert_eq!(hits, vec![i as u64 + 1], "key {k}");
+        }
+    }
+
+    #[test]
+    fn unpublished_staged_nodes_vanish_in_a_crash() {
+        let h = heap();
+        let mut idx = NvOrderedIndex::create(&h, 0, DataType::Int).unwrap();
+        let desc = idx.desc_offset();
+        for k in [5i64, 1, 9] {
+            idx.insert(&Value::Int(k), k as u64).unwrap();
+        }
+        h.region().fence();
+        for k in [3i64, 7, 4] {
+            idx.stage(&Value::Int(k), k as u64).unwrap();
+        }
+        assert_eq!(
+            idx.lookup_range(None, None).unwrap(),
+            vec![1, 3, 4, 5, 7, 9]
+        );
+        h.region().fence();
+        h.region().crash(CrashPolicy::DropUnflushed);
+        let (h2, _) = NvmHeap::open(h.region().clone()).unwrap();
+        let idx2 = NvOrderedIndex::open(&h2, desc).unwrap();
+        assert_eq!(idx2.lookup_range(None, None).unwrap(), vec![1, 5, 9]);
+        // The claimed slots are wasted, nothing else: inserts carry on.
+        idx2.insert(&Value::Int(3), 3).unwrap();
+        assert_eq!(idx2.lookup_range(None, None).unwrap(), vec![1, 3, 5, 9]);
+    }
+
+    /// The bulk build lays out what one insert per row would have, equal
+    /// keys included, in one pool block; inserts carry on from it.
+    #[test]
+    fn bulk_build_matches_row_by_row_inserts() {
+        for dtype in [DataType::Int, DataType::Text] {
+            let h = heap();
+            let key = |i: i64| match dtype {
+                DataType::Text => Value::Text(format!("k{:03}", (i * 37) % 211)),
+                _ => Value::Int((i * 37) % 211 - 100),
+            };
+            let rows: Vec<Vec<Value>> = (0..1500).map(|i| vec![Value::Int(0), key(i)]).collect();
+            let blocks_before = h.walk().unwrap().len();
+            let bulk = NvOrderedIndex::build_from_rows(&h, 1, dtype, &rows).unwrap();
+            assert_eq!(
+                h.walk().unwrap().len() - blocks_before,
+                3,
+                "desc, pool, blob"
+            );
+            let one_by_one = NvOrderedIndex::create(&h, 1, dtype).unwrap();
+            for (row, r) in rows.iter().enumerate() {
+                one_by_one.insert(&r[1], row as u64).unwrap();
+            }
+            assert_eq!(
+                bulk.lookup_range(None, None).unwrap(),
+                one_by_one.lookup_range(None, None).unwrap(),
+                "{dtype:?}"
+            );
+            assert_eq!(bulk.len().unwrap(), 1500);
+            let (lo, hi) = (key(3), key(4));
+            let (lo, hi) = if lo < hi { (lo, hi) } else { (hi, lo) };
+            assert_eq!(
+                bulk.lookup_range(Some(&lo), Some(&hi)).unwrap(),
+                one_by_one.lookup_range(Some(&lo), Some(&hi)).unwrap()
+            );
+            bulk.insert(&key(7), 1500).unwrap();
+            assert!(bulk.lookup(&key(7)).unwrap().contains(&1500));
+            let narrow = NvOrderedIndex::build_from_rows(&h, 2, dtype, &rows);
+            assert!(matches!(narrow, Err(StorageError::Corrupt { .. })));
         }
     }
 

@@ -35,6 +35,17 @@ use crate::{NvmError, Result};
 /// Size of the per-block header (one cache line).
 pub const ALLOC_BLOCK_HEADER: u64 = CACHE_LINE;
 
+/// Most fences one allocation costs: a fresh block's header, the bump
+/// frontier and the reservation (3), then the activation record, its link
+/// store, the release of a replaced block and the final state (4). The
+/// cost bounds of the protocols that allocate — a merge is a constant plus
+/// this per block — are stated in these.
+pub const ALLOC_MAX_FENCES: u64 = 7;
+
+/// Most fences one free costs: the deactivation record, its unlink store,
+/// the final state.
+pub const FREE_MAX_FENCES: u64 = 3;
+
 /// Magic value identifying a formatted region ("HYRISNVM" in ASCII-ish).
 pub(crate) const REGION_MAGIC: u64 = 0x4859_5249_534E_564D;
 /// On-media layout version.

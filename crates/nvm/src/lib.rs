@@ -59,7 +59,9 @@ mod seqlock;
 mod stats;
 mod trace;
 
-pub use alloc::{AllocState, AllocatorRecovery, BlockInfo, ALLOC_BLOCK_HEADER};
+pub use alloc::{
+    AllocState, AllocatorRecovery, BlockInfo, ALLOC_BLOCK_HEADER, ALLOC_MAX_FENCES, FREE_MAX_FENCES,
+};
 pub use error::{NvmError, Result};
 pub use fault::{AllocFaultClass, AllocFaultSpec, FaultClass, FaultSpec};
 pub use heap::{HeapStats, NvmHeap};
@@ -69,7 +71,7 @@ pub use mmap::{
     arm_kill_at_fence, install_sigterm_hook, raise_sigkill, send_sigterm, sigterm_seen,
 };
 pub use parray::PArray;
-pub use pod::Pod;
+pub use pod::{slice_bytes, Pod};
 pub use protocol::{
     check_trace, publish_labels, registry as protocol_registry, ConformanceReport,
     ConformanceViolation, MemOrder, ProtocolSpec, ProtocolStep, PublishLabel, RangeBinding,

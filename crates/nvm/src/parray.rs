@@ -70,13 +70,6 @@ impl<T: Pod> PArray<T> {
         region.read_pod(self.elem_off(i))
     }
 
-    /// Write element `i` without persisting.
-    // pmlint: caller-flushes
-    #[inline]
-    pub fn set(&self, region: &NvmRegion, i: u64, value: &T) -> Result<()> {
-        region.write_pod(self.elem_off(i), value)
-    }
-
     /// Write element `i` and persist it.
     #[inline]
     pub fn store(&self, region: &NvmRegion, i: u64, value: &T) -> Result<()> {
@@ -95,14 +88,6 @@ impl<T: Pod> PArray<T> {
         region.flush(off, T::SIZE as u64)
     }
 
-    /// Persist the whole array (one flush call covering every line).
-    pub fn persist_all(&self, region: &NvmRegion) -> Result<()> {
-        if self.len == 0 {
-            return Ok(());
-        }
-        region.persist(self.off, self.byte_len())
-    }
-
     /// Bulk-read all elements into a `Vec` with a single lock acquisition.
     pub fn to_vec(&self, region: &NvmRegion) -> Result<Vec<T>> {
         if self.len == 0 {
@@ -116,14 +101,14 @@ impl<T: Pod> PArray<T> {
         })
     }
 
-    /// Bulk-write from a slice (caller persists).
+    /// Stage the whole array from a slice: one bulk store and one range
+    /// flush, no fence — the shape for structures nothing can reach yet,
+    /// whose builder drains once before the publish.
     // pmlint: caller-flushes
-    pub fn copy_from_slice(&self, region: &NvmRegion, values: &[T]) -> Result<()> {
+    pub fn stage_from_slice(&self, region: &NvmRegion, values: &[T]) -> Result<()> {
         assert_eq!(values.len() as u64, self.len, "length mismatch");
-        for (i, v) in values.iter().enumerate() {
-            region.write_pod(self.off + (i * T::SIZE) as u64, v)?;
-        }
-        Ok(())
+        region.write_bytes(self.off, crate::pod::slice_bytes(values))?;
+        region.flush(self.off, self.byte_len())
     }
 
     /// Run `f` over the raw bytes of the array (bulk scan path).
@@ -154,10 +139,9 @@ mod tests {
     fn roundtrip_and_persist() {
         let r = NvmRegion::new(1 << 16, LatencyModel::zero());
         let a = PArray::<u32>::at(1024, 100);
-        for i in 0..100 {
-            a.set(&r, i, &(i as u32 * 3)).unwrap();
-        }
-        a.persist_all(&r).unwrap();
+        let src: Vec<u32> = (0..100).map(|i| i * 3).collect();
+        a.stage_from_slice(&r, &src).unwrap();
+        r.fence();
         r.crash(CrashPolicy::DropUnflushed);
         let v = a.to_vec(&r).unwrap();
         assert_eq!(v.len(), 100);
@@ -171,7 +155,7 @@ mod tests {
         let r = NvmRegion::new(1 << 16, LatencyModel::zero());
         let a = PArray::<u64>::at(0, 8);
         let src: Vec<u64> = (10..18).collect();
-        a.copy_from_slice(&r, &src).unwrap();
+        a.stage_from_slice(&r, &src).unwrap();
         assert_eq!(a.to_vec(&r).unwrap(), src);
         assert_eq!(a.get(&r, 7).unwrap(), 17);
     }

@@ -36,6 +36,15 @@ pub unsafe trait Pod: Copy + 'static {
     }
 }
 
+/// View a slice of pods as its raw bytes — what one bulk store of the whole
+/// slice writes.
+pub fn slice_bytes<T: Pod>(values: &[T]) -> &[u8] {
+    // SAFETY: `Pod` guarantees no padding inside an element and a slice has
+    // none between elements, so all `size_of_val(values)` bytes are
+    // initialized and live as long as the borrow.
+    unsafe { std::slice::from_raw_parts(values.as_ptr() as *const u8, size_of_val(values)) }
+}
+
 macro_rules! impl_pod_prim {
     ($($t:ty),* $(,)?) => {
         $(
@@ -63,6 +72,15 @@ mod tests {
         assert_eq!(i32::from_bytes(y.as_bytes()), y);
         let z: f64 = -0.5;
         assert_eq!(f64::from_bytes(z.as_bytes()), z);
+    }
+
+    #[test]
+    fn slice_bytes_concatenates_elements() {
+        let v: [u32; 3] = [1, 2, 3];
+        let bytes = slice_bytes(&v);
+        assert_eq!(bytes.len(), 12);
+        assert_eq!(u32::from_bytes(&bytes[4..8]), 2);
+        assert!(slice_bytes::<u64>(&[]).is_empty());
     }
 
     #[test]

@@ -910,10 +910,13 @@ pub fn registry() -> Vec<ProtocolSpec> {
     use StepKind::*;
     vec![
         // Commit: stamp the MVCC words of every write (each write-back
-        // issued without draining), drain once, then one 8-byte publish of
-        // the commit timestamp in the catalogue. One batched flush step
-        // covers all begin/end stamps — realised as one write-back per
-        // stamped word — so a W-write commit pays two fences, not W+1.
+        // issued without draining), drain once — one fence for all touched
+        // tables, which share the region — then one 8-byte publish of the
+        // commit timestamp in the catalogue. One batched flush step covers
+        // all begin/end stamps — realised as one write-back per stamped
+        // word — so a W-write commit pays two fences, not W+1. (The
+        // registry slot clear that follows is written back without a fence
+        // of its own.)
         ProtocolSpec {
             name: "txn-commit-publish",
             what: "commit-timestamp publish after batched per-row MVCC stamps",
@@ -955,11 +958,18 @@ pub fn registry() -> Vec<ProtocolSpec> {
                 ProtocolStep::new(Fence, &[5]),
             ],
         },
-        // Delta append: cells + MVCC words are written and flushed (one
-        // fence), then the row counter publishes the row.
+        // Delta append, one instance per commit and table, covering every
+        // row staged since the last one: dictionary/blob entries, cells and
+        // MVCC words are staged (written back, no fence) as the rows are
+        // inserted; the commit drains them once, publishes the dictionary
+        // and blob length words — they seal the content they cover, so
+        // they follow its drain — fences, and only then lets the row
+        // counter cover the rows (a cell must never be reachable before its
+        // dictionary entry is). Without a new dictionary entry the middle
+        // fence is skipped: two or three fences per instance, none per row.
         ProtocolSpec {
             name: "delta-append",
-            what: "row insert into the delta store, published by the row counter",
+            what: "rows staged into the delta store, published by the row counter",
             steps: vec![
                 ProtocolStep::optional(
                     Store {
@@ -1009,27 +1019,46 @@ pub fn registry() -> Vec<ProtocolSpec> {
                     &[0, 1, 2, 3, 4],
                 ),
                 ProtocolStep::new(Fence, &[5]),
+                ProtocolStep::optional(
+                    Store {
+                        label: "delta-lens",
+                        checksummed: false,
+                    },
+                    &[6],
+                ),
+                ProtocolStep::optional(
+                    Flush {
+                        covers: &["delta-lens"],
+                    },
+                    &[7],
+                ),
+                ProtocolStep::optional(Fence, &[8]),
                 ProtocolStep::new(
                     Publish {
                         label: "delta-rows",
                     },
-                    &[6],
+                    &[6, 9],
                 )
                 .with_order(MemOrder::Release),
                 ProtocolStep::new(
                     Flush {
                         covers: &["delta-rows"],
                     },
-                    &[7],
+                    &[10],
                 ),
-                ProtocolStep::new(Fence, &[8]),
+                ProtocolStep::new(Fence, &[11]),
             ],
         },
-        // Merge: the new main tree (checksummed payloads) is fully durable
-        // before the pair pointer swaps to it.
+        // Merge: the new main tree (checksummed payloads), the fresh delta
+        // descriptor, the replacement indexes and the pair block that names
+        // them all are staged with bulk stores and range write-backs — no
+        // one can reach them — and drained by one fence before the pair
+        // pointer swaps to them. The only other fences of a merge belong to
+        // the allocator's reserve/activate/free protocols, one set per
+        // block: a merge costs O(blocks), never O(rows).
         ProtocolSpec {
             name: "merge-publish",
-            what: "delta→main merge, published by the root pair swap",
+            what: "delta→main merge with its indexes, published by the root pair swap",
             steps: vec![
                 ProtocolStep::new(
                     Store {
@@ -1061,10 +1090,17 @@ pub fn registry() -> Vec<ProtocolSpec> {
                 ),
                 ProtocolStep::optional(
                     Store {
+                        label: "index-structure",
+                        checksummed: false,
+                    },
+                    &[],
+                ),
+                ProtocolStep::new(
+                    Store {
                         label: "merge-pair",
                         checksummed: false,
                     },
-                    &[0, 1, 2, 3],
+                    &[0, 1, 2, 3, 4],
                 ),
                 ProtocolStep::new(
                     Flush {
@@ -1073,26 +1109,27 @@ pub fn registry() -> Vec<ProtocolSpec> {
                             "main-av",
                             "main-blob",
                             "main-end",
+                            "index-structure",
                             "merge-pair",
                         ],
                     },
-                    &[4],
+                    &[5],
                 ),
-                ProtocolStep::new(Fence, &[5]),
+                ProtocolStep::new(Fence, &[6]),
                 ProtocolStep::new(
                     Publish {
                         label: "table-pair",
                     },
-                    &[6],
+                    &[7],
                 )
                 .with_order(MemOrder::Release),
                 ProtocolStep::new(
                     Flush {
                         covers: &["table-pair"],
                     },
-                    &[7],
+                    &[8],
                 ),
-                ProtocolStep::new(Fence, &[8]),
+                ProtocolStep::new(Fence, &[9]),
             ],
         },
         // DDL: the catalogue entry (name, root, index block) is durable
@@ -1131,12 +1168,22 @@ pub fn registry() -> Vec<ProtocolSpec> {
                 ProtocolStep::new(Fence, &[4]),
             ],
         },
-        // Index registration (create_index): entry slot durable before the
-        // per-table index count publishes it.
+        // Index registration (create_index): the bulk-built index — one
+        // store and one range write-back per block — and its registration
+        // (catalogue entry plus the descriptor word in the table's pair
+        // block) share one drain before the per-table index count
+        // publishes them.
         ProtocolSpec {
             name: "index-register",
-            what: "persistent index registration, published by the index count",
+            what: "bulk-built persistent index and its registration, published by the index count",
             steps: vec![
+                ProtocolStep::new(
+                    Store {
+                        label: "index-structure",
+                        checksummed: false,
+                    },
+                    &[],
+                ),
                 ProtocolStep::new(
                     Store {
                         label: "index-entry",
@@ -1146,32 +1193,34 @@ pub fn registry() -> Vec<ProtocolSpec> {
                 ),
                 ProtocolStep::new(
                     Flush {
-                        covers: &["index-entry"],
+                        covers: &["index-structure", "index-entry"],
                     },
-                    &[0],
+                    &[0, 1],
                 ),
-                ProtocolStep::new(Fence, &[1]),
+                ProtocolStep::new(Fence, &[2]),
                 ProtocolStep::new(
                     Publish {
                         label: "index-count",
                     },
-                    &[2],
+                    &[3],
                 )
                 .with_order(MemOrder::Release),
                 ProtocolStep::new(
                     Flush {
                         covers: &["index-count"],
                     },
-                    &[3],
+                    &[4],
                 ),
-                ProtocolStep::new(Fence, &[4]),
+                ProtocolStep::new(Fence, &[5]),
             ],
         },
-        // Index rebuild (post-merge or recovery rung 1): the freshly built
-        // structure is durable before the descriptor pointer swaps.
+        // Index rebuild (recovery rung 1): the bulk-built structure is
+        // staged like any other and drained once before the descriptor
+        // word — an aux word of the table's pair block — swaps to it. (A
+        // merge's replacement indexes ride `merge-publish` instead.)
         ProtocolSpec {
             name: "index-desc-swap",
-            what: "index rebuild, published by the descriptor pointer swap",
+            what: "bulk index rebuild, published by the descriptor word swap",
             steps: vec![
                 ProtocolStep::new(
                     Store {
@@ -1485,16 +1534,19 @@ mod tests {
             .find(|s| s.name == "delta-append")
             .unwrap();
         let c = spec.static_cost();
-        // Required: av/begin/end stores + the publish; optional dict/blob.
+        // Required: av/begin/end stores + the publish; optional dict/blob
+        // and their length words.
         assert_eq!(c.min_stores, 4);
-        assert_eq!(c.max_stores, 6);
+        assert_eq!(c.max_stores, 7);
         // One batched flush plus the publish flush; the batch may be
-        // realised as up to five per-column write-backs.
+        // realised as up to five per-column write-backs, the length words
+        // add one.
         assert_eq!(c.min_flushes, 2);
-        assert_eq!(c.max_flushes, 6);
-        // One fence seals the batch, one seals the publish word.
+        assert_eq!(c.max_flushes, 7);
+        // One fence drains the batch, one seals the publish word; a new
+        // dictionary entry puts one more between them.
         assert_eq!(c.min_fences, 2);
-        assert_eq!(c.max_fences, 2);
+        assert_eq!(c.max_fences, 3);
     }
 
     #[test]

@@ -42,7 +42,8 @@ impl<T: Pod> PSlab<T> {
         let cap = initial_cap.max(4);
         region.write_pod(hdr_off + F_CAP, &cap)?;
         region.write_pod(hdr_off + F_DATA, &0u64)?;
-        region.persist(hdr_off, PSLAB_HEADER)?;
+        // Drained by the reservation's fence, before the link store.
+        region.flush(hdr_off, PSLAB_HEADER)?;
         let data = heap.reserve(cap * T::SIZE as u64)?;
         heap.activate(data, Some((hdr_off + F_DATA, data)), None)?;
         Ok(PSlab {
@@ -84,13 +85,6 @@ impl<T: Pod> PSlab<T> {
         region.read_pod(self.elem_off(region, i)?)
     }
 
-    /// Write element `i` without persisting.
-    // pmlint: caller-flushes
-    #[inline]
-    pub fn set(&self, region: &NvmRegion, i: u64, value: &T) -> Result<()> {
-        region.write_pod(self.elem_off(region, i)?, value)
-    }
-
     /// Write element `i` and persist it.
     pub fn store(&self, region: &NvmRegion, i: u64, value: &T) -> Result<()> {
         let off = self.elem_off(region, i)?;
@@ -122,6 +116,8 @@ impl<T: Pod> PSlab<T> {
             let bytes = live.min(cap) * T::SIZE as u64;
             let copied = region.with_slice(old_data, bytes, |src| src.to_vec())?;
             region.write_bytes(new_data, &copied)?;
+            // Durable before the activation record can be: the record's own
+            // fence does not order the copy ahead of it.
             region.persist(new_data, bytes)?;
         }
         heap.activate(
@@ -129,9 +125,10 @@ impl<T: Pod> PSlab<T> {
             Some((self.hdr + F_DATA, new_data)),
             (old_data != 0).then_some(old_data),
         )?;
+        // A stale (smaller) capacity is safe — it only grows again — and
+        // the caller's length cannot pass it before the next fence.
         region.write_pod(self.hdr + F_CAP, &new_cap)?;
-        region.persist(self.hdr + F_CAP, 8)?;
-        Ok(())
+        region.flush(self.hdr + F_CAP, 8)
     }
 
     /// Bulk-read the first `live` elements.
@@ -197,9 +194,10 @@ mod tests {
         let h = heap();
         let hdr = h.alloc(PSLAB_HEADER).unwrap();
         let s = PSlab::<u64>::create(&h, hdr, 8).unwrap();
-        s.set(h.region(), 0, &7).unwrap();
+        let data: u64 = h.region().read_pod(hdr + F_DATA).unwrap();
+        h.region().write_pod(data, &7u64).unwrap();
         h.region().crash(CrashPolicy::DropUnflushed);
-        assert_eq!(PSlab::<u64>::open(hdr).get(h.region(), 0).unwrap(), 0);
+        assert_eq!(s.get(h.region(), 0).unwrap(), 0);
     }
 
     #[test]

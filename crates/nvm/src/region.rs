@@ -152,10 +152,11 @@ struct Images {
     backing: Backing,
     /// One bit per cache line: line holds stores not yet flushed.
     dirty: Vec<u64>,
-    /// File backing only: lines flushed since the last fence, awaiting
-    /// `msync` at the fence — the durability analogue of the simulator's
+    /// File backing only: the span (first and last cache line) of the
+    /// lines flushed since the last fence, awaiting `msync` at the fence —
+    /// the durability analogue of the simulator's
     /// flush-buffers-until-fence trace semantics.
-    pending_sync: Vec<u64>,
+    pending_sync: Option<(u64, u64)>,
 }
 
 impl Images {
@@ -258,25 +259,35 @@ impl Images {
     }
 
     /// Write one dirty cache line back to the medium and mark it clean:
-    /// copy volatile → persistent (sim), or queue the line for `msync` at
-    /// the next fence (file). Returns true if the line was actually dirty.
+    /// copy volatile → persistent (sim); on the file backing the store is
+    /// already in the mapping and the caller queues the flushed range for
+    /// the next fence's `msync`. Returns true if the line was actually
+    /// dirty.
     fn write_back(&mut self, line: u64) -> bool {
         if !self.is_dirty(line) {
             return false;
         }
-        match &mut self.backing {
-            Backing::Sim {
-                volatile,
-                persistent,
-            } => {
-                let start = (line * CACHE_LINE) as usize;
-                let end = start + CACHE_LINE as usize;
-                persistent[start..end].copy_from_slice(&volatile[start..end]);
-            }
-            Backing::File { .. } => self.pending_sync.push(line),
+        if let Backing::Sim {
+            volatile,
+            persistent,
+        } = &mut self.backing
+        {
+            let start = (line * CACHE_LINE) as usize;
+            let end = start + CACHE_LINE as usize;
+            persistent[start..end].copy_from_slice(&volatile[start..end]);
         }
         self.clear_dirty(line);
         true
+    }
+
+    /// Widen the span the next fence's `msync` covers to include lines
+    /// `[first, last]` (file backing; the simulated medium already holds
+    /// them).
+    fn queue_sync(&mut self, first: u64, last: u64) {
+        if self.is_file() {
+            let (a, b) = self.pending_sync.unwrap_or((first, last));
+            self.pending_sync = Some((a.min(first), b.max(last)));
+        }
     }
 }
 
@@ -379,7 +390,7 @@ impl NvmRegion {
             images: RwLock::new(Images {
                 backing,
                 dirty: vec![0u64; lines.div_ceil(64) as usize],
-                pending_sync: Vec::new(),
+                pending_sync: None,
             }),
             stats: NvmStats::default(),
             clock: SimClock::new(),
@@ -409,7 +420,7 @@ impl NvmRegion {
     /// pending per-fence sync set — everything is durable after this.
     pub fn sync_all(&self) -> Result<()> {
         let mut img = self.images.write();
-        img.pending_sync.clear();
+        img.pending_sync = None;
         if let Backing::File { map } = &img.backing {
             map.sync_all()?;
         }
@@ -635,12 +646,11 @@ impl NvmRegion {
                         let start = (line * CACHE_LINE) as usize;
                         let end = start + CACHE_LINE as usize;
                         snaps.push((line, img.vol()[start..end].into()));
-                        if img.is_file() {
-                            img.write_back(line);
-                        } else {
-                            img.clear_dirty(line);
-                        }
+                        img.clear_dirty(line);
                     }
+                }
+                if let (Some(first), Some(last)) = (snaps.first(), snaps.last()) {
+                    img.queue_sync(first.0, last.0);
                 }
                 drop(img);
                 let n = snaps.len() as u64;
@@ -659,10 +669,15 @@ impl NvmRegion {
             _ => {
                 let mut img = self.images.write();
                 let mut written = 0u64;
+                let mut span: Option<(u64, u64)> = None;
                 for line in a..=b {
                     if img.write_back(line) {
                         written += 1;
+                        span = Some((span.map_or(line, |s| s.0), line));
                     }
+                }
+                if let Some((first, last)) = span {
+                    img.queue_sync(first, last);
                 }
                 written
             }
@@ -710,34 +725,22 @@ impl NvmRegion {
         }
     }
 
-    /// Drain the flushed-line set and `msync(MS_SYNC)` it (file backing),
-    /// coalescing adjacent lines into page-rounded runs. An msync failure
-    /// is latched into [`NvmRegion::take_sync_error`].
+    /// Drain the flushed lines: one `msync(MS_SYNC)` over the page-rounded
+    /// span from the first to the last of them (file backing). A drain is
+    /// one system call however many structures it covers; pages in the
+    /// gaps are synced along — more than a fence promises, never less, and
+    /// on a file only the dirty ones cost anything. An msync failure is
+    /// latched into [`NvmRegion::take_sync_error`].
     fn sync_pending(&self) {
         let mut img = self.images.write();
-        if img.pending_sync.is_empty() {
+        let Some((first, last)) = img.pending_sync.take() else {
             return;
-        }
-        let mut lines = std::mem::take(&mut img.pending_sync);
-        lines.sort_unstable();
-        lines.dedup();
-        let mut runs: Vec<(u64, u64)> = Vec::new();
-        for line in lines {
-            match runs.last_mut() {
-                Some((_, last)) if *last + 1 == line => *last = line,
-                _ => runs.push((line, line)),
-            }
-        }
+        };
         let mut err = None;
         if let Backing::File { map } = &img.backing {
-            for (a, b) in runs {
-                let off = (a * CACHE_LINE) as usize;
-                let len = ((b - a + 1) * CACHE_LINE) as usize;
-                if let Err(e) = map.msync_range(off, len) {
-                    err = Some(e);
-                    break;
-                }
-            }
+            let off = (first * CACHE_LINE) as usize;
+            let len = ((last - first + 1) * CACHE_LINE) as usize;
+            err = map.msync_range(off, len).err();
         }
         drop(img);
         if let Some(e) = err {
@@ -852,7 +855,7 @@ impl NvmRegion {
         }
         let mut img = self.images.write();
         if img.is_file() {
-            img.pending_sync.clear();
+            img.pending_sync = None;
         } else {
             if let CrashPolicy::RandomEviction { p, seed } = policy {
                 let mut rng = SmallRng::seed_from_u64(seed);
@@ -1238,12 +1241,12 @@ impl NvmRegion {
         self.recorder.lock().as_ref().map_or(0, |r| r.lost_lines())
     }
 
-    /// FNV-1a fingerprint of the persistent image. Two runs with the same
+    /// Fingerprint of the persistent image. Two runs with the same
     /// workload, crash point, and seeds must produce the same hash — the
     /// determinism check of the crash-torture harness.
     pub fn persistent_hash(&self) -> u64 {
         let img = self.images.read();
-        util::hash::fnv1a(&img.medium()[..self.capacity as usize])
+        util::hash::fingerprint_words(&img.medium()[..self.capacity as usize])
     }
 
     fn lint_read(&self, off: u64, len: u64) {

@@ -78,7 +78,7 @@ pub struct CrashOutcome {
     pub stores_seen: u64,
     /// Cache lines whose latest store never reached the medium.
     pub lost_lines: u64,
-    /// FNV-1a fingerprint of the surviving persistent image.
+    /// Fingerprint of the surviving persistent image.
     pub image_hash: u64,
 }
 

@@ -79,10 +79,21 @@ fn pvec_crash_leaves_valid_prefix() {
             .map(|_| rng.next_u64())
             .collect();
         let crash_after = rng.gen_range_usize(0, 200).min(values.len());
-        for x in &values[..crash_after] {
-            v.push(&h, x).unwrap();
+        // Published in batches of up to seven; the rest stays staged.
+        let mut published = 0;
+        for (i, x) in values[..crash_after].iter().enumerate() {
+            v.stage(&h, i as u64, x).unwrap();
+            if i % 7 == 6 || i + 1 == crash_after {
+                h.region().fence();
+                v.publish_len(h.region(), i as u64 + 1).unwrap();
+                published = i + 1;
+            }
         }
-        // Unpublished garbage writes beyond the tail must never surface.
+        assert_eq!(published, crash_after);
+        // Staged garbage beyond the tail must never surface.
+        for (i, x) in values[crash_after..].iter().enumerate() {
+            v.stage(&h, (crash_after + i) as u64, x).unwrap();
+        }
         let seed = rng.next_u64();
         h.region()
             .crash(CrashPolicy::RandomEviction { p: 0.5, seed });
@@ -137,9 +148,15 @@ fn blob_runs_survive_crash() {
             })
             .collect();
         let mut offsets = Vec::new();
+        let mut at = 0u64;
         for run in &runs {
-            offsets.push(blob.append_bytes(&h, run).unwrap());
+            blob.stage_bytes(&h, at, run).unwrap();
+            offsets.push(at);
+            at += run.len() as u64;
         }
+        h.region().fence();
+        blob.publish_len(h.region(), at).unwrap();
+        h.region().fence();
         h.region().crash(CrashPolicy::DropUnflushed);
         let (_h2, _) = NvmHeap::open(h.region().clone()).unwrap();
         let blob2 = PVec::<u8>::open(hdr);
@@ -162,10 +179,12 @@ fn interleaved_vec_and_slab_on_one_heap() {
     let v = PVec::<u64>::create(&h, vhdr, 4).unwrap();
     let s = PSlab::<u32>::create(&h, shdr, 4).unwrap();
     for i in 0..500u64 {
-        v.push(&h, &(i * 2)).unwrap();
+        v.stage(&h, i, &(i * 2)).unwrap();
         s.ensure(&h, i, i).unwrap();
         s.store(h.region(), i, &(i as u32 * 3)).unwrap();
     }
+    v.publish_len(h.region(), 500).unwrap();
+    h.region().fence();
     h.region().crash(CrashPolicy::DropUnflushed);
     let (_h2, _) = NvmHeap::open(h.region().clone()).unwrap();
     let v2 = PVec::<u64>::open(vhdr).to_vec(h.region()).unwrap();

@@ -13,5 +13,5 @@
 mod table;
 mod text;
 
-pub use table::{MediaExtent, MergePlan, NvTable, TABLE_ROOT_SIZE};
+pub use table::{MediaExtent, MergePlan, NvTable, PAIR_AUX_SLOTS, TABLE_ROOT_SIZE};
 pub use text::{read_string, store_string, string_block_size};

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! TableRoot   (24 B)  : schema_ptr | pair_ptr | reserved
-//! PairBlock   (16 B)  : delta_ptr | main_ptr (0 = no main)
+//! PairBlock   (80 B)  : delta_ptr | main_ptr (0 = no main) | aux[8]
 //! DeltaDesc           : row_count                          (publish point)
 //!                       begin  PSlab<u64> header
 //!                       end    PSlab<u64> header
@@ -28,21 +28,39 @@
 //! Dictionary entry words hold the value directly for `Int`/`Double` and a
 //! string-block offset for `Text`.
 //!
+//! The pair block's `aux` words are opaque to this crate: whatever their
+//! owner keeps there (the engine: one index descriptor per slot) is swapped
+//! by the same single pointer store that swaps main and delta at a merge.
+//!
 //! ## Ordering protocols
 //!
-//! * **Insert**: intern values (dictionary appends are independently
-//!   crash-atomic), write the row's attribute-vector slots and MVCC words,
-//!   flush them all, fence, *then* durably publish `row_count`. A crash
-//!   before the publish leaves the row nonexistent; after it, the row exists
-//!   but is gated by its (pending) begin timestamp.
-//! * **Commit/abort**: single-word in-place persists of begin/end
-//!   timestamps; the global commit-timestamp publish in the `txn` crate
-//!   orders them.
-//! * **Merge**: builds a complete new main + empty delta in fresh
-//!   allocations, then swaps one pointer (the pair block) via the
-//!   allocator's crash-safe replace step, then frees the old tree. A crash
-//!   mid-free leaks blocks until the next merge (documented; compaction
-//!   reclaims them in real engines).
+//! Every write is *staged* — plain stores plus write-backs, no fence —
+//! then *drained* by one fence, then *published* by a publish word that is
+//! stored only after that drain.
+//!
+//! * **Insert** ([`TableStore::insert_version`]) stages only: dictionary
+//!   and blob entries for values the delta has not seen, the row's
+//!   attribute-vector cells and its MVCC words. The handle's row count
+//!   advances, so the writer reads its own row, but nothing durable
+//!   reaches it. Publishing is [`NvTable::publish_lens`] (dictionary and
+//!   blob length words — they carry a checksum of the content they cover,
+//!   so they follow its drain) and then, one fence later,
+//!   [`NvTable::publish_rows`] (the row counter, which must not cover a
+//!   cell whose dictionary entry is not yet published). The engine runs
+//!   both phases once per commit for every staged row of every table;
+//!   [`NvTable::publish`] is the same sequence for a table on its own. A
+//!   crash before the row-counter publish leaves the rows nonexistent;
+//!   after it, they exist but are gated by their begin timestamps.
+//! * **Invalidate / commit stamps**: in-place stores of MVCC words with a
+//!   write-back and no fence; the committer's one drain before the global
+//!   commit-timestamp publish orders them. The self-persisting variants
+//!   (`commit_insert`, `commit_invalidate`, `abort_insert`, `restore_end`)
+//!   publish whatever is staged first and fence their own store.
+//! * **Merge**: builds a complete new main + empty delta + pair block in
+//!   fresh allocations with bulk stores and range write-backs, drains
+//!   once, then swaps one pointer (the pair block) via the allocator's
+//!   crash-safe replace step, then frees the old tree. A crash mid-free
+//!   leaks blocks (documented; compaction reclaims them in real engines).
 
 use std::collections::HashMap;
 
@@ -60,9 +78,14 @@ pub const TABLE_ROOT_SIZE: u64 = 24;
 const ROOT_SCHEMA: u64 = 0;
 const ROOT_PAIR: u64 = 8;
 
-const PAIR_SIZE: u64 = 16;
+/// Opaque owner words carried in the pair block, so that one pair swap
+/// replaces them together with main and delta.
+pub const PAIR_AUX_SLOTS: usize = 8;
+
 const PAIR_DELTA: u64 = 0;
 const PAIR_MAIN: u64 = 8;
+const PAIR_AUX: u64 = 16;
+const PAIR_SIZE: u64 = PAIR_AUX + 8 * PAIR_AUX_SLOTS as u64;
 
 const DD_ROWS: u64 = 0;
 const DD_BEGIN: u64 = 8;
@@ -90,18 +113,27 @@ fn main_desc_size(ncols: usize) -> u64 {
 
 struct DeltaCol {
     dict: PVec<u64>,
+    /// Dictionary entries staged so far; the vector's own length word
+    /// publishes them at [`NvTable::publish_lens`].
+    dict_len: u64,
     av: PSlab<u32>,
     /// Per-column string blob: text dictionary entries are local offsets
     /// into this byte run (one block per column, not one per string — the
     /// contiguous layout Hyrise uses, and what keeps the allocator's
     /// recovery scan metadata-bound).
     blob: PVec<u8>,
+    /// Blob bytes staged so far.
+    blob_len: u64,
+    /// Entries or bytes are staged beyond the published lengths.
+    unpublished: bool,
 }
 
 struct DeltaHandle {
     desc: u64,
-    /// Cached copy of the durable row counter.
+    /// Rows staged so far: what the writer sees. The durable row counter
+    /// covers the first `published` of them.
     rows: u64,
+    published: u64,
     begin: PSlab<u64>,
     end: PSlab<u64>,
     cols: Vec<DeltaCol>,
@@ -134,6 +166,8 @@ struct MainHandle {
 pub struct NvTable {
     heap: NvmHeap,
     root: u64,
+    /// The current pair block.
+    pair: u64,
     schema: Schema,
     delta: DeltaHandle,
     main: Option<MainHandle>,
@@ -160,8 +194,7 @@ impl NvTable {
         let delta_desc = Self::create_delta_desc(heap, ncols)?;
 
         let pair = heap.alloc(PAIR_SIZE)?;
-        region.write_pod(pair + PAIR_DELTA, &delta_desc)?;
-        region.write_pod(pair + PAIR_MAIN, &0u64)?;
+        region.write_bytes(pair, &pair_image(delta_desc, 0, &[]))?;
         region.persist(pair, PAIR_SIZE)?;
 
         let root = heap.alloc(TABLE_ROOT_SIZE)?;
@@ -179,10 +212,12 @@ impl NvTable {
         // Zero the descriptor before initialising it: a recycled block may
         // hold stale pointers, and the exhaustion unwind below walks the
         // descriptor to free whatever a partial init managed to allocate.
+        // Nothing can reach the descriptor until the pair (or table) that
+        // names it is published, so it is only staged here: the zeroed row
+        // counter and every header ride its publisher's drain.
         region.write_bytes(desc, &vec![0u8; delta_desc_size(ncols) as usize])?;
+        region.flush(desc, delta_desc_size(ncols))?;
         let init = (|| -> Result<()> {
-            region.write_pod(desc + DD_ROWS, &0u64)?;
-            region.persist(desc + DD_ROWS, 8)?;
             PSlab::<u64>::create(heap, desc + DD_BEGIN, 16)?;
             PSlab::<u64>::create(heap, desc + DD_END, 16)?;
             for c in 0..ncols as u64 {
@@ -227,15 +262,21 @@ impl NvTable {
         let mut cols = Vec::with_capacity(ncols);
         for c in 0..ncols as u64 {
             let base = delta_desc + DD_COLS + c * DD_COL_STRIDE;
+            let dict = PVec::<u64>::open(base);
+            let blob = PVec::<u8>::open(base + PVEC_HEADER + PSLAB_HEADER);
             cols.push(DeltaCol {
-                dict: PVec::open(base),
+                dict_len: dict.len(&region)?,
+                dict,
                 av: PSlab::open(base + PVEC_HEADER),
-                blob: PVec::open(base + PVEC_HEADER + PSLAB_HEADER),
+                blob_len: blob.len(&region)?,
+                blob,
+                unpublished: false,
             });
         }
         let mut delta = DeltaHandle {
             desc: delta_desc,
             rows,
+            published: rows,
             begin: PSlab::open(delta_desc + DD_BEGIN),
             end: PSlab::open(delta_desc + DD_END),
             cols,
@@ -244,12 +285,17 @@ impl NvTable {
         // Transient rebuild: probe maps from the persistent dictionaries.
         // Bulk-reads the dictionary words and the whole string blob once,
         // then decodes locally — one lock acquisition per column instead of
-        // two per entry.
+        // two per entry. A text entry's run is read wherever it lies in the
+        // blob's block: the dictionary, not the blob's own length word,
+        // says which bytes are live (the two length words are published
+        // under one fence, and a crash may have kept only the
+        // dictionary's).
         for c in 0..ncols {
             let dtype = schema.column(c)?.dtype;
-            let words = delta.cols[c].dict.to_vec(&region)?;
+            let col = &mut delta.cols[c];
+            let words = col.dict.to_vec(&region)?;
             let blob_bytes = if dtype == DataType::Text {
-                delta.cols[c].blob.to_vec(&region)?
+                col.blob.prefix(&region, col.blob.capacity(&region)?)?
             } else {
                 Vec::new()
             };
@@ -259,24 +305,23 @@ impl NvTable {
                     DataType::Int => Value::Int(*w as i64),
                     DataType::Double => Value::Double(f64::from_bits(*w)),
                     DataType::Text => {
-                        let at = *w as usize;
-                        let n = u32::from_le_bytes(
-                            blob_bytes
-                                .get(at..at + 4)
-                                .ok_or(StorageError::Corrupt {
-                                    reason: "dict entry beyond blob",
-                                })?
-                                .try_into()
-                                .map_err(|_| StorageError::Corrupt {
-                                    reason: "dict entry beyond blob",
-                                })?,
-                        ) as usize;
-                        let bytes =
-                            blob_bytes
-                                .get(at + 4..at + 4 + n)
-                                .ok_or(StorageError::Corrupt {
-                                    reason: "string run beyond blob",
-                                })?;
+                        let beyond = StorageError::Corrupt {
+                            reason: "dict entry beyond blob",
+                        };
+                        let at = usize::try_from(*w).map_err(|_| beyond.clone())?;
+                        let run = at.checked_add(4).ok_or(beyond.clone())?;
+                        let n = blob_bytes
+                            .get(at..run)
+                            .and_then(|b| b.try_into().ok())
+                            .map(u32::from_le_bytes)
+                            .ok_or(beyond)? as usize;
+                        let bytes = run
+                            .checked_add(n)
+                            .and_then(|end| blob_bytes.get(run..end))
+                            .ok_or(StorageError::Corrupt {
+                                reason: "string run beyond blob",
+                            })?;
+                        col.blob_len = col.blob_len.max((run + n) as u64);
                         Value::Text(
                             std::str::from_utf8(bytes)
                                 .map_err(|_| StorageError::Corrupt {
@@ -300,6 +345,7 @@ impl NvTable {
         Ok(NvTable {
             heap: heap.clone(),
             root,
+            pair,
             schema,
             delta,
             main,
@@ -357,6 +403,28 @@ impl NvTable {
         (self.root + ROOT_PAIR, 8)
     }
 
+    /// `(offset, len)` of pair-block aux word `slot`.
+    pub fn aux_extent(&self, slot: usize) -> (u64, u64) {
+        debug_assert!(slot < PAIR_AUX_SLOTS);
+        (self.pair + PAIR_AUX + 8 * slot as u64, 8)
+    }
+
+    /// Read pair-block aux word `slot` (0 = never set).
+    pub fn aux(&self, slot: usize) -> Result<u64> {
+        Ok(self.region().load_u64_acquire(self.aux_extent(slot).0)?)
+    }
+
+    /// Store aux word `slot` of the *current* pair block and issue its
+    /// write-back; the caller fences (and has drained whatever the word
+    /// makes reachable). A merge writes the aux words of the *new* pair
+    /// instead — see [`NvTable::merge_from_plan`].
+    // pmlint: caller-flushes
+    pub fn stage_aux(&self, slot: usize, value: u64) -> Result<()> {
+        let (off, len) = self.aux_extent(slot);
+        self.region().store_u64_release(off, value)?;
+        Ok(self.region().flush(off, len)?)
+    }
+
     fn region(&self) -> &NvmRegion {
         self.heap.region()
     }
@@ -397,29 +465,44 @@ impl NvTable {
         }
     }
 
-    /// Intern `v` into the delta dictionary of column `c`.
+    /// Intern `v` into the delta dictionary of column `c`: a value the
+    /// delta has not seen is staged (blob run, then dictionary word) and
+    /// published with the column's next [`NvTable::publish_lens`].
     fn intern(&mut self, c: ColumnId, v: &Value) -> Result<u32> {
         if let Some(&id) = self.delta.probes[c].get(v) {
             return Ok(id);
         }
+        let col = &mut self.delta.cols[c];
         let word = match v {
             Value::Text(s) => {
                 let mut run = Vec::with_capacity(4 + s.len());
                 run.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 run.extend_from_slice(s.as_bytes());
-                self.delta.cols[c].blob.append_bytes(&self.heap, &run)?
+                let at = col.blob_len;
+                col.blob.stage_bytes(&self.heap, at, &run)?;
+                col.blob_len += run.len() as u64;
+                col.unpublished = true;
+                at
             }
             other => other.as_word().ok_or(StorageError::Corrupt {
                 reason: "non-text value has no word encoding",
             })?,
         };
-        let id = self.delta.cols[c].dict.push(&self.heap, &word)? as u32;
-        self.delta.probes[c].insert(v.clone(), id);
-        Ok(id)
+        let id = col.dict_len;
+        col.dict.stage(&self.heap, id, &word)?;
+        col.dict_len += 1;
+        col.unpublished = true;
+        self.delta.probes[c].insert(v.clone(), id as u32);
+        Ok(id as u32)
     }
 
     fn delta_dict_value(&self, c: ColumnId, id: u32) -> Result<Value> {
-        let word = self.delta.cols[c].dict.get(self.region(), id as u64)?;
+        if id as u64 >= self.delta.cols[c].dict_len {
+            return Err(StorageError::Corrupt {
+                reason: "delta value id outside the delta dictionary",
+            });
+        }
+        let word = self.delta.cols[c].dict.staged(self.region(), id as u64)?;
         decode_delta_entry(
             self.region(),
             self.schema.column(c)?.dtype,
@@ -586,6 +669,77 @@ impl NvTable {
         }
         Ok(repaired)
     }
+
+    /// True while rows, dictionary entries or blob bytes are staged beyond
+    /// what the durable publish words cover.
+    pub fn has_staged(&self) -> bool {
+        self.delta.rows != self.delta.published || self.delta.cols.iter().any(|c| c.unpublished)
+    }
+
+    /// First publish phase: the dictionary and blob length words of every
+    /// column with staged entries, each stored and written back. The staged
+    /// data must have been drained before; returns whether anything was
+    /// stored, in which case the caller fences before
+    /// [`NvTable::publish_rows`].
+    // pmlint: caller-flushes
+    pub fn publish_lens(&mut self) -> Result<bool> {
+        let region = self.heap.region();
+        let mut any = false;
+        for col in self.delta.cols.iter_mut().filter(|c| c.unpublished) {
+            col.blob.publish_len(region, col.blob_len)?;
+            col.dict.publish_len(region, col.dict_len)?;
+            col.unpublished = false;
+            any = true;
+        }
+        Ok(any)
+    }
+
+    /// Second publish phase: the row counter covers every staged row. Their
+    /// cells, MVCC words and dictionary lengths must be durable; returns
+    /// whether the counter moved, in which case the caller fences before
+    /// anything that relies on the rows existing (an index entry naming
+    /// one, the commit timestamp).
+    // pmlint: caller-flushes
+    pub fn publish_rows(&mut self) -> Result<bool> {
+        if self.delta.rows == self.delta.published {
+            return Ok(false);
+        }
+        let region = self.heap.region();
+        // pmlint: publish(delta-rows)
+        region.store_u64_release(self.delta.desc + DD_ROWS, self.delta.rows)?;
+        region.flush(self.delta.desc + DD_ROWS, 8)?;
+        self.delta.published = self.delta.rows;
+        Ok(true)
+    }
+
+    /// Publish everything staged on this table, on its own: drain, length
+    /// words, fence, row counter, fence. The engine's commit runs the same
+    /// phases across all tables and indexes under shared fences.
+    pub fn publish(&mut self) -> Result<()> {
+        if !self.has_staged() {
+            return Ok(());
+        }
+        self.region().fence();
+        if self.publish_lens()? {
+            self.region().fence();
+        }
+        if self.publish_rows()? {
+            self.region().fence();
+        }
+        Ok(())
+    }
+}
+
+/// The bytes of a pair block naming `delta` and `main`, its leading aux
+/// words set from `aux` and the rest zero.
+fn pair_image(delta: u64, main: u64, aux: &[u64]) -> Vec<u8> {
+    let mut words = [0u64; (PAIR_SIZE / 8) as usize];
+    words[(PAIR_DELTA / 8) as usize] = delta;
+    words[(PAIR_MAIN / 8) as usize] = main;
+    for (w, a) in words[(PAIR_AUX / 8) as usize..].iter_mut().zip(aux) {
+        *w = *a;
+    }
+    nvm::slice_bytes(&words).to_vec()
 }
 
 /// Fingerprint one main column's immutable media: the descriptor words
@@ -688,42 +842,30 @@ impl TableStore for NvTable {
         let region = self.heap.region().clone();
         let idx = self.delta.rows;
 
-        // 1. Intern values (dictionary appends are independently durable).
+        // 1. Stage dictionary (and blob) entries for unseen values.
         let mut ids = Vec::with_capacity(values.len());
         for (c, v) in values.iter().enumerate() {
             ids.push(self.intern(c, v)?);
         }
 
-        // 2. Grow arrays as needed (crash-safe pointer swaps inside).
+        // 2. Grow arrays as needed (crash-safe pointer swaps inside); the
+        // live prefix includes every staged row.
         self.delta.begin.ensure(&self.heap, idx, idx)?;
         self.delta.end.ensure(&self.heap, idx, idx)?;
         for c in 0..values.len() {
             self.delta.cols[c].av.ensure(&self.heap, idx, idx)?;
         }
 
-        // 3. Write the row's cells and MVCC words, flush all, single fence.
+        // 3. Stage the row's cells and MVCC words. No fence and no publish:
+        // the row counter covers the row at `publish_rows`, after the
+        // committer's drain.
         for (c, id) in ids.iter().enumerate() {
-            self.delta.cols[c].av.set(&region, idx, id)?;
+            self.delta.cols[c].av.store_unfenced(&region, idx, id)?;
         }
-        self.delta.begin.set(&region, idx, &begin_marker)?;
-        self.delta.end.set(&region, idx, &TS_INF)?;
-        for c in 0..values.len() {
-            let off = self.delta.cols[c].av.header_offset();
-            let data: u64 = region.read_pod(off + 8)?;
-            region.flush(data + idx * 4, 4)?;
-        }
-        {
-            let b_data: u64 = region.read_pod(self.delta.begin.header_offset() + 8)?;
-            let e_data: u64 = region.read_pod(self.delta.end.header_offset() + 8)?;
-            region.flush(b_data + idx * 8, 8)?;
-            region.flush(e_data + idx * 8, 8)?;
-        }
-        region.fence();
-
-        // 4. Publish the row.
-        // pmlint: publish(delta-rows)
-        region.store_u64_release(self.delta.desc + DD_ROWS, idx + 1)?;
-        region.persist(self.delta.desc + DD_ROWS, 8)?;
+        self.delta
+            .begin
+            .store_unfenced(&region, idx, &begin_marker)?;
+        self.delta.end.store_unfenced(&region, idx, &TS_INF)?;
         self.delta.rows = idx + 1;
         Ok(self.main_rows_() + idx)
     }
@@ -739,15 +881,19 @@ impl TableStore for NvTable {
         if current != TS_INF {
             return Err(StorageError::WriteConflict { row });
         }
+        // Staged: the marker need not be durable before the commit (or the
+        // abort) replaces it — but the caller's registry record of this
+        // row must be, before this store.
         if in_main {
-            self.main_ref()?.end.store(region, i, &marker)?;
+            self.main_ref()?.end.store_unfenced(region, i, &marker)?;
         } else {
-            self.delta.end.store(region, i, &marker)?;
+            self.delta.end.store_unfenced(region, i, &marker)?;
         }
         Ok(())
     }
 
     fn restore_end(&mut self, row: RowId) -> Result<()> {
+        self.publish()?;
         let (in_main, i) = self.split(row)?;
         let region = self.region();
         if in_main {
@@ -759,6 +905,7 @@ impl TableStore for NvTable {
     }
 
     fn abort_insert(&mut self, row: RowId) -> Result<()> {
+        self.publish()?;
         let (in_main, i) = self.split(row)?;
         if in_main {
             return Err(StorageError::MainRowImmutable { row });
@@ -769,6 +916,7 @@ impl TableStore for NvTable {
     }
 
     fn commit_insert(&mut self, row: RowId, cts: u64) -> Result<()> {
+        self.publish()?;
         let (in_main, i) = self.split(row)?;
         if in_main {
             return Err(StorageError::MainRowImmutable { row });
@@ -779,6 +927,7 @@ impl TableStore for NvTable {
     }
 
     fn commit_invalidate(&mut self, row: RowId, cts: u64) -> Result<()> {
+        self.publish()?;
         let (in_main, i) = self.split(row)?;
         let region = self.region();
         if in_main {
@@ -807,11 +956,6 @@ impl TableStore for NvTable {
         } else {
             self.delta.end.store_unfenced(region, i, &cts)?;
         }
-        Ok(())
-    }
-
-    fn commit_fence(&mut self) -> Result<()> {
-        self.region().fence();
         Ok(())
     }
 
@@ -928,7 +1072,8 @@ impl TableStore for NvTable {
             }
         }
         // Delta: unsorted dictionary — evaluate the predicate per entry.
-        let dict_words = self.delta.cols[col].dict.to_vec(self.region())?;
+        let dcol = &self.delta.cols[col];
+        let dict_words = dcol.dict.prefix(self.region(), dcol.dict_len)?;
         let dtype = self.schema.column(col)?.dtype;
         let mut matches = Vec::with_capacity(dict_words.len());
         for w in &dict_words {
@@ -952,7 +1097,10 @@ impl TableStore for NvTable {
 
     fn merge(&mut self, snapshot: u64) -> Result<MergeStats> {
         let plan = self.merge_plan(snapshot)?;
-        self.merge_from_plan(plan)
+        let aux = (0..PAIR_AUX_SLOTS)
+            .map(|slot| self.aux(slot))
+            .collect::<Result<Vec<u64>>>()?;
+        self.merge_from_plan(plan, &aux)
     }
 }
 
@@ -1016,12 +1164,16 @@ impl NvTable {
         })
     }
 
-    /// Execute a planned merge: build the new main tree and empty delta in
-    /// fresh allocations, then swap them in with one atomic pair publish.
-    /// Every allocation precedes the swap, so a capacity failure unwinds
-    /// with the old table fully intact (freshly allocated blocks leak until
-    /// reclamation; nothing is published).
-    pub fn merge_from_plan(&mut self, plan: MergePlan) -> Result<MergeStats> {
+    /// Execute a planned merge: build the new main tree, an empty delta
+    /// and a pair block naming them — and carrying `aux`, the owner's words
+    /// for the merged row space — in fresh allocations, then swap them in
+    /// with one atomic pair publish. Nothing can reach the new blocks before
+    /// that publish, so they are written with bulk stores and range
+    /// write-backs and drained by one fence; only the allocator's own
+    /// protocols fence in between. Every allocation precedes the swap, so a
+    /// capacity failure unwinds with the old table fully intact (freshly
+    /// allocated blocks leak until reclamation; nothing is published).
+    pub fn merge_from_plan(&mut self, plan: MergePlan, aux: &[u64]) -> Result<MergeStats> {
         let region = self.heap.region().clone();
         let heap = self.heap.clone();
         let MergePlan {
@@ -1031,106 +1183,98 @@ impl NvTable {
         } = plan;
         let nrows = survivors.len() as u64;
         let ncols = self.schema.len();
+        if aux.len() > PAIR_AUX_SLOTS {
+            return Err(StorageError::Corrupt {
+                reason: "more aux words than the pair block has slots",
+            });
+        }
 
-        // 2+3. Build the replacement trees. Every allocation is tracked so
-        // a capacity failure anywhere below unwinds completely: an
-        // exhausted merge must leave the heap exactly as it found it.
+        // Build the replacement trees. Every allocation is tracked so a
+        // capacity failure anywhere below unwinds completely: an exhausted
+        // merge must leave the heap exactly as it found it.
         let mut allocated: Vec<u64> = Vec::new();
         let mut delta_built = 0u64;
         let mut pair_reserved = 0u64;
         let root = self.root;
-        let built = (|| -> Result<(u64, u64, u64)> {
-            let new_main = heap.alloc(main_desc_size(ncols))?;
-            allocated.push(new_main);
-            region.write_pod(new_main + MD_ROWS, &nrows)?;
-            let end_ptr = heap.alloc((nrows * 8).max(8))?;
-            allocated.push(end_ptr);
-            for i in 0..nrows {
-                region.write_pod(end_ptr + i * 8, &TS_INF)?;
-            }
-            region.persist(end_ptr, (nrows * 8).max(8))?;
-            region.write_pod(new_main + MD_END, &end_ptr)?;
+        let built = (|| -> Result<(u64, u64)> {
+            let mut stage = |bytes: &[u8]| -> Result<u64> {
+                let ptr = heap.alloc((bytes.len() as u64).max(8))?;
+                allocated.push(ptr);
+                region.write_bytes(ptr, bytes)?;
+                region.flush(ptr, bytes.len() as u64)?;
+                Ok(ptr)
+            };
+            // The main descriptor is assembled in DRAM and staged last.
+            let mut desc = vec![0u64; (main_desc_size(ncols) / 8) as usize];
+            desc[(MD_ROWS / 8) as usize] = nrows;
+            desc[(MD_END / 8) as usize] = stage(nvm::slice_bytes(&vec![TS_INF; nrows as usize]))?;
 
             for c in 0..ncols {
-                let mut dict: Vec<Value> = survivors.iter().map(|r| r[c].clone()).collect();
-                dict.sort();
-                dict.dedup();
-                let ids: Vec<u64> = survivors
-                    .iter()
-                    .map(|r| {
-                        dict.binary_search(&r[c]).map(|i| i as u64).map_err(|_| {
-                            StorageError::Corrupt {
-                                reason: "merge dictionary missing a surviving value",
-                            }
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let width = bitpack::width_for(dict.len() as u64);
-                let words = bitpack::pack_all(&ids, width);
-
+                // Value ids come from the sort itself: order the row
+                // positions by value once, then walk that order emitting a
+                // dictionary entry wherever the value changes.
+                let col: Vec<&Value> = survivors.iter().map(|r| &r[c]).collect();
+                let mut order: Vec<u32> = (0..nrows as u32).collect();
+                order.sort_unstable_by(|a, b| col[*a as usize].cmp(col[*b as usize]));
+                let mut ids = vec![0u64; nrows as usize];
+                let mut dict: Vec<u64> = Vec::new();
                 // Text columns get one contiguous blob; entries are local
                 // offsets into it.
-                let mut blob_bytes: Vec<u8> = Vec::new();
-                let dict_ptr = heap.alloc((dict.len() as u64 * 8).max(8))?;
-                allocated.push(dict_ptr);
-                for (i, v) in dict.iter().enumerate() {
-                    let word = match v {
-                        Value::Text(s) => {
-                            let local = blob_bytes.len() as u64;
-                            blob_bytes.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                            blob_bytes.extend_from_slice(s.as_bytes());
-                            local
-                        }
-                        other => other.as_word().ok_or(StorageError::Corrupt {
-                            reason: "non-text value has no word encoding",
-                        })?,
-                    };
-                    region.write_pod(dict_ptr + i as u64 * 8, &word)?;
+                let mut blob: Vec<u8> = Vec::new();
+                let mut prev: Option<&Value> = None;
+                for pos in order {
+                    let v = col[pos as usize];
+                    if prev != Some(v) {
+                        dict.push(match v {
+                            Value::Text(s) => {
+                                let local = blob.len() as u64;
+                                blob.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                                blob.extend_from_slice(s.as_bytes());
+                                local
+                            }
+                            other => other.as_word().ok_or(StorageError::Corrupt {
+                                reason: "non-text value has no word encoding",
+                            })?,
+                        });
+                        prev = Some(v);
+                    }
+                    ids[pos as usize] = dict.len() as u64 - 1;
                 }
-                region.persist(dict_ptr, (dict.len() as u64 * 8).max(8))?;
-                let blob_ptr = if blob_bytes.is_empty() {
-                    0
-                } else {
-                    let b = heap.alloc(blob_bytes.len() as u64)?;
-                    allocated.push(b);
-                    region.write_bytes(b, &blob_bytes)?;
-                    region.persist(b, blob_bytes.len() as u64)?;
-                    b
-                };
+                let width = bitpack::width_for(dict.len() as u64);
+                let av = bitpack::pack_all(&ids, width);
 
-                let av_ptr = heap.alloc((words.len() as u64 * 8).max(8))?;
-                allocated.push(av_ptr);
-                for (i, w) in words.iter().enumerate() {
-                    region.write_pod(av_ptr + i as u64 * 8, w)?;
+                let base = (MD_COLS + c as u64 * MD_COL_STRIDE) as usize / 8;
+                desc[base] = stage(nvm::slice_bytes(&dict))?;
+                desc[base + 1] = dict.len() as u64;
+                desc[base + 2] = stage(nvm::slice_bytes(&av))?;
+                desc[base + 3] = av.len() as u64;
+                desc[base + 4] = width as u64;
+                desc[base + 5] = if blob.is_empty() { 0 } else { stage(&blob)? };
+                desc[base + 6] = blob.len() as u64;
+                // Seal the column: fingerprint the descriptor words plus the
+                // payloads, as `main_col_sum` reads them back.
+                let covered = nvm::slice_bytes(&desc[base..base + (MC_SUM_COVERS / 8) as usize]);
+                let mut sum = util::hash::fnv1a(covered);
+                for payload in [nvm::slice_bytes(&dict), &blob, nvm::slice_bytes(&av)] {
+                    if !payload.is_empty() {
+                        sum = util::hash::fnv1a_continue(sum, payload);
+                    }
                 }
-                region.persist(av_ptr, (words.len() as u64 * 8).max(8))?;
-
-                let base = new_main + MD_COLS + c as u64 * MD_COL_STRIDE;
-                region.write_pod(base, &dict_ptr)?;
-                region.write_pod(base + 8, &(dict.len() as u64))?;
-                region.write_pod(base + 16, &av_ptr)?;
-                region.write_pod(base + 24, &(words.len() as u64))?;
-                region.write_pod(base + 32, &(width as u64))?;
-                region.write_pod(base + 40, &blob_ptr)?;
-                region.write_pod(base + 48, &(blob_bytes.len() as u64))?;
-                // Seal the column: fingerprint the descriptor plus the payloads
-                // just written, before the pair swap makes any of it reachable.
-                region.write_pod(base + MC_SUM, &main_col_sum(&region, base)?)?;
+                desc[base + (MC_SUM / 8) as usize] = sum;
             }
-            region.persist(new_main, main_desc_size(ncols))?;
+            let new_main = stage(nvm::slice_bytes(&desc))?;
 
-            // 3. Fresh empty delta.
+            // Fresh empty delta.
             let new_delta = Self::create_delta_desc(&heap, ncols)?;
             delta_built = new_delta;
 
-            // 4a. Reserve and fill the new pair block.
+            // Reserve and stage the new pair block.
             let old_pair: u64 = region.read_pod(root + ROOT_PAIR)?;
             let pair = heap.reserve(PAIR_SIZE)?;
             pair_reserved = pair;
-            region.write_pod(pair + PAIR_DELTA, &new_delta)?;
-            region.write_pod(pair + PAIR_MAIN, &new_main)?;
-            region.persist(pair, PAIR_SIZE)?;
-            Ok((pair, old_pair, new_main))
+            region.write_bytes(pair, &pair_image(new_delta, new_main, aux))?;
+            region.flush(pair, PAIR_SIZE)?;
+            Ok((pair, old_pair))
         })();
         let unwind = |heap: &NvmHeap| {
             if pair_reserved != 0 {
@@ -1143,7 +1287,7 @@ impl NvTable {
                 let _ = heap.free(*p, None);
             }
         };
-        let (pair, old_pair, _new_main) = match built {
+        let (pair, old_pair) = match built {
             Ok(v) => v,
             Err(e) => {
                 unwind(&heap);
@@ -1151,29 +1295,27 @@ impl NvTable {
             }
         };
 
-        // 4b. Atomic swap: the new pair block replaces the old one.
+        // Drain everything staged above — and whatever the caller staged for
+        // the aux words to name — then swap atomically: the new pair block
+        // replaces the old one.
+        region.fence();
         // pmlint: publish(table-pair)
         if let Err(e) = heap.activate(pair, Some((self.root + ROOT_PAIR, pair)), Some(old_pair)) {
             unwind(&heap);
             return Err(e.into());
         }
 
-        // 5. Reclaim the old tree (leaks only if we crash mid-free).
-        // The old pair block was already freed by the activate(replaces).
-        let ncols_u = ncols;
-        {
-            // free_tree expects the pair to still be readable; the block is
-            // freed but its bytes are intact, so the walk works. We bypass
-            // the final pair free since `activate` already did it.
-            let old_delta: u64 = region.read_pod(old_pair + PAIR_DELTA)?;
-            let old_main: u64 = region.read_pod(old_pair + PAIR_MAIN)?;
-            self.free_delta_tree(old_delta, ncols_u)?;
-            if old_main != 0 {
-                self.free_main_tree(old_main, ncols_u)?;
-            }
+        // Reclaim the old tree (leaks only if we crash mid-free). The old
+        // pair block was already freed by the activate(replaces); its bytes
+        // are intact, so the walk still reads the pointers from it.
+        let old_delta: u64 = region.read_pod(old_pair + PAIR_DELTA)?;
+        let old_main: u64 = region.read_pod(old_pair + PAIR_MAIN)?;
+        self.free_delta_tree(old_delta, ncols)?;
+        if old_main != 0 {
+            self.free_main_tree(old_main, ncols)?;
         }
 
-        // 6. Refresh the volatile handle.
+        // Refresh the volatile handle.
         let reopened = Self::open(&heap, self.root)?;
         *self = reopened;
 
@@ -1219,9 +1361,8 @@ impl NvTable {
                     reason: "delta row counter exceeds attribute-vector capacity",
                 });
             }
-            let dict_len = col.dict.len(region)?;
             for id in col.av.prefix(region, rows)? {
-                if (id as u64) >= dict_len {
+                if (id as u64) >= col.dict_len {
                     return Err(StorageError::Corrupt {
                         reason: "delta attribute vector references a missing dictionary entry",
                     });

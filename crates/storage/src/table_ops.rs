@@ -66,11 +66,11 @@ pub trait TableStore: Send {
 
     /// Stamp a pending insert's begin word with `cts` without draining the
     /// write-back queue. A batching committer stamps every write of a
-    /// transaction through `stamp_*`, then issues one [`Self::commit_fence`]
-    /// per touched table before publishing — W stamps cost one fence
+    /// transaction through `stamp_*` and its commit publish drains once
+    /// before the timestamp becomes durable — W stamps cost one fence
     /// instead of W. The default falls back to the fully-persisting
     /// [`Self::commit_insert`], so stores without a cheaper staged write
-    /// remain correct (their `commit_fence` is a no-op).
+    /// remain correct.
     fn stamp_insert(&mut self, row: RowId, cts: u64) -> Result<()> {
         self.commit_insert(row, cts)
     }
@@ -79,12 +79,6 @@ pub trait TableStore: Send {
     /// the write-back queue. See [`Self::stamp_insert`] for the contract.
     fn stamp_invalidate(&mut self, row: RowId, cts: u64) -> Result<()> {
         self.commit_invalidate(row, cts)
-    }
-
-    /// Drain the write-back queue so every previous `stamp_*` is durable.
-    /// No-op by default (the default `stamp_*` already persist fully).
-    fn commit_fence(&mut self) -> Result<()> {
-        Ok(())
     }
 
     /// Begin timestamp word of `row`.

@@ -72,9 +72,11 @@ fn pending_rows_rolled_back_by_recover_mvcc() {
         .insert_version(&row(1, "committed", 0.0), mvcc::pending(1))
         .unwrap();
     t.commit_insert(r1, 5).unwrap();
-    // Pending insert (txn never committed).
+    // Pending insert (txn never committed), published by some other
+    // transaction's commit before the crash.
     t.insert_version(&row(2, "pending", 0.0), mvcc::pending(2))
         .unwrap();
+    t.publish().unwrap();
     // Pending invalidation of the committed row.
     t.try_invalidate(r1, mvcc::pending(2)).unwrap();
 
@@ -115,11 +117,61 @@ fn insert_without_publish_invisible_after_crash() {
     let root = t.root_offset();
     let r = t.insert_version(&row(1, "keep", 0.0), 1).unwrap();
     assert_eq!(r, 0);
-    // The second insert's row-count publish is the last durable step; here
-    // we crash *between* inserts, so only row 0 must exist.
+    t.publish().unwrap();
+    // A staged row is the writer's alone: it reads it back, but the row
+    // counter does not cover it, so after a crash only row 0 exists.
+    let staged = t.insert_version(&row(2, "lose", 0.0), 1).unwrap();
+    assert_eq!(t.row_count(), 2);
+    assert_eq!(t.value(staged, 1).unwrap(), Value::Text("lose".into()));
     h.region().crash(CrashPolicy::DropUnflushed);
     let t2 = reopen(&h, root);
     assert_eq!(t2.row_count(), 1);
+    assert_eq!(t2.value(0, 1).unwrap(), Value::Text("keep".into()));
+}
+
+/// The length words of a column's dictionary and blob are published under
+/// one fence, so a crash may keep any subset of them. Whatever it keeps, a
+/// reopened table must neither lose a published dictionary entry's string
+/// nor let a later append overwrite it.
+#[test]
+fn any_subset_of_length_publishes_reopens_consistently() {
+    use nvm::{CrashPoint, MidEpochSurvival, TraceConfig};
+    for seed in 0..24u64 {
+        let h = heap(1 << 22);
+        let mut t = NvTable::create(&h, schema()).unwrap();
+        let root = t.root_offset();
+        let r0 = t.insert_version(&row(1, "first", 0.0), 1).unwrap();
+        t.publish().unwrap();
+
+        let region = h.region().clone();
+        region.trace_start(TraceConfig { keep_events: false });
+        t.insert_version(&row(2, "second string", 0.0), 1).unwrap();
+        region.fence();
+        assert!(t.publish_lens().unwrap());
+        // Power fails inside the epoch that holds the length publishes.
+        let survival = MidEpochSurvival::Random { p: 0.5, seed };
+        region
+            .arm_crash(CrashPoint::MidEpoch { epoch: 1, survival })
+            .unwrap();
+        region.fence();
+        region.finalize_scheduled_crash().unwrap();
+        region.trace_stop();
+
+        let mut t2 = reopen(&h, root);
+        assert_eq!(t2.row_count(), 1, "seed {seed}: row counter never moved");
+        let again = t2.insert_version(&row(2, "second string", 0.0), 1).unwrap();
+        let third = t2.insert_version(&row(3, "third", 0.0), 1).unwrap();
+        t2.publish().unwrap();
+        let t3 = reopen(&h, root);
+        for (r, want) in [(r0, "first"), (again, "second string"), (third, "third")] {
+            assert_eq!(
+                t3.value(r, 1).unwrap(),
+                Value::Text(want.into()),
+                "seed {seed}"
+            );
+        }
+        t3.verify_media(u64::MAX).unwrap();
+    }
 }
 
 #[test]

@@ -10,8 +10,10 @@ use crate::{Result, TxnError};
 /// record).
 pub trait CommitPublish {
     /// Make commit timestamp `cts` durable. Called after every row
-    /// timestamp of the transaction has been applied (and, for NVM,
-    /// flushed). Once this returns, the transaction is committed.
+    /// timestamp of the transaction has been stamped; an NVM publisher
+    /// drains those stamps' write-backs with one fence — all tables share
+    /// one region — before it stores the timestamp. Once this returns, the
+    /// transaction is committed.
     fn publish(&mut self, cts: u64, txn: &Transaction) -> Result<()>;
 }
 
@@ -151,28 +153,14 @@ impl TxnManager {
             .checked_add(1)
             .filter(|c| *c <= storage::mvcc::MAX_CTS)
             .ok_or(TxnError::TimestampOverflow)?;
-        // Stamp every write without draining, then drain once per touched
-        // table: W stamps cost one fence per table instead of one each.
-        // The publish below happens-after every drain, so the ordering
-        // contract (all stamps durable before the CTS is visible) holds.
-        let mut touched: Vec<usize> = Vec::new();
+        // Stamp every write without draining; the publish drains once for
+        // all of them before the CTS store, so the ordering contract (all
+        // stamps durable before the CTS is) costs one fence per commit.
         for w in &txn.writes {
-            let table = match *w {
-                WriteOp::Insert { table, row } => {
-                    tables[table].stamp_insert(row, cts)?;
-                    table
-                }
-                WriteOp::Invalidate { table, row } => {
-                    tables[table].stamp_invalidate(row, cts)?;
-                    table
-                }
-            };
-            if !touched.contains(&table) {
-                touched.push(table);
+            match *w {
+                WriteOp::Insert { table, row } => tables[table].stamp_insert(row, cts)?,
+                WriteOp::Invalidate { table, row } => tables[table].stamp_invalidate(row, cts)?,
             }
-        }
-        for &table in &touched {
-            tables[table].commit_fence()?;
         }
         publish.publish(cts, txn)?;
         self.last_committed = cts;

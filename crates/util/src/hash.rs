@@ -31,6 +31,26 @@ pub fn fnv1a_words(words: &[u64]) -> u64 {
     state
 }
 
+/// Fingerprint of a large buffer, folded a `u64` word at a time (FNV-1a's
+/// xor-multiply step per word, plus a rotate so high bits feed back; the
+/// tail is zero-padded). Eight times fewer steps than [`fnv1a`] — for
+/// whole-image fingerprints, where only "same bytes, same value" matters.
+pub fn fingerprint_words(data: &[u8]) -> u64 {
+    let mut state = FNV_OFFSET;
+    let mut fold = |w: u64| state = (state ^ w).wrapping_mul(FNV_PRIME).rotate_left(29);
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        fold(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        fold(u64::from_le_bytes(last));
+    }
+    state ^ data.len() as u64
+}
+
 /// 32-bit FNV-1a offset basis.
 pub const FNV32_OFFSET: u32 = 0x811C_9DC5;
 /// 32-bit FNV-1a prime.
@@ -56,6 +76,19 @@ pub fn fnv1a32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn word_fingerprint_sees_every_byte_and_the_length() {
+        let base = fingerprint_words(&[7u8; 37]);
+        assert_eq!(base, fingerprint_words(&[7u8; 37]));
+        for i in 0..37 {
+            let mut flipped = [7u8; 37];
+            flipped[i] ^= 0x80;
+            assert_ne!(base, fingerprint_words(&flipped), "byte {i}");
+        }
+        assert_ne!(fingerprint_words(&[0u8; 8]), fingerprint_words(&[0u8; 16]));
+        assert_ne!(fingerprint_words(&[0u8; 3]), fingerprint_words(&[0u8; 4]));
+    }
 
     #[test]
     fn known_vectors() {

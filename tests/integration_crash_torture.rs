@@ -20,10 +20,10 @@
 //! deeper.
 
 use hyrise_nv::torture::{
-    crash_scenario, env_usize, gen_workload, sim_config, traced_run, write_repro, Adversity,
-    Recovered, TortureTxn, TortureViolation,
+    crash_scenario, env_usize, gen_workload, protocol_run, protocol_scenario, sim_config,
+    traced_run, write_repro, Adversity, ProtocolOp, Recovered, TortureTxn, TortureViolation,
 };
-use nvm::{CrashPoint, CrashSchedule};
+use nvm::{CrashPoint, CrashSchedule, MidEpochSurvival};
 
 /// Replay the seeded workload with `point` armed, recover, and check all
 /// four invariants.
@@ -146,5 +146,56 @@ fn every_fence_boundary_of_short_workload_is_safe() {
                 v.invariant, v.detail
             )
         });
+    }
+}
+
+/// The write-side protocols are short — a handful of fences per transaction,
+/// one drain and one publish plus the allocator's own per merge — so their
+/// crash points are enumerated, not sampled: every fence boundary, and every
+/// epoch with none, all, and eight seeded random subsets of its in-flight
+/// lines surviving. Wide epochs (a whole index build, every row of a
+/// transaction) are exactly what the subsets probe. On both the plain NVM
+/// engine and the one with the recovery ladder.
+#[test]
+fn every_crash_point_of_the_write_protocols_is_safe() {
+    let seed = 0x5747_4147u64;
+    for wal in [false, true] {
+        for op in [ProtocolOp::Merge, ProtocolOp::Update, ProtocolOp::Insert256] {
+            let (_db, _t, region, _snaps) = protocol_run(sim_config(wal), seed, op, None).unwrap();
+            let fences = region.trace_stop().unwrap().fences;
+            let survivals = [MidEpochSurvival::None, MidEpochSurvival::All]
+                .into_iter()
+                .chain((0..8).map(|s| MidEpochSurvival::Random {
+                    p: 0.5,
+                    seed: seed ^ s,
+                }));
+            let points = CrashSchedule::enumerate_fences(fences).chain(
+                survivals.flat_map(|survival| CrashSchedule::enumerate_epochs(fences, survival)),
+            );
+            let mut n = 0;
+            for point in points {
+                if let Err(v) = protocol_scenario(sim_config(wal), seed, op, point) {
+                    write_repro(
+                        "crash_torture_repro.jsonl",
+                        "protocol_enumeration",
+                        seed,
+                        &[
+                            ("op", &format!("{op:?}")),
+                            ("wal", &wal.to_string()),
+                            ("point", &format!("{point:?}")),
+                            ("invariant", v.invariant),
+                            ("detail", &v.detail),
+                        ],
+                    );
+                    panic!(
+                        "{op:?} wal={wal} {point:?} of {fences} fences: invariant `{}` \
+                         violated (repro written to results/crash_torture_repro.jsonl): {}",
+                        v.invariant, v.detail
+                    );
+                }
+                n += 1;
+            }
+            eprintln!("{op:?} wal={wal}: {fences} fences, {n} crash points survived");
+        }
     }
 }

@@ -359,6 +359,99 @@ fn nvm_flush_accounting_visible() {
     assert!(db.simulated_ns() > 0, "latency ledger charged");
 }
 
+/// The fence budget of the write path, measured by counter deltas on the
+/// simulated and the file-backed medium alike: a transaction pays for its
+/// ordering points, not for its rows, and a merge for its blocks.
+#[test]
+fn write_path_stays_within_its_fence_budget() {
+    let image = std::env::temp_dir().join(format!("fence-budget-{}.img", std::process::id()));
+    let _ = std::fs::remove_file(&image);
+    let zero = nvm::LatencyModel::zero();
+    for config in [
+        DurabilityConfig::nvm(256 << 20, zero),
+        DurabilityConfig::nvm_file(&image, 256 << 20, zero),
+    ] {
+        let (mut db, t) = setup(config);
+        db.create_index(t, 0, IndexKind::Hash).unwrap();
+        let live_blocks = |db: &Database| {
+            let heap = db.nv_backend().unwrap().heap();
+            let blocks = heap.walk().unwrap();
+            let live = |b: &&nvm::BlockInfo| b.state == nvm::AllocState::Allocated;
+            blocks.iter().filter(live).count() as u64
+        };
+        // What a merge may cost given the blocks it allocated and freed: one
+        // drain, one publish, and the allocator's protocol per block.
+        let merge_bound = |allocs: u64, frees: u64| {
+            4 + nvm::ALLOC_MAX_FENCES * allocs + nvm::FREE_MAX_FENCES * frees
+        };
+        let mut merge_allocs = Vec::new();
+        let mut next_id = 0i64;
+        for rows in [1_024, 8_192] {
+            // 256-row insert transactions: at most two fences per row, plus
+            // a constant (measured: five, plus the arrays' growth).
+            while next_id < rows {
+                let f0 = db.nvm_stats().fences;
+                let mut tx = db.begin();
+                for _ in 0..256 {
+                    let name = format!("name-{next_id}");
+                    db.insert(&mut tx, t, &row(next_id, &name, 1.0)).unwrap();
+                    next_id += 1;
+                }
+                db.commit(&mut tx).unwrap();
+                let fences = db.nvm_stats().fences - f0;
+                assert!(fences <= 2 * 256 + 16, "256-row insert: {fences} fences");
+            }
+
+            // A merge of N rows: no term in N.
+            let (f0, a0, live0) = (db.nvm_stats().fences, db.alloc_attempts(), live_blocks(&db));
+            db.merge(t).unwrap();
+            let fences = db.nvm_stats().fences - f0;
+            let allocs = db.alloc_attempts() - a0;
+            let frees = live0 + allocs - live_blocks(&db);
+            assert!(
+                fences <= merge_bound(allocs, frees),
+                "merge of {rows} rows: {fences} fences for {allocs} allocations, {frees} frees"
+            );
+            merge_allocs.push(allocs);
+
+            // Single-row updates on the hash-indexed table, at steady state
+            // (an update that has to allocate — an index pool, a grown
+            // array — pays the allocator's protocol on top).
+            for k in 0..64i64 {
+                let tx = db.begin();
+                let hit = db.index_lookup(&tx, t, 0, &Value::Int(k * 7)).unwrap();
+                let (f0, a0) = (db.nvm_stats().fences, db.alloc_attempts());
+                let mut tx = db.begin();
+                db.update(
+                    &mut tx,
+                    t,
+                    hit[0].row,
+                    &row(k * 7, &format!("upd-{rows}-{k}"), 2.0),
+                )
+                .unwrap();
+                db.commit(&mut tx).unwrap();
+                let fences = db.nvm_stats().fences - f0;
+                let allocs = db.alloc_attempts() - a0;
+                assert!(
+                    fences <= 8 + (nvm::ALLOC_MAX_FENCES + 1) * allocs,
+                    "update {k} after {rows} rows: {fences} fences, {allocs} allocations"
+                );
+            }
+        }
+        assert_eq!(
+            merge_allocs[0], merge_allocs[1],
+            "a merge allocates per column and index, not per row"
+        );
+        // The reads the loop above issued fenced nothing: every fence is
+        // accounted for by a write.
+        let f0 = db.nvm_stats().fences;
+        let tx = db.begin();
+        assert_eq!(db.index_lookup(&tx, t, 0, &Value::Int(7)).unwrap().len(), 1);
+        assert_eq!(db.nvm_stats().fences, f0);
+    }
+    let _ = std::fs::remove_file(&image);
+}
+
 #[test]
 fn wal_group_commit_batches_syncs() {
     let mut cfg = hyrise_nv::WalConfig::temp();

@@ -199,17 +199,19 @@ fn verify_or_die(
     }
 }
 
-/// Measure how many fences a recovery of `path`'s current image issues, by
-/// recovering a throwaway copy in-process. The copy's recovery mutates only
-/// the copy, so the real image stays exactly as the kill left it.
-fn recovery_fences(path: &Path, tag: &str) -> u64 {
+/// Measure how many fences a recovery of `path`'s current image issues —
+/// and how many of them the allocator's redo issues before the recovery
+/// attempt is even counted — by recovering a throwaway copy in-process. The
+/// copy's recovery mutates only the copy, so the real image stays exactly
+/// as the kill left it.
+fn recovery_fences(path: &Path, tag: &str) -> (u64, u64) {
     let copy = scratch(&format!("{tag}-probe"));
     std::fs::copy(path, &copy).expect("copy image for fence probe");
-    let (db, _report) = Database::open(file_config(&copy)).expect("probe recovery");
+    let (db, report) = Database::open(file_config(&copy)).expect("probe recovery");
     let fences = db.nv_backend().unwrap().region().stats().fences;
     drop(db);
     let _ = std::fs::remove_file(&copy);
-    fences
+    (fences, report.phases[0].persist.fences)
 }
 
 /// The main torture loop: ≥ `REAL_CRASH_SCENARIOS` (default 100) real
@@ -368,15 +370,19 @@ fn real_kill_scenarios_uphold_invariants() {
         assert!(killed, "chain {ci}: workload kill at fence {f0} missed");
         kills += 1;
         for depth in 1..=3u64 {
-            let rec_fences = recovery_fences(&path, &format!("d-{seed:x}-{ci}-{depth}"));
+            let (rec_fences, before_bump) =
+                recovery_fences(&path, &format!("d-{seed:x}-{ci}-{depth}"));
             if rec_fences == 0 {
                 break;
             }
             // Kill inside the first half of recovery: past the attempt
-            // bump, but before the finishing reset (which precedes only the
-            // final fence) — otherwise the "recovery" was effectively
-            // complete and the chain would not actually re-enter.
-            let rf = rng.gen_range_u64(1, (rec_fences / 2).max(1) + 1);
+            // bump — the first fence after the allocator's redo of a
+            // half-done allocation, which a kill would only repeat — but
+            // before the finishing reset (which precedes only the final
+            // fence) — otherwise the "recovery" was effectively complete
+            // and the chain would not actually re-enter.
+            let bump = before_bump + 1;
+            let rf = rng.gen_range_u64(bump, (rec_fences / 2).max(bump) + 1);
             let (_log, killed) = run_child(
                 &path,
                 seed,

@@ -243,6 +243,36 @@ fn indexes_usable_after_restart() {
     }
 }
 
+/// An index created while a transaction has rows staged indexes those rows
+/// too, so its registration must not outlive them: after a crash the index
+/// may name only rows the table still has.
+#[test]
+fn index_created_over_staged_rows_survives_a_crash() {
+    for kind in [IndexKind::Hash, IndexKind::Ordered] {
+        let mut db = Database::create(DurabilityConfig::nvm_default()).unwrap();
+        let t = db.create_table("t", schema()).unwrap();
+        populate(&mut db, t, 5);
+        let mut tx = db.begin();
+        db.insert(&mut tx, t, &row(100)).unwrap();
+        db.insert(&mut tx, t, &row(101)).unwrap();
+        db.create_index(t, 0, kind).unwrap();
+        assert_eq!(
+            db.index_lookup(&tx, t, 0, &Value::Int(100)).unwrap().len(),
+            1
+        );
+        // No commit — crash.
+        db.restart_after_crash().unwrap();
+        let integrity = db.verify_integrity().unwrap();
+        assert!(integrity.index.is_clean(), "{kind:?}: {integrity:?}");
+        let tx = db.begin();
+        assert!(db
+            .index_lookup(&tx, t, 0, &Value::Int(100))
+            .unwrap()
+            .is_empty());
+        assert_eq!(db.index_lookup(&tx, t, 0, &Value::Int(3)).unwrap().len(), 1);
+    }
+}
+
 #[test]
 fn repeated_crash_restart_cycles() {
     for config in [
