@@ -2,35 +2,22 @@
 
 use hyrise_nv::{Database, IndexKind, Result, TableId};
 use storage::Value;
-use workload::{Op, TpccGenerator, TpccTables, TpccTxn, YcsbConfig, YcsbGenerator};
+use workload::{Op, YcsbConfig, YcsbGenerator};
 
-/// Handle to a loaded YCSB table.
-#[derive(Debug, Clone, Copy)]
-pub struct YcsbHandle {
-    /// The single workload table.
-    pub table: TableId,
-}
-
-/// Create, index, and load the YCSB table. Loads in batches of 256 rows per
-/// transaction. Creates hash + ordered indexes on the key.
-pub fn load_ycsb(db: &mut Database, cfg: &YcsbConfig) -> Result<YcsbHandle> {
-    load_ycsb_opts(db, cfg, true)
-}
-
-/// [`load_ycsb`] with the ordered (DRAM, rebuilt-on-restart) index made
-/// optional — restart experiments measuring the persistent path alone pass
-/// `false`.
-pub fn load_ycsb_opts(
-    db: &mut Database,
-    cfg: &YcsbConfig,
-    ordered_index: bool,
-) -> Result<YcsbHandle> {
+/// Create, index, and load the YCSB table with keys `0..records` in batches
+/// of 256 rows per transaction. The key gets a hash index and, with
+/// `ordered_index`, an ordered one (restart experiments measuring point
+/// lookups pass `false`).
+pub fn load_ycsb(db: &mut Database, records: u64, ordered_index: bool) -> Result<TableId> {
     let table = db.create_table("usertable", YcsbGenerator::schema())?;
     db.create_index(table, 0, IndexKind::Hash)?;
     if ordered_index {
         db.create_index(table, 0, IndexKind::Ordered)?;
     }
-    let generator = YcsbGenerator::new(cfg.clone());
+    let generator = YcsbGenerator::new(YcsbConfig {
+        record_count: records,
+        ..Default::default()
+    });
     let rows: Vec<_> = generator.load_rows().collect();
     for chunk in rows.chunks(256) {
         let mut tx = db.begin();
@@ -39,21 +26,21 @@ pub fn load_ycsb_opts(
         }
         db.commit(&mut tx)?;
     }
-    Ok(YcsbHandle { table })
+    Ok(table)
 }
 
 /// Execute one YCSB operation as its own transaction. Returns the number of
 /// rows touched/returned.
-pub fn run_ycsb_op(db: &mut Database, h: YcsbHandle, op: &Op) -> Result<usize> {
+pub fn run_ycsb_op(db: &mut Database, table: TableId, op: &Op) -> Result<usize> {
     match op {
         Op::Read { key } => {
             let tx = db.begin();
-            let hits = db.index_lookup(&tx, h.table, 0, &Value::Int(*key))?;
+            let hits = db.index_lookup(&tx, table, 0, &Value::Int(*key))?;
             Ok(hits.len())
         }
         Op::Update { key, value } => {
             let mut tx = db.begin();
-            let hits = db.index_lookup(&tx, h.table, 0, &Value::Int(*key))?;
+            let hits = db.index_lookup(&tx, table, 0, &Value::Int(*key))?;
             let Some(hit) = hits.first() else {
                 db.abort(&mut tx)?;
                 return Ok(0);
@@ -61,7 +48,7 @@ pub fn run_ycsb_op(db: &mut Database, h: YcsbHandle, op: &Op) -> Result<usize> {
             let row = hit.row;
             db.update(
                 &mut tx,
-                h.table,
+                table,
                 row,
                 &[Value::Int(*key), Value::Text(value.clone())],
             )?;
@@ -72,7 +59,7 @@ pub fn run_ycsb_op(db: &mut Database, h: YcsbHandle, op: &Op) -> Result<usize> {
             let mut tx = db.begin();
             db.insert(
                 &mut tx,
-                h.table,
+                table,
                 &[Value::Int(*key), Value::Text(value.clone())],
             )?;
             db.commit(&mut tx)?;
@@ -81,153 +68,8 @@ pub fn run_ycsb_op(db: &mut Database, h: YcsbHandle, op: &Op) -> Result<usize> {
         Op::Scan { key, len } => {
             let tx = db.begin();
             let hi = Value::Int(key + *len as i64);
-            let hits =
-                db.index_range_lookup(&tx, h.table, 0, Some(&Value::Int(*key)), Some(&hi))?;
+            let hits = db.index_range_lookup(&tx, table, 0, Some(&Value::Int(*key)), Some(&hi))?;
             Ok(hits.len())
-        }
-    }
-}
-
-/// Handles to the four loaded TPC-C tables.
-#[derive(Debug, Clone, Copy)]
-pub struct TpccHandles {
-    /// warehouse table.
-    pub warehouse: TableId,
-    /// district table.
-    pub district: TableId,
-    /// customer table.
-    pub customer: TableId,
-    /// orders table.
-    pub orders: TableId,
-    /// Monotonic order key source (engine-side sequence).
-    pub next_o_key: i64,
-}
-
-/// Create, index, and load the TPC-C tables.
-pub fn load_tpcc(db: &mut Database, generator: &TpccGenerator) -> Result<TpccHandles> {
-    let schemas = TpccTables::new();
-    let warehouse = db.create_table("warehouse", schemas.warehouse)?;
-    let district = db.create_table("district", schemas.district)?;
-    let customer = db.create_table("customer", schemas.customer)?;
-    let orders = db.create_table("orders", schemas.orders)?;
-    db.create_index(warehouse, 0, IndexKind::Hash)?;
-    db.create_index(district, 0, IndexKind::Hash)?;
-    db.create_index(customer, 0, IndexKind::Hash)?;
-    db.create_index(orders, 2, IndexKind::Hash)?; // orders by customer
-
-    let (ws, ds, cs) = generator.load_rows();
-    for (table, rows) in [(warehouse, ws), (district, ds), (customer, cs)] {
-        for chunk in rows.chunks(256) {
-            let mut tx = db.begin();
-            for row in chunk {
-                db.insert(&mut tx, table, row)?;
-            }
-            db.commit(&mut tx)?;
-        }
-    }
-    Ok(TpccHandles {
-        warehouse,
-        district,
-        customer,
-        orders,
-        next_o_key: 0,
-    })
-}
-
-/// Execute one TPC-C transaction. Write conflicts abort and are counted by
-/// the caller via the returned flag (`true` = committed).
-pub fn run_tpcc_txn(db: &mut Database, h: &mut TpccHandles, txn: &TpccTxn) -> Result<bool> {
-    match txn {
-        TpccTxn::NewOrder {
-            d_key,
-            c_key,
-            amount,
-        } => {
-            let mut tx = db.begin();
-            let out: Result<()> = (|| {
-                // Bump the district's next_o_id.
-                let d_hits = db.index_lookup(&tx, h.district, 0, &Value::Int(*d_key))?;
-                let d = d_hits.first().ok_or_else(|| {
-                    hyrise_nv::EngineError::Catalog(format!("district {d_key} missing"))
-                })?;
-                let next_o = d.values[2].as_int().unwrap_or(0);
-                let mut dv = d.values.clone();
-                dv[2] = Value::Int(next_o + 1);
-                let d_row = d.row;
-                db.update(&mut tx, h.district, d_row, &dv)?;
-                // Insert the order.
-                let o_key = h.next_o_key;
-                h.next_o_key += 1;
-                db.insert(
-                    &mut tx,
-                    h.orders,
-                    &[
-                        Value::Int(o_key),
-                        Value::Int(*d_key),
-                        Value::Int(*c_key),
-                        Value::Double(*amount),
-                    ],
-                )?;
-                Ok(())
-            })();
-            finish(db, &mut tx, out)
-        }
-        TpccTxn::Payment {
-            w_id,
-            d_key,
-            c_key,
-            amount,
-        } => {
-            let mut tx = db.begin();
-            let out: Result<()> = (|| {
-                for (table, key, ytd_col) in
-                    [(h.warehouse, *w_id, 2usize), (h.district, *d_key, 3usize)]
-                {
-                    let hits = db.index_lookup(&tx, table, 0, &Value::Int(key))?;
-                    let hit = hits.first().ok_or_else(|| {
-                        hyrise_nv::EngineError::Catalog(format!("row {key} missing"))
-                    })?;
-                    let mut v = hit.values.clone();
-                    let ytd = v[ytd_col].as_double().unwrap_or(0.0);
-                    v[ytd_col] = Value::Double(ytd + amount);
-                    let row = hit.row;
-                    db.update(&mut tx, table, row, &v)?;
-                }
-                let hits = db.index_lookup(&tx, h.customer, 0, &Value::Int(*c_key))?;
-                let hit = hits.first().ok_or_else(|| {
-                    hyrise_nv::EngineError::Catalog(format!("customer {c_key} missing"))
-                })?;
-                let mut v = hit.values.clone();
-                let bal = v[3].as_double().unwrap_or(0.0);
-                v[3] = Value::Double(bal - amount);
-                let row = hit.row;
-                db.update(&mut tx, h.customer, row, &v)?;
-                Ok(())
-            })();
-            finish(db, &mut tx, out)
-        }
-        TpccTxn::OrderStatus { c_key } => {
-            let tx = db.begin();
-            let _customer = db.index_lookup(&tx, h.customer, 0, &Value::Int(*c_key))?;
-            let _orders = db.index_lookup(&tx, h.orders, 2, &Value::Int(*c_key))?;
-            Ok(true)
-        }
-    }
-}
-
-fn finish(db: &mut Database, tx: &mut txn::Transaction, out: Result<()>) -> Result<bool> {
-    match out {
-        Ok(()) => {
-            db.commit(tx)?;
-            Ok(true)
-        }
-        Err(e) if hyrise_nv::is_conflict(&e) => {
-            db.abort(tx)?;
-            Ok(false)
-        }
-        Err(e) => {
-            db.abort(tx)?;
-            Err(e)
         }
     }
 }

@@ -7,12 +7,10 @@
 //! afterwards, crashing at a uniformly random step; a transaction is
 //! "reported committed" the moment its publish persists. The buggy variant
 //! loses reported transactions; the correct one never does.
-//!
-//! Run: `cargo run --release -p hyrise-nv-bench --bin a1_commit_protocol`
 
 use std::sync::Arc;
 
-use benchkit::{print_table, write_json, Row};
+use crate::harness::{Row, Run};
 use nvm::{CrashPolicy, LatencyModel, NvmHeap, NvmRegion};
 use storage::nv::NvTable;
 use storage::{mvcc, ColumnDef, DataType, Schema, TableStore, Value};
@@ -106,7 +104,7 @@ fn violations(region: &Arc<NvmRegion>, reported: &[(u64, u64)], root: u64, cts_c
         .count() as u64
 }
 
-fn main() {
+pub fn run(h: &mut Run) {
     let seeds = 40u64;
     let mut rows_out = Vec::new();
     for (name, variant) in [
@@ -135,15 +133,11 @@ fn main() {
         );
     }
 
-    print_table(
+    if rows_out[0].get("lost_reported_txns") != Some("0") {
+        h.fail("the correct protocol must never lose a reported transaction");
+    }
+    h.table(
         "A1: commit ordering ablation (reported-committed transactions lost after crash)",
-        &rows_out,
-    );
-    write_json("a1_commit_protocol", &rows_out);
-    let correct = &rows_out[0];
-    assert_eq!(
-        correct.cells.get("lost_reported_txns").unwrap(),
-        "0",
-        "the correct protocol must never lose a reported transaction"
+        rows_out,
     );
 }

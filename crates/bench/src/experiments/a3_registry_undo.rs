@@ -8,20 +8,18 @@
 //! * **registry** — walk the persistent in-flight transaction registry's
 //!   write sets: O(in-flight writes), independent of table size.
 //!
-//! The registry is what keeps E1's Hyrise-NV line flat; this ablation
-//! quantifies it directly.
-//!
-//! Run: `cargo run --release -p hyrise-nv-bench --bin a3_registry_undo`
+//! The registry is what keeps the `restart` experiment's file-kill line
+//! flat on an all-main image; this ablation quantifies it directly.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use benchkit::{load_ycsb_opts, print_table, write_json, Row};
+use crate::driver::load_ycsb;
+use crate::harness::{Row, Run};
 use hyrise_nv::{Database, DurabilityConfig};
 use nvm::{LatencyModel, NvmHeap, NvmRegion};
 use storage::nv::NvTable;
 use storage::{ColumnDef, DataType, Schema, TableStore, Value};
-use workload::{YcsbConfig, YcsbMix};
 
 /// Registry path: engine restart with one in-flight transaction; returns
 /// the undo-phase wall time in µs.
@@ -31,18 +29,13 @@ fn registry_undo_us(n: u64) -> f64 {
         LatencyModel::zero(),
     ))
     .expect("create");
-    let cfg = YcsbConfig {
-        record_count: n,
-        mix: YcsbMix::C,
-        ..Default::default()
-    };
-    let handle = load_ycsb_opts(&mut db, &cfg, false).expect("load");
-    db.merge(handle.table).expect("merge");
+    let table = load_ycsb(&mut db, n, false).expect("load");
+    db.merge(table).expect("merge");
     let mut tx = db.begin();
     for k in 0..8i64 {
         db.insert(
             &mut tx,
-            handle.table,
+            table,
             &[Value::Int(n as i64 + k), Value::Text("inflight".into())],
         )
         .expect("insert");
@@ -78,30 +71,24 @@ fn full_scan_undo_us(n: u64) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let sizes: &[u64] = if quick {
-        &[10_000, 40_000]
-    } else {
-        &[10_000, 40_000, 160_000, 640_000]
-    };
+pub fn run(h: &mut Run) {
+    let sizes: &[u64] = h.pick(&[10_000, 40_000, 160_000, 640_000], &[10_000, 40_000]);
 
     let mut rows_out = Vec::new();
     for &n in sizes {
-        let registry = registry_undo_us(n);
-        let scan = full_scan_undo_us(n);
-        rows_out.push(
-            Row::new()
+        rows_out.extend(h.measure(|| {
+            let registry = registry_undo_us(n);
+            let scan = full_scan_undo_us(n);
+            Ok(vec![Row::new()
                 .with("rows", n)
-                .with("registry_undo_us", format!("{registry:.1}"))
-                .with("full_scan_undo_us", format!("{scan:.1}"))
-                .with("speedup", format!("{:.0}x", scan / registry.max(0.1))),
-        );
+                .wall("registry_undo_us", registry, 1)
+                .wall("full_scan_undo_us", scan, 1)
+                .wall("speedup", scan / registry.max(0.1), 0)])
+        }));
     }
 
-    print_table(
+    h.table(
         "A3: undo-pass cost — persistent txn registry vs full MVCC scan",
-        &rows_out,
+        rows_out,
     );
-    write_json("a3_registry_undo", &rows_out);
 }

@@ -12,11 +12,8 @@
 //! Every point runs [`hyrise_nv::torture::crash_scenario`] — the scenario
 //! and four-invariant check of the crash-torture suite — so this table and
 //! the test reach the same verdict on the same seed and point.
-//!
-//! Run: `cargo run --release -p hyrise-nv-bench --bin a4_crash_matrix`
-//! (`--quick` shrinks the sweep for CI).
 
-use benchkit::{print_table, write_json, Row};
+use crate::harness::{Row, Run};
 use hyrise_nv::torture::{
     crash_scenario, gen_workload, sim_config, traced_run, Adversity, TortureTxn,
 };
@@ -35,7 +32,7 @@ struct ClassStats {
 }
 
 /// One point of the matrix: the crash-torture suite's scenario, tabulated.
-fn crash_once(seed: u64, txns: &[TortureTxn], point: CrashPoint, stats: &mut ClassStats) {
+fn crash_once(h: &Run, seed: u64, txns: &[TortureTxn], point: CrashPoint, stats: &mut ClassStats) {
     stats.points += 1;
     match crash_scenario(sim_config(false), seed, txns, point, &[], Adversity::None) {
         Ok(rec) => {
@@ -51,14 +48,16 @@ fn crash_once(seed: u64, txns: &[TortureTxn], point: CrashPoint, stats: &mut Cla
         }
         Err(v) => {
             stats.violations += 1;
-            eprintln!("VIOLATION at {point:?}: `{}`: {}", v.invariant, v.detail);
+            h.fail(format_args!(
+                "violation at {point:?}: `{}`: {}",
+                v.invariant, v.detail
+            ));
         }
     }
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (ntxns, per_class) = if quick { (10, 8) } else { (24, 40) };
+pub fn run(h: &mut Run) {
+    let (ntxns, per_class) = h.pick((24, 40), (10, 8));
     let seed = 0xA4_C0DE;
     let txns: Vec<TortureTxn> = gen_workload(seed).into_iter().take(ntxns).collect();
 
@@ -77,31 +76,18 @@ fn main() {
         let stride = total_fences.max(1) / per_class as u64;
         (i as u64 * stride + rng.gen_range_u64(0, stride.max(1)) + 1).min(total_fences)
     };
+    let at_fence: Vec<CrashPoint> = (0..per_class)
+        .map(|i| CrashPoint::AtFence { fence: fence_at(i) })
+        .collect();
+    let mut mid = |survival| -> Vec<CrashPoint> {
+        let epoch = |i| fence_at(i) - 1;
+        let point = |epoch| CrashPoint::MidEpoch { epoch, survival };
+        (0..per_class).map(epoch).map(point).collect()
+    };
     let classes: Vec<(&str, Vec<CrashPoint>)> = vec![
-        (
-            "at-fence",
-            (0..per_class)
-                .map(|i| CrashPoint::AtFence { fence: fence_at(i) })
-                .collect(),
-        ),
-        (
-            "mid-none",
-            (0..per_class)
-                .map(|i| CrashPoint::MidEpoch {
-                    epoch: fence_at(i) - 1,
-                    survival: MidEpochSurvival::None,
-                })
-                .collect(),
-        ),
-        (
-            "mid-all",
-            (0..per_class)
-                .map(|i| CrashPoint::MidEpoch {
-                    epoch: fence_at(i) - 1,
-                    survival: MidEpochSurvival::All,
-                })
-                .collect(),
-        ),
+        ("at-fence", at_fence),
+        ("mid-none", mid(MidEpochSurvival::None)),
+        ("mid-all", mid(MidEpochSurvival::All)),
         (
             "mid-random",
             CrashSchedule::sample(total_fences, per_class, seed ^ 0xD1CE)
@@ -120,47 +106,38 @@ fn main() {
         ),
     ];
 
-    let mut rows = Vec::new();
-    for (name, points) in classes {
-        let mut stats = ClassStats {
-            min_cts: u64::MAX,
-            ..Default::default()
-        };
-        for point in points {
-            crash_once(seed, &txns, point, &mut stats);
-        }
-        rows.push(
-            Row::new()
-                .with("class", name)
-                .with("points", stats.points)
-                .with("violations", stats.violations)
-                .with(
-                    "avg_lost_lines",
-                    format!("{:.1}", stats.lost_lines_total as f64 / stats.points as f64),
-                )
-                .with("lint_reads", stats.lint_reads)
-                .with("cts_min", stats.min_cts)
-                .with("cts_max", stats.max_cts)
-                .with(
-                    "avg_recovery_us",
-                    format!(
-                        "{:.1}",
-                        stats.recovery_wall_ns as f64 / stats.points as f64 / 1e3
+    // Verdicts and counts repeat exactly; only the recovery time varies.
+    let rows = h.measure(|| {
+        let mut rows = Vec::new();
+        for (name, points) in &classes {
+            let mut stats = ClassStats {
+                min_cts: u64::MAX,
+                ..Default::default()
+            };
+            for point in points {
+                crash_once(h, seed, &txns, *point, &mut stats);
+            }
+            rows.push(
+                Row::new()
+                    .with("class", name)
+                    .with("points", stats.points)
+                    .with("violations", stats.violations)
+                    .with(
+                        "avg_lost_lines",
+                        format!("{:.1}", stats.lost_lines_total as f64 / stats.points as f64),
+                    )
+                    .with("lint_reads", stats.lint_reads)
+                    .with("cts_min", stats.min_cts)
+                    .with("cts_max", stats.max_cts)
+                    .wall(
+                        "avg_recovery_us",
+                        stats.recovery_wall_ns as f64 / stats.points as f64 / 1e3,
+                        1,
                     ),
-                ),
-        );
-    }
+            );
+        }
+        Ok(rows)
+    });
 
-    print_table("A4: crash matrix (scheduled crash points per class)", &rows);
-    write_json("a4_crash_matrix", &rows);
-
-    let violations: u64 = rows
-        .iter()
-        .map(|r| r.cells["violations"].parse::<u64>().unwrap())
-        .sum();
-    if violations > 0 {
-        eprintln!("{violations} invariant violations — see output above");
-        std::process::exit(1);
-    }
-    println!("all crash points recovered with invariants intact");
+    h.table("A4: crash matrix (scheduled crash points per class)", rows);
 }

@@ -15,11 +15,8 @@
 //! non-zero on any silent corruption or failed repair. A scripted rung-2
 //! demonstration at the end scribbles a merged table's main dictionary and
 //! prints the phase breakdown of the shadow-WAL fallback that rebuilds it.
-//!
-//! Run: `cargo run --release -p hyrise-nv-bench --bin a5_fault_ladder`
-//! (`--quick` shrinks the sweep for CI).
 
-use benchkit::{print_table, write_json, Row};
+use crate::harness::{Row, Run};
 use hyrise_nv::torture::{engine_state, fault_scenario, preload, setup, sim_config};
 use nvm::{FaultClass, FaultSpec};
 
@@ -28,14 +25,13 @@ struct CellStats {
     scenarios: u64,
     detected: u64,
     repaired: u64,
-    failures: u64,
     rungs: [u64; 3],
     recovery_wall_ns_by_rung: [u128; 3],
     retries: u64,
     rebuilt: u64,
 }
 
-fn run_cell(class: FaultClass, rate: u32, scenarios: u64, seed_base: u64) -> CellStats {
+fn run_cell(h: &Run, class: FaultClass, rate: u32, scenarios: u64, seed_base: u64) -> CellStats {
     let mut stats = CellStats {
         scenarios,
         ..Default::default()
@@ -53,22 +49,18 @@ fn run_cell(class: FaultClass, rate: u32, scenarios: u64, seed_base: u64) -> Cel
                 stats.retries += rec.report.poison_retries;
                 stats.rebuilt += rec.report.structures_rebuilt;
             }
-            Err(v) => {
-                eprintln!(
-                    "FAILED: class {class} rate {rate}: `{}`: {}",
-                    v.invariant, v.detail
-                );
-                stats.failures += 1;
-            }
+            Err(v) => h.fail(format_args!(
+                "class {class} rate {rate}: `{}`: {}",
+                v.invariant, v.detail
+            )),
         }
     }
     stats
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let scenarios: u64 = if quick { 4 } else { 25 };
-    let rates: &[u32] = if quick { &[1] } else { &[1, 2, 4] };
+pub fn run(h: &mut Run) {
+    let scenarios: u64 = h.pick(25, 4);
+    let rates: &[u32] = h.pick(&[1, 2, 4], &[1]);
     let classes = [
         FaultClass::BitFlip { bits: 3 },
         FaultClass::TornLine,
@@ -78,60 +70,42 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut failures = 0u64;
     for class in classes {
         for &rate in rates {
             let seed_base =
                 0xA5_0500u64 ^ ((class.name().len() as u64) << 32) ^ ((rate as u64) << 16);
-            let stats = run_cell(class, rate, scenarios, seed_base);
-            failures += stats.failures;
-            let avg_us = |idx: usize| {
-                if stats.rungs[idx] == 0 {
-                    "-".to_string()
-                } else {
-                    format!(
-                        "{:.1}",
-                        stats.recovery_wall_ns_by_rung[idx] as f64 / stats.rungs[idx] as f64 / 1e3
-                    )
-                }
-            };
-            rows.push(
-                Row::new()
+            // Detection, repair and rungs repeat exactly per seed; only
+            // the recovery times vary.
+            rows.extend(h.measure(|| {
+                let stats = run_cell(h, class, rate, scenarios, seed_base);
+                let avg_us = |idx: usize| match stats.rungs[idx] {
+                    0 => f64::NAN,
+                    n => stats.recovery_wall_ns_by_rung[idx] as f64 / n as f64 / 1e3,
+                };
+                let pct = |n: u64| format!("{:.0}", 100.0 * n as f64 / stats.scenarios as f64);
+                Ok(vec![Row::new()
                     .with("class", class.name())
                     .with("rate", rate)
                     .with("scenarios", stats.scenarios)
-                    .with(
-                        "detect_pct",
-                        format!(
-                            "{:.0}",
-                            100.0 * stats.detected as f64 / stats.scenarios as f64
-                        ),
-                    )
-                    .with(
-                        "repair_pct",
-                        format!(
-                            "{:.0}",
-                            100.0 * stats.repaired as f64 / stats.scenarios as f64
-                        ),
-                    )
+                    .with("detect_pct", pct(stats.detected))
+                    .with("repair_pct", pct(stats.repaired))
                     .with(
                         "rungs_0/1/2",
                         format!("{}/{}/{}", stats.rungs[0], stats.rungs[1], stats.rungs[2]),
                     )
                     .with("retries", stats.retries)
                     .with("rebuilt", stats.rebuilt)
-                    .with("rung0_us", avg_us(0))
-                    .with("rung1_us", avg_us(1))
-                    .with("rung2_us", avg_us(2)),
-            );
+                    .wall("rung0_us", avg_us(0), 1)
+                    .wall("rung1_us", avg_us(1), 1)
+                    .wall("rung2_us", avg_us(2), 1)])
+            }));
         }
     }
 
-    print_table(
+    h.table(
         "A5: fault ladder (detection/repair per fault class × rate; avg recovery wall µs by rung)",
-        &rows,
+        rows,
     );
-    write_json("a5_fault_ladder", &rows);
 
     // Scripted rung-2 demonstration: scribble a merged table's main
     // dictionary, then show the ladder rebuilding it from the shadow WAL.
@@ -170,18 +144,8 @@ fn main() {
     let recovered = engine_state(&mut db, t).unwrap() == oracle
         && db.verify_media().is_ok()
         && report.rung == 2;
-    println!(
-        "rung-2 fallback {}: {} rows match the committed oracle",
-        if recovered { "succeeded" } else { "FAILED" },
-        oracle.len()
-    );
-    if !recovered {
-        failures += 1;
+    match recovered {
+        true => println!("rung-2 fallback: {} rows match the oracle", oracle.len()),
+        false => h.fail("the rung-2 walkthrough did not restore the committed oracle"),
     }
-
-    if failures > 0 {
-        eprintln!("{failures} fault-ladder failures — see output above");
-        std::process::exit(1);
-    }
-    println!("\nall faults detected or harmless; every scenario repaired to the committed state");
 }

@@ -9,13 +9,10 @@
 //! the path, every refusal is a typed capacity/admission error, reads are
 //! served in ReadOnly, reclamation returns the engine to `Normal`, and the
 //! four-invariant integrity checker stays clean throughout.
-//!
-//! Run: `cargo run --release -p hyrise-nv-bench --bin a6_exhaustion`
-//! (`--quick` shrinks the sweep for CI).
 
 use std::time::Instant;
 
-use benchkit::{print_table, write_json, Row};
+use crate::harness::{ms_since, Row, Run};
 use hyrise_nv::torture::{schema, sim_config};
 use hyrise_nv::{retry_write, Database, EngineError, HealthState, TableId};
 use nvm::{AllocFaultClass, AllocFaultSpec};
@@ -108,13 +105,7 @@ fn read_window(db: &mut Database, t: TableId, scans: u64) -> (u64, f64) {
     (rows, t0.elapsed().as_secs_f64())
 }
 
-fn timeline_row(
-    window: u64,
-    phase: &str,
-    db: &mut Database,
-    w: &WriteWindow,
-    reads_per_s: f64,
-) -> Row {
+fn timeline_row(window: u64, phase: &str, db: &mut Database, w: &WriteWindow) -> Row {
     let h = db.health();
     Row::new()
         .with("window", window)
@@ -123,19 +114,16 @@ fn timeline_row(
         .with("util_pct", format!("{:.1}", h.utilization * 100.0))
         .with("committed_rows", w.committed_rows)
         .with("rejected_txns", w.rejected_txns)
-        .with(
+        .wall(
             "write_rows_per_s",
-            format!("{:.0}", w.committed_rows as f64 / w.wall_s.max(1e-9)),
+            w.committed_rows as f64 / w.wall_s.max(1e-9),
+            0,
         )
-        .with("read_rows_per_s", format!("{:.0}", reads_per_s))
 }
 
 /// The degradation/recovery timeline on one clamped device.
-fn run_timeline(quick: bool) -> (Vec<Row>, u64) {
-    let txns_per_window: u64 = if quick { 10 } else { 25 };
+fn run_timeline(h: &Run, txns_per_window: u64, scans_per_window: u64) -> Vec<Row> {
     let rows_per_txn: u64 = 8;
-    let scans_per_window: u64 = if quick { 4 } else { 16 };
-    let mut failures = 0u64;
     let mut rows = Vec::new();
     let mut window = 0u64;
 
@@ -148,14 +136,14 @@ fn run_timeline(quick: bool) -> (Vec<Row>, u64) {
     let s = db.heap_stats().unwrap();
     db.set_capacity_clamp(Some((s.high_water - s.free_bytes) * 100 / 55))
         .unwrap();
-    rows.push(timeline_row(window, "seed", &mut db, &w, 0.0));
+    rows.push(timeline_row(window, "seed", &mut db, &w));
 
     // Fill until the first window with refusals: organic exhaustion.
     for _ in 0..64 {
         window += 1;
         let w = write_window(&mut db, t, &mut next_key, txns_per_window, rows_per_txn);
         let rejected = w.rejected_txns;
-        rows.push(timeline_row(window, "fill", &mut db, &w, 0.0));
+        rows.push(timeline_row(window, "fill", &mut db, &w));
         if rejected > 0 {
             break;
         }
@@ -167,36 +155,31 @@ fn run_timeline(quick: bool) -> (Vec<Row>, u64) {
     let live = s.high_water - s.free_bytes;
     db.set_capacity_clamp(Some(live * 100 / 88)).unwrap();
     if db.health().state != HealthState::Backpressure {
-        eprintln!("expected Backpressure under the 88% clamp");
-        failures += 1;
+        h.fail("expected Backpressure under the 88% clamp");
     }
     window += 1;
     let w = write_window(&mut db, t, &mut next_key, txns_per_window, rows_per_txn);
     if w.committed_rows != 0 {
-        eprintln!("writes admitted under Backpressure");
-        failures += 1;
+        h.fail("writes admitted under Backpressure");
     }
-    rows.push(timeline_row(window, "backpressure", &mut db, &w, 0.0));
+    rows.push(timeline_row(window, "backpressure", &mut db, &w));
 
     // Past the read-only watermark: writes refused, reads still flowing.
     db.set_capacity_clamp(Some(live + live / 50)).unwrap();
     if db.health().state != HealthState::ReadOnly {
-        eprintln!("expected ReadOnly under the tightened clamp");
-        failures += 1;
+        h.fail("expected ReadOnly under the tightened clamp");
     }
     window += 1;
     let w = write_window(&mut db, t, &mut next_key, txns_per_window, rows_per_txn);
     let (rd_rows, rd_s) = read_window(&mut db, t, scans_per_window);
     if w.committed_rows != 0 || rd_rows == 0 {
-        eprintln!("ReadOnly must refuse writes yet serve reads");
-        failures += 1;
+        h.fail("ReadOnly must refuse writes yet serve reads");
     }
-    rows.push(timeline_row(
-        window,
-        "read-only",
-        &mut db,
-        &w,
-        rd_rows as f64 / rd_s.max(1e-9),
+    let reads_per_s = rd_rows as f64 / rd_s.max(1e-9);
+    rows.push(timeline_row(window, "read-only", &mut db, &w).wall(
+        "read_rows_per_s",
+        reads_per_s,
+        0,
     ));
 
     // Operator response: drop the clamp, retire 3/4 of the rows in small
@@ -218,10 +201,11 @@ fn run_timeline(quick: bool) -> (Vec<Row>, u64) {
     db.set_capacity_clamp(Some(live * 100 / 88)).unwrap();
     let t0 = Instant::now();
     let rep = db.reclaim().unwrap();
-    let reclaim_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let reclaim_ms = ms_since(t0);
     if rep.tables_merged < 1 || rep.state_after != HealthState::Normal {
-        eprintln!("reclamation failed to restore Normal: {rep:?}");
-        failures += 1;
+        h.fail(format_args!(
+            "reclamation failed to restore Normal: {rep:?}"
+        ));
     }
     window += 1;
     rows.push(
@@ -232,43 +216,32 @@ fn run_timeline(quick: bool) -> (Vec<Row>, u64) {
             .with("util_pct", format!("{:.1}", rep.utilization_after * 100.0))
             .with("committed_rows", 0u64)
             .with("rejected_txns", 0u64)
-            .with("write_rows_per_s", format!("{:.0}", 0.0))
-            .with("read_rows_per_s", format!("{:.0}", 0.0))
             .with("tables_merged", rep.tables_merged)
             .with(
                 "util_before_pct",
                 format!("{:.1}", rep.utilization_before * 100.0),
             )
-            .with("reclaim_ms", format!("{:.2}", reclaim_ms)),
+            .wall("reclaim_ms", reclaim_ms, 2),
     );
 
     // Recovered steady state on the still-shrunken device.
     window += 1;
     let w = write_window(&mut db, t, &mut next_key, txns_per_window, rows_per_txn);
     if w.committed_rows == 0 {
-        eprintln!("no writes landed after reclamation");
-        failures += 1;
+        h.fail("no writes landed after reclamation");
     }
-    rows.push(timeline_row(window, "recovered", &mut db, &w, 0.0));
+    rows.push(timeline_row(window, "recovered", &mut db, &w));
 
     if !db.verify_integrity().unwrap().is_clean() {
-        eprintln!("integrity violated at the end of the timeline");
-        failures += 1;
+        h.fail("integrity violated at the end of the timeline");
     }
-    (rows, failures)
+    rows
 }
 
 /// Retry goodput under probabilistic allocation faults: each insert rides
 /// `retry_write` (bounded retry + reclamation between attempts).
-fn run_fault_sweep(quick: bool) -> (Vec<Row>, u64) {
-    let txns: u64 = if quick { 30 } else { 120 };
-    let probabilities: &[f64] = if quick {
-        &[0.0, 0.05]
-    } else {
-        &[0.0, 0.01, 0.05, 0.10]
-    };
+fn run_fault_sweep(h: &Run, txns: u64, probabilities: &[f64]) -> Vec<Row> {
     let mut rows = Vec::new();
-    let mut failures = 0u64;
     for &p in probabilities {
         let (mut db, t) = fresh_db();
         if p > 0.0 {
@@ -311,14 +284,12 @@ fn run_fault_sweep(quick: bool) -> (Vec<Row>, u64) {
         }
         let clean = db.verify_integrity().unwrap().is_clean();
         if !clean {
-            eprintln!("integrity violated after fault sweep p={p}");
-            failures += 1;
+            h.fail(format_args!("integrity violated after fault sweep p={p}"));
         }
         if p == 0.0 && failed != 0 {
-            eprintln!("fault-free run lost {failed} transactions");
-            failures += 1;
+            h.fail(format_args!("fault-free run lost {failed} transactions"));
         }
-        let h = db.health();
+        let health = db.health();
         rows.push(
             Row::new()
                 .with("fault_p", format!("{p:.2}"))
@@ -329,38 +300,30 @@ fn run_fault_sweep(quick: bool) -> (Vec<Row>, u64) {
                     "goodput_pct",
                     format!("{:.1}", 100.0 * committed as f64 / txns as f64),
                 )
-                .with(
-                    "txns_per_s",
-                    format!("{:.0}", txns as f64 / wall_s.max(1e-9)),
-                )
-                .with("capacity_aborts", h.capacity_aborts)
-                .with("reclaims", h.reclaims)
-                .with("integrity", if clean { "clean" } else { "VIOLATED" }),
+                .with("capacity_aborts", health.capacity_aborts)
+                .with("reclaims", health.reclaims)
+                .with("integrity", if clean { "clean" } else { "VIOLATED" })
+                .wall("txns_per_s", txns as f64 / wall_s.max(1e-9), 0),
         );
     }
-    (rows, failures)
+    rows
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (timeline, f1) = run_timeline(quick);
-    print_table(
+pub fn run(h: &mut Run) {
+    // Both sweeps are seeded and capacity-driven: states, counts and
+    // verdicts repeat exactly, only the rates vary.
+    let (txns_per_window, scans_per_window) = h.pick((25, 16), (10, 4));
+    let timeline = h.measure(|| Ok(run_timeline(h, txns_per_window, scans_per_window)));
+    h.table(
         "A6: exhaustion timeline (per-window throughput across the degradation ladder)",
-        &timeline,
+        timeline,
     );
-    write_json("a6_exhaustion", &timeline);
 
-    let (sweep, f2) = run_fault_sweep(quick);
-    print_table(
+    let txns = h.pick(120, 30);
+    let probabilities: &[f64] = h.pick(&[0.0, 0.01, 0.05, 0.10], &[0.0, 0.05]);
+    let sweep = h.measure(|| Ok(run_fault_sweep(h, txns, probabilities)));
+    h.table(
         "A6: retry goodput under probabilistic allocation faults",
-        &sweep,
+        sweep,
     );
-    write_json("a6_exhaustion", &sweep);
-
-    let failures = f1 + f2;
-    if failures > 0 {
-        eprintln!("{failures} exhaustion-bench failures — see output above");
-        std::process::exit(1);
-    }
-    println!("\ndegradation ladder walked and recovered; no panics, typed refusals only");
 }

@@ -11,25 +11,22 @@
 //! the recovery-torture suite. Enforced (non-zero exit on violation): the
 //! four invariants after the terminal recovery, and convergence of every
 //! chain to its oracle.
-//!
-//! Run: `cargo run --release -p hyrise-nv-bench --bin a7_recovery_torture`
-//! (`--quick` shrinks the sweep for CI).
 
-use benchkit::{print_table, write_json, Row};
+use crate::harness::{Row, Run};
 use hyrise_nv::torture::{crash_scenario, gen_workload, sim_config, traced_run, Adversity};
 use nvm::CrashSchedule;
 
 /// One sweep class: a recovery-torture scenario class (`wal`, `adversity`)
 /// at nesting depths 1–3.
 fn run_class(
+    h: &Run,
     name: &str,
     wal: bool,
     adversity: Adversity,
     chains: usize,
     seed_base: u64,
-) -> (Vec<Row>, u64) {
+) -> Vec<Row> {
     let mut rows = Vec::new();
-    let mut failures = 0u64;
     for depth in 1usize..=3 {
         let mut converged = 0usize;
         let mut max_attempt = 0u64;
@@ -64,10 +61,9 @@ fn run_class(
                     chain
                 }
                 (oracle, chain) => {
-                    failures += 1;
-                    eprintln!(
-                        "DIVERGENCE: class {name} depth {depth} seed {seed:#x} {p0:?} + {nested:?}"
-                    );
+                    h.fail(format_args!(
+                        "divergence: class {name} depth {depth} seed {seed:#x} {p0:?} + {nested:?}"
+                    ));
                     for v in [oracle.err(), chain.err()].into_iter().flatten() {
                         eprintln!("  `{}`: {}", v.invariant, v.detail);
                     }
@@ -91,43 +87,31 @@ fn run_class(
                 .with("chains", chains)
                 .with("converged", converged)
                 .with("max_attempt", max_attempt)
-                .with("worst_recover_ms", format!("{:.3}", worst_s * 1e3))
-                .with(
-                    "mean_recover_ms",
-                    format!("{:.3}", sum_s * 1e3 / chains as f64),
-                )
                 .with("recovery_fences_per_chain", fences / chains as u64)
                 .with("recovery_flushes_per_chain", flushes / chains as u64)
-                .with("lint_reads", lints),
+                .with("lint_reads", lints)
+                .wall("worst_recover_ms", worst_s * 1e3, 3)
+                .wall("mean_recover_ms", sum_s * 1e3 / chains as f64, 3),
         );
     }
-    (rows, failures)
+    rows
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let chains = if quick { 4 } else { 25 };
+pub fn run(h: &mut Run) {
+    let chains = h.pick(25, 4);
 
     let mut all = Vec::new();
-    let mut failures = 0u64;
     for (name, wal, adversity, base) in [
         ("nvm-plain", false, Adversity::None, 0xA7_1001u64),
         ("nvm+shadow-wal", true, Adversity::None, 0xA7_1002u64),
         ("media-fault", true, Adversity::MediaFault, 0xA7_1003u64),
     ] {
-        let (rows, f) = run_class(name, wal, adversity, chains, base);
-        all.extend(rows);
-        failures += f;
+        // Convergence and persist traffic repeat exactly per seed; only
+        // the time-to-recovered varies.
+        all.extend(h.measure(|| Ok(run_class(h, name, wal, adversity, chains, base))));
     }
-    print_table(
+    h.table(
         "A7: nested-crash recovery torture (convergence, re-entrant attempts, time-to-recovered)",
-        &all,
+        all,
     );
-    write_json("a7_recovery_torture", &all);
-
-    if failures > 0 {
-        eprintln!("{failures} chains diverged from their single-crash oracle");
-        std::process::exit(1);
-    }
-    println!("\nall chains converged to their single-crash oracles; recovery is re-entrant");
 }

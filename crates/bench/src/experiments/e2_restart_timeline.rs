@@ -5,19 +5,18 @@
 //! recovery gap on the log-based engine. Here: fixed-duration ticks of a
 //! mixed workload, a crash at mid-run, and the restart executed inline —
 //! the tick in which the restart happens absorbs its cost.
-//!
-//! Run: `cargo run --release -p hyrise-nv-bench --bin e2_restart_timeline`
 
 use std::time::{Duration, Instant};
 
-use benchkit::{load_ycsb, print_table, run_ycsb_op, write_json, Row};
+use crate::driver::{load_ycsb, run_ycsb_op};
+use crate::harness::{Row, Run};
 use hyrise_nv::{Database, DurabilityConfig};
 use nvm::LatencyModel;
 use workload::{YcsbConfig, YcsbGenerator, YcsbMix};
 
 const TICK: Duration = Duration::from_millis(100);
 
-fn run(config: DurabilityConfig, rows: u64, ticks: usize, crash_at: usize) -> Vec<Row> {
+fn timeline(config: DurabilityConfig, rows: u64, ticks: usize, crash_at: usize) -> Vec<Row> {
     let backend = config.mode_name();
     let mut db = Database::create(config).expect("create");
     let cfg = YcsbConfig {
@@ -25,31 +24,31 @@ fn run(config: DurabilityConfig, rows: u64, ticks: usize, crash_at: usize) -> Ve
         mix: YcsbMix::A,
         ..Default::default()
     };
-    let handle = load_ycsb(&mut db, &cfg).expect("load");
+    let table = load_ycsb(&mut db, rows, true).expect("load");
     let mut generator = YcsbGenerator::new(cfg);
 
     let mut out = Vec::new();
     for tick in 0..ticks {
         let mut ops = 0u64;
-        let mut restart_ms = 0.0;
+        let mut restart_ms = None;
         let mut merged = false;
         // Periodic merge (maintenance a running system performs anyway);
         // keeps the write-optimized delta — and with it the transient
         // rebuild work of a restart — bounded.
         if tick > 0 && tick % 5 == 0 && tick != crash_at {
-            db.merge(handle.table).expect("merge");
+            db.merge(table).expect("merge");
             merged = true;
         }
         if tick == crash_at {
             // The crash itself (losing the caches / dropping DRAM) is the
             // power-off, not recovery work; only the recovery phases count.
             let report = db.restart_after_crash().expect("restart");
-            restart_ms = report.total_wall().as_secs_f64() * 1e3;
+            restart_ms = Some(report.total_wall().as_secs_f64() * 1e3);
         }
         let start = Instant::now();
         while start.elapsed() < TICK {
             let op = generator.next_op();
-            let _ = run_ycsb_op(&mut db, handle, &op).expect("op");
+            let _ = run_ycsb_op(&mut db, table, &op).expect("op");
             ops += 1;
         }
         let name = if tick == crash_at {
@@ -59,39 +58,33 @@ fn run(config: DurabilityConfig, rows: u64, ticks: usize, crash_at: usize) -> Ve
         } else {
             ""
         };
-        out.push(
-            Row::new()
-                .with("backend", backend)
-                .with("tick_ms", tick * TICK.as_millis() as usize)
-                .with("tps", ops * 1000 / TICK.as_millis() as u64)
-                .with("restart_ms", format!("{restart_ms:.2}"))
-                .with("event", name),
-        );
+        let row = Row::new()
+            .with("backend", backend)
+            .with("tick_ms", tick * TICK.as_millis() as usize)
+            .with("event", name)
+            .wall("tps", (ops * 1000 / TICK.as_millis() as u64) as f64, 0);
+        out.push(match restart_ms {
+            Some(ms) => row.wall("restart_ms", ms, 2),
+            None => row,
+        });
     }
     out
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (rows, ticks) = if quick {
-        (2_000u64, 8)
-    } else {
-        (20_000u64, 20)
-    };
+pub fn run(h: &mut Run) {
+    let (rows, ticks) = h.pick((20_000u64, 20), (2_000u64, 8));
     let crash_at = ticks / 2;
 
+    let configs: [fn() -> DurabilityConfig; 2] = [
+        || DurabilityConfig::nvm(256 << 20, LatencyModel::pcm()),
+        DurabilityConfig::wal_temp,
+    ];
     let mut all = Vec::new();
-    all.extend(run(
-        DurabilityConfig::nvm(256 << 20, LatencyModel::pcm()),
-        rows,
-        ticks,
-        crash_at,
-    ));
-    all.extend(run(DurabilityConfig::wal_temp(), rows, ticks, crash_at));
-
-    print_table(
+    for config in configs {
+        all.extend(h.measure(|| Ok(timeline(config(), rows, ticks, crash_at))));
+    }
+    h.table(
         "E2: throughput timeline around crash + restart (tick = 100 ms)",
-        &all,
+        all,
     );
-    write_json("e2_restart_timeline", &all);
 }

@@ -5,7 +5,7 @@
 //! static interval: [`ProtocolSpec::static_cost`] folds the steps into
 //! `[min, max]` flush and fence counts. The first table prints those
 //! bounds for all registered specs — the numbers pmlint's cost pass and
-//! the E5 live accounting are both anchored to.
+//! the benchmark's `fences_per_write.nvm` are both anchored to.
 //!
 //! The second table holds the engine to them: traced windows of the write
 //! path (a write transaction, a merge with its index rebuilds, a bulk
@@ -19,11 +19,9 @@
 //! *flushes* one realization of the staged steps per row plus the
 //! registry's two write-backs per write. A window over its bound, or a
 //! conformance violation, fails the run (exit 1). See DESIGN.md
-//! ("Persistence-cost model").
-//!
-//! Run: `cargo run --release -p hyrise-nv-bench --bin p2_persist_cost`.
+//! ("Persistence-cost model"). Every cell is a count: nothing is repeated.
 
-use benchkit::{print_table, write_json, Row};
+use crate::harness::{Row, Run};
 use hyrise_nv::{Database, DurabilityConfig};
 use nvm::{check_trace, protocol_registry, RangeBinding, TraceConfig};
 use storage::{ColumnDef, DataType, Schema, Value};
@@ -232,22 +230,21 @@ fn traced_windows() -> Vec<Window> {
     out
 }
 
-fn main() {
-    let static_table = static_rows();
-    print_table(
+pub fn run(h: &mut Run) {
+    h.table(
         "P2: static persistence-cost bounds (per instance)",
-        &static_table,
+        static_rows(),
     );
 
     let mut rows = Vec::new();
-    let mut failed = 0usize;
     for w in traced_windows() {
         let inst = w.instances.max(1) as f64;
         let fl = w.flushes as f64 / inst;
         let fe = w.fences as f64 / inst;
         let exceeds = fl > w.max_flushes as f64 || fe > w.max_fences as f64;
         if exceeds || w.violations > 0 || w.instances == 0 {
-            failed += 1;
+            let what = "exceeds its static maximum or violates its spec";
+            h.fail(format_args!("window {:?} {what}", w.protocol));
         }
         rows.push(
             Row::new()
@@ -261,17 +258,8 @@ fn main() {
                 .with("violations", w.violations),
         );
     }
-    print_table(
+    h.table(
         "P2: observed traffic vs static maximum (traced windows)",
-        &rows,
+        rows,
     );
-
-    let mut all = static_table;
-    all.extend(rows);
-    write_json("p2_persist_cost", &all);
-    if failed > 0 {
-        eprintln!("p2: {failed} window(s) exceed their static maximum or violate their spec");
-        std::process::exit(1);
-    }
-    println!("p2: every window within its static maximum");
 }

@@ -1,16 +1,12 @@
 #![warn(missing_docs)]
 
-//! Experiment harness support: workload drivers over the `Database` façade
-//! and tabular result emission.
-//!
-//! Each `src/bin/e*.rs` binary reproduces one figure/table of the paper
-//! (see DESIGN.md's experiment index); they share the drivers and the
-//! reporting here.
+//! The experiment stack beside the repo benchmark: the paper shapes and
+//! ablations `benchmark/` does not measure, as plain functions in one
+//! registry ([`experiments::REGISTRY`]) over one repetition harness
+//! ([`harness`]). `src/main.rs` is the only binary:
+//! `cargo run --release -p hyrise-nv-bench -- <experiment>|all [--quick]`.
 
 pub mod driver;
+pub mod experiments;
+pub mod harness;
 pub mod results;
-
-pub use driver::{
-    load_tpcc, load_ycsb, load_ycsb_opts, run_tpcc_txn, run_ycsb_op, TpccHandles, YcsbHandle,
-};
-pub use results::{print_table, write_json, Row};

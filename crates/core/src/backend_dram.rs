@@ -1,7 +1,7 @@
 //! The DRAM engine: DRAM tables and DRAM indexes, durable through a redo
 //! log plus checkpoints (the paper's log-based baseline) or — without a
-//! log — not at all (the throughput upper bound of experiment E3, whose
-//! restart loses everything).
+//! log — not at all (the benchmark's `ops_per_s.volatile` upper bound,
+//! whose restart loses everything).
 
 use index::{IndexKind, TableIndex, VolatileIndex};
 use storage::{MergeStats, RowId, Schema, TableStore, VTable, Value};

@@ -1,6 +1,8 @@
 //! Engine configuration.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nvm::LatencyModel;
 
@@ -16,16 +18,57 @@ pub struct WalConfig {
     pub sync_every_n_commits: u32,
 }
 
+/// Directories [`WalConfig::temp`] handed out that no `Database` has claimed
+/// yet. Ownership lives here and not in `WalConfig` because callers build
+/// that struct by literal.
+static UNCLAIMED_TEMP_DIRS: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
+
+/// The set, also after a panic elsewhere poisoned the lock: an insert or a
+/// removal leaves it valid at every step.
+fn unclaimed_temp_dirs() -> MutexGuard<'static, BTreeSet<PathBuf>> {
+    UNCLAIMED_TEMP_DIRS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
 impl WalConfig {
     /// A config rooted at a fresh unique directory under the system temp
-    /// dir, syncing every commit with a 10 µs simulated sync.
+    /// dir, syncing every commit with a 10 µs simulated sync. The directory
+    /// is removed with the `Database` created over it.
     pub fn temp() -> WalConfig {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("hyrise-nv-wal-{}-{n}", std::process::id()));
+        unclaimed_temp_dirs().insert(dir.clone());
         WalConfig {
-            dir: std::env::temp_dir().join(format!("hyrise-nv-wal-{}-{n}", std::process::id())),
+            dir,
             sync_latency_ns: 10_000,
             sync_every_n_commits: 1,
+        }
+    }
+}
+
+/// Removes a [`WalConfig::temp`] directory when the `Database` it was made
+/// for is dropped or shut down. A field of `Database`, not of the redo log:
+/// the log is dropped and re-opened over the same directory across every
+/// simulated crash. A caller-supplied directory is never claimed.
+pub(crate) struct TempWalDir(Option<PathBuf>);
+
+impl TempWalDir {
+    /// Take ownership of `config`'s log directory if `temp()` made it.
+    pub(crate) fn claim(config: &DurabilityConfig) -> TempWalDir {
+        let wal = match config {
+            DurabilityConfig::Wal(wal) => Some(wal),
+            other => other.shadow_wal(),
+        };
+        TempWalDir(wal.and_then(|wal| unclaimed_temp_dirs().take(&wal.dir)))
+    }
+}
+
+impl Drop for TempWalDir {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.0 {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }

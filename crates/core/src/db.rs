@@ -11,7 +11,7 @@ use txn::{Transaction, TxnManager};
 
 use crate::backend_dram::DramEngine;
 use crate::backend_nv::{AttachParts, NvBackend};
-use crate::config::{DurabilityConfig, WalConfig};
+use crate::config::{DurabilityConfig, TempWalDir, WalConfig};
 use crate::engine::{Backend, Engine};
 use crate::error::{EngineError, Result};
 use crate::health::{HealthReport, HealthState, HealthTracker, ReclaimReport, Watermarks};
@@ -32,6 +32,8 @@ pub struct Database {
     mgr: TxnManager,
     config: DurabilityConfig,
     health: HealthTracker,
+    /// Declared last: the log files inside are closed before it goes.
+    _temp_wal_dir: TempWalDir,
 }
 
 impl Database {
@@ -44,6 +46,7 @@ impl Database {
     /// Create a fresh database with explicit degradation watermarks (see
     /// [`Watermarks`] for the state machine they steer).
     pub fn create_with_watermarks(config: DurabilityConfig, marks: Watermarks) -> Result<Database> {
+        let temp_wal_dir = TempWalDir::claim(&config);
         let region = match &config {
             DurabilityConfig::Nvm { capacity, latency }
             | DurabilityConfig::NvmWithWal {
@@ -82,6 +85,7 @@ impl Database {
             mgr: TxnManager::new(),
             config,
             health: HealthTracker::new(marks),
+            _temp_wal_dir: temp_wal_dir,
         })
     }
 
@@ -124,6 +128,7 @@ impl Database {
         let mut db = Database {
             backend: Backend::Dram(DramEngine::default()),
             mgr: TxnManager::new(),
+            _temp_wal_dir: TempWalDir::claim(&config),
             config,
             health: HealthTracker::new(Watermarks::default()),
         };
@@ -134,7 +139,9 @@ impl Database {
     /// Gracefully shut down: flush the shadow log, durably set the
     /// clean-shutdown marker, and sync the whole mapping. The next
     /// [`Database::open`] of the image reports `clean_shutdown` and skips
-    /// the mvcc undo pass. A no-op for non-NVM backends.
+    /// the mvcc undo pass — unless a transaction is still in flight: then
+    /// the marker is withheld and the next open undoes it as after a crash.
+    /// A no-op for non-NVM backends.
     pub fn shutdown(self) -> Result<()> {
         let Backend::Nv(mut b) = self.backend else {
             return Ok(());
@@ -143,7 +150,11 @@ impl Database {
         // file on drop, keeping the log a superset of the published NVM
         // state even across the shutdown.
         b.shadow = None;
-        b.mark_clean_shutdown()?;
+        // The marker vouches for an empty registry; a `Transaction` is not
+        // borrowed from the `Database`, so nothing else enforces that.
+        if !b.registry.has_active() {
+            b.mark_clean_shutdown()?;
+        }
         let region = b.region().clone();
         drop(b);
         region.sync_all().map_err(EngineError::Nvm)?;
@@ -802,8 +813,8 @@ impl Database {
         // materialized their uncommitted rows as aborted tombstones.
         let last_cts = nb.last_cts()?;
         let repaired = if report.clean_shutdown {
-            // A graceful shutdown leaves no transaction in flight: the undo
-            // pass would scan an empty registry. Skipping it (no "mvcc undo
+            // The marker is only written over an empty registry: the undo
+            // pass would find nothing. Skipping it (no "mvcc undo
             // pass" phase in the report) is the clean-restart fast path the
             // SIGTERM half of the torture harness asserts on.
             0

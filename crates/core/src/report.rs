@@ -53,8 +53,8 @@ pub struct PhaseTiming {
     pub persist: PersistStats,
 }
 
-/// What a restart did and how long each phase took. Experiment E6 prints
-/// this; experiment E1 uses [`RecoveryReport::total_wall`].
+/// What a restart did and how long each phase took. The `restart`
+/// experiment prints the phases beside its open-to-first-query wall time.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Backend that performed the restart ("nvm" / "wal" / "volatile").

@@ -126,6 +126,12 @@ impl TxnRegistry {
         })
     }
 
+    /// True while a writing transaction holds a slot, i.e. has neither
+    /// committed nor aborted.
+    pub fn has_active(&self) -> bool {
+        !self.active.is_empty()
+    }
+
     /// Block offset (for the catalogue).
     pub fn base_offset(&self) -> u64 {
         self.base

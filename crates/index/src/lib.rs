@@ -5,7 +5,8 @@
 //! * [`VolatileHashIndex`] / [`VolatileOrderedIndex`] — DRAM group-key
 //!   indexes used by the log-based baseline. They are *not* durable: after a
 //!   restart the baseline must rebuild them by scanning the recovered table,
-//!   which is part of its size-dependent recovery cost (experiment E6).
+//!   which is part of its size-dependent recovery cost (the `restart`
+//!   experiment's `wal` rows).
 //! * [`NvHashIndex`] — the Hyrise-NV multi-version hash index. Buckets and
 //!   entry chains live on NVM; entries are staged and then published with
 //!   one 8-byte store per bucket, so after a restart the index is simply

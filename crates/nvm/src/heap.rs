@@ -56,8 +56,8 @@ impl NvmHeap {
     }
 
     /// Open an already-formatted heap, running the recovery scan. This is
-    /// the restart path: the returned report is what experiment E6 itemizes
-    /// as "allocator recovery".
+    /// the restart path: the returned report is what the `restart` experiment
+    /// itemizes as "heap map + allocator scan".
     pub fn open(region: Arc<NvmRegion>) -> Result<(NvmHeap, AllocatorRecovery)> {
         let (alloc, report) = Allocator::open(&region)?;
         Ok((

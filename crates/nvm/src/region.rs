@@ -695,7 +695,7 @@ impl NvmRegion {
     /// Issue a store fence. In the default synchronous simulator the flush
     /// itself already reached the medium, so the fence only charges latency
     /// and counts — but protocols must still call it where hardware would
-    /// need it, and the accounting of experiment E5 reports it. While a
+    /// need it, and the benchmark's `fences_per_write.nvm` counts it. While a
     /// persist trace is recording, the fence is what drains buffered
     /// flushes to the medium (and where an armed crash point trips).
     pub fn fence(&self) {

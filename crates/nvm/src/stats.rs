@@ -1,7 +1,8 @@
 //! Counters for persistence primitives.
 //!
-//! Experiment E5 reports flushes and fences per transaction type; these
-//! counters are the instrumentation behind that table.
+//! The benchmark's `fences_per_write.nvm` and `nvm.flushes_per_write`
+//! metrics report flushes and fences per operation; these counters are the
+//! instrumentation behind them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

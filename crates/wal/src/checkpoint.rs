@@ -2,7 +2,7 @@
 //!
 //! The checkpoint is the baseline's answer to unbounded log growth; its
 //! *load* time is linear in data size and dominates the baseline's restart
-//! (experiments E1/E6). Format (all little-endian):
+//! (the `restart` experiment's `wal` rows). Format (all little-endian):
 //!
 //! ```text
 //! magic u64 | version u64 | last_cts u64 | covered_log_pos u64 | ntables u32
@@ -297,10 +297,8 @@ mod tests {
     use super::*;
     use storage::{ColumnDef, DataType, TableStore, Value};
 
-    fn tmpfile(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("ckpt-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join("checkpoint.bin")
+    fn tmpfile(name: &str) -> crate::TestPath {
+        crate::TestPath::new(&format!("ckpt-{name}"), Some("checkpoint.bin"))
     }
 
     fn build_table() -> VTable {

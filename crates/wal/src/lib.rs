@@ -137,3 +137,47 @@ impl WalPaths {
         self.dir.join("checkpoint.bin")
     }
 }
+
+/// A unique directory under the system temp dir for one unit test, removed
+/// when the value drops. Dereferences to `dir/file` (or to the directory
+/// itself when made without a file name).
+#[cfg(test)]
+pub(crate) struct TestPath {
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+#[cfg(test)]
+impl TestPath {
+    pub(crate) fn new(prefix: &str, file: Option<&str>) -> TestPath {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = file.map_or_else(|| dir.clone(), |f| dir.join(f));
+        TestPath { dir, path }
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TestPath {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+#[cfg(test)]
+impl AsRef<std::path::Path> for TestPath {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}

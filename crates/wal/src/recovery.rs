@@ -177,12 +177,8 @@ mod tests {
     use std::sync::Arc;
     use storage::{ColumnDef, DataType, Schema, Value};
 
-    fn tmplog(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("replay-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join("wal.log");
-        let _ = std::fs::remove_file(&p);
-        p
+    fn tmplog(name: &str) -> crate::TestPath {
+        crate::TestPath::new(&format!("replay-{name}"), Some("wal.log"))
     }
 
     fn schema() -> Schema {

@@ -354,17 +354,8 @@ mod tests {
     use super::*;
     use storage::Value;
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "waltest-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmpdir() -> crate::TestPath {
+        crate::TestPath::new("waltest", None)
     }
 
     #[test]

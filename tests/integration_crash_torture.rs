@@ -24,6 +24,8 @@ use hyrise_nv::torture::{
     traced_run, write_repro, Adversity, ProtocolOp, Recovered, TortureTxn, TortureViolation,
 };
 use nvm::{CrashPoint, CrashSchedule, MidEpochSurvival};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Replay the seeded workload with `point` armed, recover, and check all
 /// four invariants.
@@ -169,32 +171,55 @@ fn every_crash_point_of_the_write_protocols_is_safe() {
                     p: 0.5,
                     seed: seed ^ s,
                 }));
-            let points = CrashSchedule::enumerate_fences(fences).chain(
-                survivals.flat_map(|survival| CrashSchedule::enumerate_epochs(fences, survival)),
-            );
-            let mut n = 0;
-            for point in points {
-                if let Err(v) = protocol_scenario(sim_config(wal), seed, op, point) {
-                    write_repro(
-                        "crash_torture_repro.jsonl",
-                        "protocol_enumeration",
-                        seed,
-                        &[
-                            ("op", &format!("{op:?}")),
-                            ("wal", &wal.to_string()),
-                            ("point", &format!("{point:?}")),
-                            ("invariant", v.invariant),
-                            ("detail", &v.detail),
-                        ],
-                    );
-                    panic!(
-                        "{op:?} wal={wal} {point:?} of {fences} fences: invariant `{}` \
-                         violated (repro written to results/crash_torture_repro.jsonl): {}",
-                        v.invariant, v.detail
-                    );
+            let points: Vec<CrashPoint> = CrashSchedule::enumerate_fences(fences)
+                .chain(
+                    survivals
+                        .flat_map(|survival| CrashSchedule::enumerate_epochs(fences, survival)),
+                )
+                .collect();
+            // Workers take points in index order and stop taking once one has
+            // failed: every lower index is then already in some worker's
+            // hands, so the lowest recorded index is the first violation.
+            let next = AtomicUsize::new(0);
+            let failed = Mutex::new(None);
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= points.len() || failed.lock().unwrap().is_some() {
+                            break;
+                        }
+                        if let Err(v) = protocol_scenario(sim_config(wal), seed, op, points[i]) {
+                            let mut first = failed.lock().unwrap();
+                            if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                                *first = Some((i, v));
+                            }
+                        }
+                    });
                 }
-                n += 1;
+            });
+            if let Some((i, v)) = failed.into_inner().unwrap() {
+                let point = points[i];
+                write_repro(
+                    "crash_torture_repro.jsonl",
+                    "protocol_enumeration",
+                    seed,
+                    &[
+                        ("op", &format!("{op:?}")),
+                        ("wal", &wal.to_string()),
+                        ("point", &format!("{point:?}")),
+                        ("invariant", v.invariant),
+                        ("detail", &v.detail),
+                    ],
+                );
+                panic!(
+                    "{op:?} wal={wal} {point:?} of {fences} fences: invariant `{}` \
+                     violated (repro written to results/crash_torture_repro.jsonl): {}",
+                    v.invariant, v.detail
+                );
             }
+            let n = points.len();
             eprintln!("{op:?} wal={wal}: {fences} fences, {n} crash points survived");
         }
     }

@@ -374,3 +374,91 @@ fn random_eviction_crash_recovers_consistently() {
         assert!(all.iter().all(|s| s.values[0].as_int().unwrap() != 999));
     }
 }
+
+/// A `Transaction` is not borrowed from the `Database`, so a graceful
+/// shutdown can find one in flight. Its pending markers must be undone by
+/// the next open — the clean marker may not vouch for them.
+#[test]
+fn shutdown_with_a_transaction_in_flight_is_undone_on_open() {
+    let image = std::env::temp_dir().join(format!("inflight-shutdown-{}.img", std::process::id()));
+    let config = || DurabilityConfig::nvm_file(&image, 16 << 20, nvm::LatencyModel::zero());
+    let mut db = Database::create(config()).unwrap();
+    let t = db.create_table("t", schema()).unwrap();
+    db.create_index(t, 0, IndexKind::Hash).unwrap();
+    populate(&mut db, t, 4);
+    let mut tx = db.begin();
+    let hit = db
+        .index_lookup(&tx, t, 0, &Value::Int(1))
+        .unwrap()
+        .remove(0);
+    db.update(&mut tx, t, hit.row, &row(1)).unwrap();
+    db.shutdown().unwrap();
+
+    let (mut db, report) = Database::open(config()).unwrap();
+    assert!(
+        !report.clean_shutdown,
+        "an in-flight transaction is not clean"
+    );
+    assert!(report.phases.iter().any(|p| p.name == "mvcc undo pass"));
+    assert_eq!(db.verify_integrity().unwrap().mvcc.pending_markers, 0);
+    let mut tx = db.begin();
+    db.update(&mut tx, t, hit.row, &row(1)).unwrap();
+    db.commit(&mut tx).unwrap();
+    db.merge(t).unwrap();
+    let tx = db.begin();
+    assert_eq!(db.scan_all(&tx, t).unwrap().len(), 4);
+
+    // Quiesced, the same shutdown still takes the clean fast path.
+    db.shutdown().unwrap();
+    let (_, report) = Database::open(config()).unwrap();
+    assert!(report.clean_shutdown);
+    assert!(!report.phases.iter().any(|p| p.name == "mvcc undo pass"));
+    let _ = std::fs::remove_file(&image);
+}
+
+/// A `WalConfig::temp()` directory lives exactly as long as the `Database`
+/// created over it — across restarts inside it, not past its drop — and a
+/// caller-supplied directory is never removed.
+#[test]
+fn temp_wal_directory_goes_with_its_database() {
+    for config in [
+        DurabilityConfig::wal_temp(),
+        DurabilityConfig::nvm_with_wal(16 << 20, nvm::LatencyModel::zero()),
+    ] {
+        let (DurabilityConfig::Wal(wal) | DurabilityConfig::NvmWithWal { wal, .. }) = &config
+        else {
+            unreachable!()
+        };
+        let dir = wal.dir.clone();
+        let mut db = Database::create(config).unwrap();
+        let t = db.create_table("t", schema()).unwrap();
+        populate(&mut db, t, 3);
+        db.restart_after_crash().unwrap();
+        assert!(dir.join("wal.log").exists(), "restart keeps the directory");
+        if let Some(region) = db.nv_backend().map(|b| b.region().clone()) {
+            region.trace_start(nvm::TraceConfig::default());
+            region
+                .arm_crash(nvm::CrashPoint::AtFence { fence: 2 })
+                .unwrap();
+            populate_from(&mut db, t, 3..5);
+            db.restart_scheduled().unwrap();
+            assert!(dir.join("wal.log").exists(), "restart keeps the directory");
+        }
+        populate_from(&mut db, t, 5..7);
+        drop(db);
+        assert!(!dir.exists(), "{} left behind", dir.display());
+    }
+
+    let dir = std::env::temp_dir().join(format!("explicit-wal-{}", std::process::id()));
+    let wal = hyrise_nv::WalConfig {
+        dir: dir.clone(),
+        sync_latency_ns: 0,
+        sync_every_n_commits: 1,
+    };
+    let mut db = Database::create(DurabilityConfig::Wal(wal)).unwrap();
+    let t = db.create_table("t", schema()).unwrap();
+    populate(&mut db, t, 3);
+    drop(db);
+    assert!(dir.join("wal.log").exists(), "a caller's directory is kept");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
