@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{annotation, lex, Tok, TokKind};
 
 /// Token range `[start, end)` into a [`HirFn`]'s token slice.
 pub type Span = (usize, usize);
@@ -168,6 +168,7 @@ const KEYWORDS_NOT_CALLS: &[&str] = &[
 pub fn parse_file(path: &str, source: &str) -> Vec<HirFn> {
     let lexed = lex(source);
     let toks = &lexed.tokens;
+    let lines: Vec<&str> = source.lines().collect();
     let krate = crate_of(path);
 
     // --- phase 1: item discovery with a scope walker --------------------
@@ -261,26 +262,31 @@ pub fn parse_file(path: &str, source: &str) -> Vec<HirFn> {
                                 is_test: cur.test || attr_test,
                                 flush_helper: has_annotation(
                                     &lexed.comments,
+                                    &lines,
                                     t.line,
                                     "pmlint: flush-helper",
                                 ),
                                 caller_flushes: has_annotation(
                                     &lexed.comments,
+                                    &lines,
                                     t.line,
                                     "pmlint: caller-flushes",
                                 ),
                                 lock_held_persist: has_annotation(
                                     &lexed.comments,
+                                    &lines,
                                     t.line,
                                     "pmlint: lock-held-persist(",
                                 ),
                                 read_path: has_annotation(
                                     &lexed.comments,
+                                    &lines,
                                     t.line,
                                     "pmlint: read-path",
                                 ),
                                 read_pure: has_annotation(
                                     &lexed.comments,
+                                    &lines,
                                     t.line,
                                     "pmlint: read-pure",
                                 ),
@@ -340,6 +346,7 @@ pub fn parse_file(path: &str, source: &str) -> Vec<HirFn> {
                 .map(|&(s, e)| (s - body.0, e - body.0))
                 .collect::<Vec<_>>(),
             &lexed.comments,
+            &lines,
         );
         fns.push(HirFn {
             id: 0, // assigned by the program builder
@@ -595,7 +602,12 @@ impl PopIfSpace for String {
 
 /// Extract body events from `tokens` (a fn body), skipping `nested` fn
 /// body ranges and macro interiors.
-fn extract_events(tokens: &[Tok], nested: &[Span], comments: &HashMap<u32, String>) -> Vec<Event> {
+fn extract_events(
+    tokens: &[Tok],
+    nested: &[Span],
+    comments: &HashMap<u32, String>,
+    lines: &[&str],
+) -> Vec<Event> {
     // (anchor, order, event) — anchored events sorted at the end.
     let mut out: Vec<(usize, usize, Event)> = Vec::new();
     let mut used_annotations: std::collections::HashSet<u32> = std::collections::HashSet::new();
@@ -686,12 +698,14 @@ fn extract_events(tokens: &[Tok], nested: &[Span], comments: &HashMap<u32, Strin
                     let (qualifiers, recv) = call_context(tokens, j);
                     // Each publish annotation binds to the first call
                     // after it only — not to every call within reach.
-                    let publish_label = label_annotation(comments, t.line, "pmlint: publish(")
-                        .filter(|(al, _)| used_annotations.insert(*al))
-                        .map(|(_, label)| label);
-                    let observe_label = label_annotation(comments, t.line, "pmlint: observe(")
-                        .filter(|(al, _)| used_observe_annotations.insert(*al))
-                        .map(|(_, label)| label);
+                    let publish_label =
+                        label_annotation(comments, lines, t.line, "pmlint: publish(")
+                            .filter(|(al, _)| used_annotations.insert(*al))
+                            .map(|(_, label)| label);
+                    let observe_label =
+                        label_annotation(comments, lines, t.line, "pmlint: observe(")
+                            .filter(|(al, _)| used_observe_annotations.insert(*al))
+                            .map(|(_, label)| label);
                     // Anchor at the closing paren: argument sub-calls
                     // execute before the call itself.
                     let anchor = skip_balanced(tokens, paren) - 1;
@@ -992,62 +1006,31 @@ fn call_context(tokens: &[Tok], idx: usize) -> (Vec<String>, Option<String>) {
     (Vec::new(), None)
 }
 
-/// `// pmlint: <needle><label>)` on `line` or the comment block above
-/// it (`needle` is e.g. `"pmlint: publish("`). Returns the annotation's
-/// own line so the caller can bind each annotation to the *first* call
-/// after it only.
+/// `// pmlint: <needle><label>)` attached to `line` (`needle` is e.g.
+/// `"pmlint: publish("`). Returns the annotation's own line so the caller
+/// can bind each annotation to the *first* call after it only.
 fn label_annotation(
     comments: &HashMap<u32, String>,
+    lines: &[&str],
     line: u32,
     needle: &str,
 ) -> Option<(u32, String)> {
-    let parse = |c: &str| -> Option<String> {
-        let at = c.find(needle)?;
-        let rest = &c[at + needle.len()..];
-        let end = rest.find(')')?;
-        Some(rest[..end].trim().to_owned())
-    };
-    if let Some(c) = comments.get(&line) {
-        if let Some(l) = parse(c) {
-            return Some((line, l));
-        }
-    }
-    let mut l = line;
-    for _ in 0..3 {
-        if l <= 1 {
-            break;
-        }
-        l -= 1;
-        match comments.get(&l) {
-            Some(c) => {
-                if let Some(lab) = parse(c) {
-                    return Some((l, lab));
-                }
-            }
-            None => break,
-        }
-    }
-    None
+    let (at, c) = annotation(comments, lines, line, |c| {
+        c.find(needle)
+            .is_some_and(|i| c[i + needle.len()..].contains(')'))
+    })?;
+    let rest = &c[c.find(needle)? + needle.len()..];
+    Some((at, rest[..rest.find(')')?].trim().to_owned()))
 }
 
-/// Is `needle` present in a comment on `line` or the comment block above?
-fn has_annotation(comments: &HashMap<u32, String>, line: u32, needle: &str) -> bool {
-    if comments.get(&line).is_some_and(|c| c.contains(needle)) {
-        return true;
-    }
-    let mut l = line;
-    for _ in 0..6 {
-        if l <= 1 {
-            break;
-        }
-        l -= 1;
-        // Non-comment lines (attributes like `#[inline]`, blank lines)
-        // don't end the walk — the annotation may sit above them.
-        if comments.get(&l).is_some_and(|c| c.contains(needle)) {
-            return true;
-        }
-    }
-    false
+/// Is `needle` present in the comment attached to `line`?
+fn has_annotation(
+    comments: &HashMap<u32, String>,
+    lines: &[&str],
+    line: u32,
+    needle: &str,
+) -> bool {
+    annotation(comments, lines, line, |c| c.contains(needle)).is_some()
 }
 
 #[cfg(test)]

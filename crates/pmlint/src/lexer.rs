@@ -245,6 +245,40 @@ pub fn lex(source: &str) -> Lexed {
     Lexed { tokens, comments }
 }
 
+/// The one annotation lookup: the comment on `line` itself, then the `//`
+/// comment block directly above it — attribute lines are skipped, a blank
+/// line or a code line ends the block. Returns the first line (walking
+/// up) whose comment satisfies `pred`, with that comment's text.
+pub fn annotation<'a>(
+    comments: &'a HashMap<u32, String>,
+    lines: &[&str],
+    line: u32,
+    pred: impl Fn(&str) -> bool,
+) -> Option<(u32, &'a str)> {
+    let hit = |l: u32| {
+        comments
+            .get(&l)
+            .filter(|c| pred(c))
+            .map(|c| (l, c.as_str()))
+    };
+    if let Some(h) = hit(line) {
+        return Some(h);
+    }
+    let mut l = line;
+    while l > 1 {
+        l -= 1;
+        let raw = lines.get(l as usize - 1).map_or("", |s| s.trim());
+        if raw.starts_with("//") {
+            if let Some(h) = hit(l) {
+                return Some(h);
+            }
+        } else if !(raw.starts_with("#[") || raw.starts_with("#![")) {
+            break; // blank line or code: the block ended
+        }
+    }
+    None
+}
+
 /// Plain string literal starting at the opening `"`.
 fn lex_string(cur: &mut Cursor, line: u32, col: u32) -> Tok {
     cur.bump(); // opening quote

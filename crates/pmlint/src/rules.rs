@@ -51,7 +51,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::config::Config;
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{annotation, lex, Tok, TokKind};
 
 /// One lint finding, anchored to a source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,11 +276,10 @@ pub fn lint_source(path: &str, source: &str, cfg: &Config) -> (Vec<Finding>, Fil
                             pending = Some(PendingItem {
                                 fn_name: name.text.clone(),
                                 test: attr_test,
-                                flush_helper: has_annotation(
-                                    &lexed.comments,
-                                    t.line,
-                                    "pmlint: flush-helper",
-                                ),
+                                flush_helper: annotation(&lexed.comments, &lines, t.line, |c| {
+                                    c.contains("pmlint: flush-helper")
+                                })
+                                .is_some(),
                                 critical,
                             });
                             attr_test = false;
@@ -487,58 +486,13 @@ pub fn lint_source(path: &str, source: &str, cfg: &Config) -> (Vec<Finding>, Fil
     (findings, facts)
 }
 
-/// Is `needle` present in a comment on `line` or within the comment /
-/// attribute block directly above it?
-fn has_annotation(comments: &HashMap<u32, String>, line: u32, needle: &str) -> bool {
-    if comments.get(&line).is_some_and(|c| c.contains(needle)) {
-        return true;
-    }
-    let mut l = line;
-    for _ in 0..6 {
-        if l <= 1 {
-            break;
-        }
-        l -= 1;
-        if let Some(c) = comments.get(&l) {
-            if c.contains(needle) {
-                return true;
-            }
-            continue; // part of the comment block — keep walking up
-        }
-        break;
-    }
-    false
-}
-
 /// Is there a `// SAFETY:` comment (or `# Safety` doc section) on `t`'s
-/// line or in the comment/attribute block directly above it?
+/// line or in the comment block directly above it?
 fn has_safety_comment(comments: &HashMap<u32, String>, lines: &[&str], t: &Tok) -> bool {
-    let ok_comment = |c: &str| c.contains("SAFETY:") || c.contains("# Safety");
-    if comments.get(&t.line).is_some_and(|c| ok_comment(c)) {
-        return true;
-    }
-    let mut l = t.line;
-    while l > 1 {
-        l -= 1;
-        let raw = lines
-            .get(l as usize - 1)
-            .map(|s| s.trim())
-            .unwrap_or_default();
-        if raw.is_empty() {
-            break; // a blank line detaches the comment block
-        }
-        if raw.starts_with("//") {
-            if comments.get(&l).is_some_and(|c| ok_comment(c)) {
-                return true;
-            }
-            continue;
-        }
-        if raw.starts_with("#[") || raw.starts_with("#![") {
-            continue; // attributes may sit between the comment and the item
-        }
-        break; // hit code — the comment block (if any) ended
-    }
-    false
+    annotation(comments, lines, t.line, |c| {
+        c.contains("SAFETY:") || c.contains("# Safety")
+    })
+    .is_some()
 }
 
 /// `unsafe` must carry a `// SAFETY:` comment (or a `# Safety` doc
@@ -777,35 +731,11 @@ fn safety_argues_threads(comments: &HashMap<u32, String>, lines: &[&str], t: &To
         "concurren",
         "race",
     ];
-    let argues = |c: &str| {
+    annotation(comments, lines, t.line, |c| {
         let c = c.to_lowercase();
         THREAD_WORDS.iter().any(|w| c.contains(w))
-    };
-    if comments.get(&t.line).is_some_and(|c| argues(c)) {
-        return true;
-    }
-    let mut l = t.line;
-    while l > 1 {
-        l -= 1;
-        let raw = lines
-            .get(l as usize - 1)
-            .map(|s| s.trim())
-            .unwrap_or_default();
-        if raw.is_empty() {
-            break;
-        }
-        if raw.starts_with("//") {
-            if comments.get(&l).is_some_and(|c| argues(c)) {
-                return true;
-            }
-            continue;
-        }
-        if raw.starts_with("#[") || raw.starts_with("#![") {
-            continue;
-        }
-        break;
-    }
-    false
+    })
+    .is_some()
 }
 
 const INTERIOR_MUT_TYPES: &[&str] = &["Cell", "RefCell", "UnsafeCell", "Mutex", "RwLock"];

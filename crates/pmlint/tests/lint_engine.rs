@@ -162,6 +162,35 @@ fn detects_unwrap_in_recovery_progress_helpers() {
     assert_single(&findings, "recovery-unwrap", 6, 11);
 }
 
+/// An item annotation covers the item directly below its comment block and
+/// nothing further: `b` sits on the line after the annotated `a`, so its
+/// escaping store is still a finding.
+#[test]
+fn caller_flushes_covers_only_the_next_fn() {
+    let src = "// pmlint: caller-flushes\n\
+               fn a(region: &R) { region.write_pod(8, &1u64); }\n\
+               fn b(region: &R) { region.write_pod(16, &1u64); }\n";
+    let findings = pmlint::analyze_sources(
+        &[("crates/x/src/lib.rs".to_owned(), src.to_owned())],
+        &pmlint::AnalysisCtx::bare(&[]),
+    );
+    assert_single(&findings, "unflushed-escape", 3, 27);
+}
+
+/// Attribute lines between an annotation and its item are skipped by every
+/// rule, `raw-nvm-write` included.
+#[test]
+fn flush_helper_above_an_attribute_is_honoured() {
+    let src = "// pmlint: flush-helper\n\
+               #[inline]\n\
+               fn put(p: *mut u8) {\n\
+               \x20   // SAFETY: test fixture.\n\
+               \x20   unsafe { core::ptr::write(p, 1) }\n\
+               }\n";
+    let (findings, _) = lint_source("crates/x/src/lib.rs", src, &Config::empty());
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
 #[test]
 fn protocol_registry_validates() {
     assert!(pmlint::validate_protocols().is_empty());
