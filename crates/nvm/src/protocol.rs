@@ -83,7 +83,7 @@ pub enum StepKind {
     /// A cache-line write-back covering the stores named in `covers`.
     Flush {
         /// Labels of the store/publish steps whose lines this flush covers.
-        covers: &'static [&'static str],
+        covers: Vec<&'static str>,
     },
     /// A store fence: drains every preceding flush to the medium.
     Fence,
@@ -126,31 +126,6 @@ pub struct ProtocolStep {
     /// `None` means the step carries no visibility obligation (plain
     /// store, flush, fence, external).
     pub order: Option<MemOrder>,
-}
-
-impl ProtocolStep {
-    fn new(kind: StepKind, after: &[StepId]) -> ProtocolStep {
-        ProtocolStep {
-            kind,
-            after: after.to_vec(),
-            optional: false,
-            order: None,
-        }
-    }
-
-    fn optional(kind: StepKind, after: &[StepId]) -> ProtocolStep {
-        ProtocolStep {
-            kind,
-            after: after.to_vec(),
-            optional: true,
-            order: None,
-        }
-    }
-
-    fn with_order(mut self, order: MemOrder) -> ProtocolStep {
-        self.order = Some(order);
-        self
-    }
 }
 
 /// A declared persist-order protocol: an ordered store/flush/fence DAG
@@ -341,7 +316,7 @@ impl ProtocolSpec {
             max_fences: 0,
         };
         for s in &self.steps {
-            match s.kind {
+            match &s.kind {
                 StepKind::Store { .. } | StepKind::Publish { .. } => {
                     c.max_stores += 1;
                     if !s.optional {
@@ -447,9 +422,9 @@ impl ProtocolSpec {
             })
             .collect();
         for (i, s) in self.steps.iter().enumerate() {
-            if let StepKind::Flush { covers } = s.kind {
-                for label in covers {
-                    if !declared.contains(label) {
+            if let StepKind::Flush { covers } = &s.kind {
+                for &label in covers {
+                    if !declared.contains(&label) {
                         return Err(SpecError::UnknownCoverLabel { step: i, label });
                     }
                 }
@@ -498,7 +473,7 @@ fn store_is_persisted_before(
     deadline: Option<StepId>,
 ) -> bool {
     for (fi, fs) in steps.iter().enumerate() {
-        let StepKind::Flush { covers } = fs.kind else {
+        let StepKind::Flush { covers } = &fs.kind else {
             continue;
         };
         if !covers.contains(&label) || !before(store, fi) {
@@ -524,15 +499,7 @@ fn store_is_persisted_before(
 /// Kahn topological order; `None` on a cycle.
 fn topo_order(steps: &[ProtocolStep]) -> Option<Vec<StepId>> {
     let n = steps.len();
-    let mut indeg = vec![0usize; n];
-    for s in steps {
-        for &_t in &s.after {
-            // edge t -> current; indegree of current counts its `after`s
-        }
-    }
-    for (i, s) in steps.iter().enumerate() {
-        indeg[i] = s.after.len();
-    }
+    let mut indeg: Vec<usize> = steps.iter().map(|s| s.after.len()).collect();
     let mut ready: Vec<StepId> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(i) = ready.pop() {
@@ -553,26 +520,14 @@ fn topo_order(steps: &[ProtocolStep]) -> Option<Vec<StepId>> {
 fn reachability(steps: &[ProtocolStep], order: &[StepId]) -> Vec<Vec<bool>> {
     let n = steps.len();
     let mut reach = vec![vec![false; n]; n];
-    // Process in topological order so predecessors' rows are complete.
+    // In topological order every predecessor's column is already complete,
+    // so one pass closes the relation.
     for &j in order {
         for &p in &steps[j].after {
             reach[p][j] = true;
             for row in reach.iter_mut() {
                 if row[p] {
                     row[j] = true;
-                }
-            }
-        }
-    }
-    // Propagate once more to close over orderings discovered late (the
-    // loop above fills rows in topo order, so one pass suffices; this
-    // second pass is defensive and cheap at these sizes).
-    for k in 0..n {
-        let via = reach[k].clone();
-        for row in reach.iter_mut() {
-            if row[k] {
-                for (dst, &src) in row.iter_mut().zip(via.iter()) {
-                    *dst = *dst || src;
                 }
             }
         }
@@ -902,572 +857,287 @@ pub fn publish_labels() -> Vec<PublishLabel> {
     out
 }
 
+/// One staged store of a registry row: `(label, checksummed, optional)`.
+type Staged = (&'static str, bool, bool);
+
+/// How a registry row ends.
+enum End {
+    /// The release publish store that makes the staged phases reachable;
+    /// it is flushed and fenced itself.
+    Publish(&'static str),
+    /// Observe side: an acquire load of someone else's publish word and the
+    /// validating acquire re-read.
+    Observe(&'static str),
+}
+
+/// One protocol of the [`registry`]. Every write-side protocol has the same
+/// shape — staged phases, each drained by one write-back set and one fence
+/// before the next begins, then one release publish, itself flushed and
+/// fenced — so a row names only what tells it apart, and [`build`] emits
+/// the step DAG.
+struct Row {
+    name: &'static str,
+    what: &'static str,
+    /// Staged phases, in order. A phase whose stores are all optional has
+    /// an optional flush and fence.
+    phases: &'static [&'static [Staged]],
+    /// A durability step outside the NVM trace, ordered before the publish.
+    external: Option<&'static str>,
+    end: End,
+}
+
+const REGISTRY: &[Row] = &[
+    // Commit: stamp the MVCC words of every write (each write-back issued
+    // without draining), drain once — one fence for all touched tables,
+    // which share the region — then one 8-byte publish of the commit
+    // timestamp in the catalogue. One batched flush step covers all
+    // begin/end stamps — realised as one write-back per stamped word — so a
+    // W-write commit pays two fences, not W+1. (The registry slot clear
+    // that follows is written back without a fence of its own.)
+    Row {
+        name: "txn-commit-publish",
+        what: "commit-timestamp publish after batched per-row MVCC stamps",
+        phases: &[&[("delta-begin", false, false), ("delta-end", false, true)]],
+        external: None,
+        end: End::Publish("catalog-cts"),
+    },
+    // Delta append, one instance per commit and table, covering every row
+    // staged since the last one: dictionary/blob entries, cells and MVCC
+    // words are staged (written back, no fence) as the rows are inserted;
+    // the commit drains them once, publishes the dictionary and blob length
+    // words — they seal the content they cover, so they follow its drain —
+    // fences, and only then lets the row counter cover the rows (a cell
+    // must never be reachable before its dictionary entry is). Without a new
+    // dictionary entry the middle fence is skipped: two or three fences per
+    // instance, none per row.
+    Row {
+        name: "delta-append",
+        what: "rows staged into the delta store, published by the row counter",
+        phases: &[
+            &[
+                ("delta-dict", true, true),
+                ("delta-blob", true, true),
+                ("delta-av", false, false),
+                ("delta-begin", false, false),
+                ("delta-end", false, false),
+            ],
+            &[("delta-lens", false, true)],
+        ],
+        external: None,
+        end: End::Publish("delta-rows"),
+    },
+    // Merge: the new main tree (checksummed payloads), the fresh delta
+    // descriptor, the replacement indexes and the pair block that names
+    // them all are staged with bulk stores and range write-backs — no one
+    // can reach them — and drained by one fence before the pair pointer
+    // swaps to them. The only other fences of a merge belong to the
+    // allocator's reserve/activate/free protocols, one set per block: a
+    // merge costs O(blocks), never O(rows).
+    Row {
+        name: "merge-publish",
+        what: "delta→main merge with its indexes, published by the root pair swap",
+        phases: &[&[
+            ("main-dict", true, false),
+            ("main-av", true, false),
+            ("main-blob", true, true),
+            ("main-end", false, false),
+            ("index-structure", false, true),
+            ("merge-pair", false, false),
+        ]],
+        external: None,
+        end: End::Publish("table-pair"),
+    },
+    // DDL: the catalogue entry (name, root, index block) is durable before
+    // the table count publishes it.
+    Row {
+        name: "ddl-create-table",
+        what: "CREATE TABLE, published by the catalogue table count",
+        phases: &[&[("catalog-entry", false, false)]],
+        external: None,
+        end: End::Publish("catalog-ntables"),
+    },
+    // Index registration (create_index): the bulk-built index — one store
+    // and one range write-back per block — and its registration (catalogue
+    // entry plus the descriptor word in the table's pair block) share one
+    // drain before the per-table index count publishes them.
+    Row {
+        name: "index-register",
+        what: "bulk-built persistent index and its registration, published by the index count",
+        phases: &[&[
+            ("index-structure", false, false),
+            ("index-entry", false, false),
+        ]],
+        external: None,
+        end: End::Publish("index-count"),
+    },
+    // Index rebuild (recovery rung 1): the bulk-built structure is staged
+    // like any other and drained once before the descriptor word — an aux
+    // word of the table's pair block — swaps to it. (A merge's replacement
+    // indexes ride `merge-publish` instead.)
+    Row {
+        name: "index-desc-swap",
+        what: "bulk index rebuild, published by the descriptor word swap",
+        phases: &[&[("index-structure", false, false)]],
+        external: None,
+        end: End::Publish("index-desc"),
+    },
+    // Shadow-WAL commit: the log is synced (external durability) strictly
+    // before the NVM commit-timestamp publish — the `log ⊇ published
+    // state` invariant rung 2 relies on.
+    Row {
+        name: "shadow-wal-commit",
+        what: "log-before-publish ordering of the shadow redo log",
+        phases: &[],
+        external: Some("shadow-log-sync"),
+        end: End::Publish("catalog-cts"),
+    },
+    // Recovery rung 2: the rebuilt table tree is durable before the
+    // catalogue root pointer swaps to it (quarantining the old tree).
+    Row {
+        name: "recovery-root-swap",
+        what: "rung-2 table rebuild, published by the catalogue root swap",
+        phases: &[&[("rebuilt-table", false, false)]],
+        external: None,
+        end: End::Publish("catalog-table-root"),
+    },
+    // Recovery attempt accounting: the progress word is the one
+    // deliberately non-idempotent recovery-time store (a monotone attempt
+    // counter bumped at attempt start, zeroed on success). It is a single
+    // word, so the bump itself is the publish and must be fenced before any
+    // other recovery mutation depends on the attempt having been
+    // registered.
+    Row {
+        name: "recovery-progress",
+        what: "recovery attempt counter, published before recovery mutates state",
+        phases: &[],
+        external: None,
+        end: End::Publish("recovery-progress"),
+    },
+    // Recovery undo pass: per-row MVCC repairs are persisted strictly
+    // before the registry slot is released (tid zeroed). A crash between
+    // the two replays the repairs — they are idempotent at a fixed last-cts
+    // — while releasing first could strand a half-repaired row with no
+    // registry entry pointing at it.
+    Row {
+        name: "recovery-undo-release",
+        what: "undo-pass row repairs durable before the registry slot clear",
+        phases: &[&[("mvcc-repair", false, true)]],
+        external: None,
+        end: End::Publish("registry-slot-clear"),
+    },
+    // Seqlock write: the odd sequence bump opens the write window (readers
+    // retry), the payload is stored and persisted, and the even bump
+    // publishes it. Both bumps are release stores of the same word; only
+    // the closing bump is the publish step — the odd bump is declared as an
+    // (unbound in traces) store so the DAG shows the window ordering.
+    Row {
+        name: "seqlock-write",
+        what: "seqlock payload publish between odd/even sequence bumps",
+        phases: &[
+            &[("seqlock-seq-odd", false, false)],
+            &[("seqlock-payload", false, false)],
+        ],
+        external: None,
+        end: End::Publish("seqlock-seq"),
+    },
+    // Seqlock read — the observe side of `seqlock-write`: an acquire load
+    // of the sequence word, the payload read, and a validating acquire
+    // re-read (equal and even ⇒ the payload is consistent). Static-only:
+    // loads produce no persist-trace events.
+    Row {
+        name: "seqlock-read",
+        what: "optimistic seqlock read validated by acquire re-read",
+        phases: &[],
+        external: None,
+        end: End::Observe("seqlock-seq"),
+    },
+];
+
+/// The step DAG of one registry row.
+fn build(row: &Row) -> ProtocolSpec {
+    let mut steps: Vec<ProtocolStep> = Vec::new();
+    let mut add = |kind, after: &[StepId], optional, order| {
+        let after = after.to_vec();
+        steps.push(ProtocolStep {
+            kind,
+            after,
+            optional,
+            order,
+        });
+        steps.len() - 1
+    };
+    // The fence of every phase, all ordered before the publish.
+    let mut drained: Vec<StepId> = Vec::new();
+    for phase in row.phases {
+        let optional = phase.iter().all(|s| s.2);
+        let after: Vec<StepId> = drained.last().copied().into_iter().collect();
+        let stores: Vec<StepId> = phase
+            .iter()
+            .map(|&(label, checksummed, opt)| {
+                add(StepKind::Store { label, checksummed }, &after, opt, None)
+            })
+            .collect();
+        let covers = phase.iter().map(|s| s.0).collect();
+        let flush = add(StepKind::Flush { covers }, &stores, optional, None);
+        drained.push(add(StepKind::Fence, &[flush], optional, None));
+    }
+    if let Some(label) = row.external {
+        drained.push(add(StepKind::External { label }, &[], false, None));
+    }
+    let (release, acquire) = (Some(MemOrder::Release), Some(MemOrder::Acquire));
+    match row.end {
+        End::Publish(label) => {
+            let publish = add(StepKind::Publish { label }, &drained, false, release);
+            let flush = add(
+                StepKind::Flush {
+                    covers: vec![label],
+                },
+                &[publish],
+                false,
+                None,
+            );
+            add(StepKind::Fence, &[flush], false, None);
+        }
+        End::Observe(label) => {
+            let load = add(StepKind::AtomicLoad { label }, &[], false, acquire);
+            add(StepKind::AtomicLoad { label }, &[load], false, acquire);
+        }
+    }
+    ProtocolSpec {
+        name: row.name,
+        what: row.what,
+        steps,
+    }
+}
+
 /// Every persist-order protocol the engine implements, as validated,
 /// machine-checkable specs. `pmlint` validates each spec and checks that
 /// every checksummed label is registered in the media-extent map; the
 /// integration suite conformance-checks recorded traces against them.
 pub fn registry() -> Vec<ProtocolSpec> {
-    use StepKind::*;
-    vec![
-        // Commit: stamp the MVCC words of every write (each write-back
-        // issued without draining), drain once — one fence for all touched
-        // tables, which share the region — then one 8-byte publish of the
-        // commit timestamp in the catalogue. One batched flush step covers
-        // all begin/end stamps — realised as one write-back per stamped
-        // word — so a W-write commit pays two fences, not W+1. (The
-        // registry slot clear that follows is written back without a fence
-        // of its own.)
-        ProtocolSpec {
-            name: "txn-commit-publish",
-            what: "commit-timestamp publish after batched per-row MVCC stamps",
-            steps: vec![
-                ProtocolStep::new(
-                    Store {
-                        label: "delta-begin",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::optional(
-                    Store {
-                        label: "delta-end",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["delta-begin", "delta-end"],
-                    },
-                    &[0, 1],
-                ),
-                ProtocolStep::new(Fence, &[2]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "catalog-cts",
-                    },
-                    &[3],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["catalog-cts"],
-                    },
-                    &[4],
-                ),
-                ProtocolStep::new(Fence, &[5]),
-            ],
-        },
-        // Delta append, one instance per commit and table, covering every
-        // row staged since the last one: dictionary/blob entries, cells and
-        // MVCC words are staged (written back, no fence) as the rows are
-        // inserted; the commit drains them once, publishes the dictionary
-        // and blob length words — they seal the content they cover, so
-        // they follow its drain — fences, and only then lets the row
-        // counter cover the rows (a cell must never be reachable before its
-        // dictionary entry is). Without a new dictionary entry the middle
-        // fence is skipped: two or three fences per instance, none per row.
-        ProtocolSpec {
-            name: "delta-append",
-            what: "rows staged into the delta store, published by the row counter",
-            steps: vec![
-                ProtocolStep::optional(
-                    Store {
-                        label: "delta-dict",
-                        checksummed: true,
-                    },
-                    &[],
-                ),
-                ProtocolStep::optional(
-                    Store {
-                        label: "delta-blob",
-                        checksummed: true,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Store {
-                        label: "delta-av",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Store {
-                        label: "delta-begin",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Store {
-                        label: "delta-end",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &[
-                            "delta-dict",
-                            "delta-blob",
-                            "delta-av",
-                            "delta-begin",
-                            "delta-end",
-                        ],
-                    },
-                    &[0, 1, 2, 3, 4],
-                ),
-                ProtocolStep::new(Fence, &[5]),
-                ProtocolStep::optional(
-                    Store {
-                        label: "delta-lens",
-                        checksummed: false,
-                    },
-                    &[6],
-                ),
-                ProtocolStep::optional(
-                    Flush {
-                        covers: &["delta-lens"],
-                    },
-                    &[7],
-                ),
-                ProtocolStep::optional(Fence, &[8]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "delta-rows",
-                    },
-                    &[6, 9],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["delta-rows"],
-                    },
-                    &[10],
-                ),
-                ProtocolStep::new(Fence, &[11]),
-            ],
-        },
-        // Merge: the new main tree (checksummed payloads), the fresh delta
-        // descriptor, the replacement indexes and the pair block that names
-        // them all are staged with bulk stores and range write-backs — no
-        // one can reach them — and drained by one fence before the pair
-        // pointer swaps to them. The only other fences of a merge belong to
-        // the allocator's reserve/activate/free protocols, one set per
-        // block: a merge costs O(blocks), never O(rows).
-        ProtocolSpec {
-            name: "merge-publish",
-            what: "delta→main merge with its indexes, published by the root pair swap",
-            steps: vec![
-                ProtocolStep::new(
-                    Store {
-                        label: "main-dict",
-                        checksummed: true,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Store {
-                        label: "main-av",
-                        checksummed: true,
-                    },
-                    &[],
-                ),
-                ProtocolStep::optional(
-                    Store {
-                        label: "main-blob",
-                        checksummed: true,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Store {
-                        label: "main-end",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::optional(
-                    Store {
-                        label: "index-structure",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Store {
-                        label: "merge-pair",
-                        checksummed: false,
-                    },
-                    &[0, 1, 2, 3, 4],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &[
-                            "main-dict",
-                            "main-av",
-                            "main-blob",
-                            "main-end",
-                            "index-structure",
-                            "merge-pair",
-                        ],
-                    },
-                    &[5],
-                ),
-                ProtocolStep::new(Fence, &[6]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "table-pair",
-                    },
-                    &[7],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["table-pair"],
-                    },
-                    &[8],
-                ),
-                ProtocolStep::new(Fence, &[9]),
-            ],
-        },
-        // DDL: the catalogue entry (name, root, index block) is durable
-        // before the table count publishes it.
-        ProtocolSpec {
-            name: "ddl-create-table",
-            what: "CREATE TABLE, published by the catalogue table count",
-            steps: vec![
-                ProtocolStep::new(
-                    Store {
-                        label: "catalog-entry",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["catalog-entry"],
-                    },
-                    &[0],
-                ),
-                ProtocolStep::new(Fence, &[1]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "catalog-ntables",
-                    },
-                    &[2],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["catalog-ntables"],
-                    },
-                    &[3],
-                ),
-                ProtocolStep::new(Fence, &[4]),
-            ],
-        },
-        // Index registration (create_index): the bulk-built index — one
-        // store and one range write-back per block — and its registration
-        // (catalogue entry plus the descriptor word in the table's pair
-        // block) share one drain before the per-table index count
-        // publishes them.
-        ProtocolSpec {
-            name: "index-register",
-            what: "bulk-built persistent index and its registration, published by the index count",
-            steps: vec![
-                ProtocolStep::new(
-                    Store {
-                        label: "index-structure",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Store {
-                        label: "index-entry",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["index-structure", "index-entry"],
-                    },
-                    &[0, 1],
-                ),
-                ProtocolStep::new(Fence, &[2]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "index-count",
-                    },
-                    &[3],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["index-count"],
-                    },
-                    &[4],
-                ),
-                ProtocolStep::new(Fence, &[5]),
-            ],
-        },
-        // Index rebuild (recovery rung 1): the bulk-built structure is
-        // staged like any other and drained once before the descriptor
-        // word — an aux word of the table's pair block — swaps to it. (A
-        // merge's replacement indexes ride `merge-publish` instead.)
-        ProtocolSpec {
-            name: "index-desc-swap",
-            what: "bulk index rebuild, published by the descriptor word swap",
-            steps: vec![
-                ProtocolStep::new(
-                    Store {
-                        label: "index-structure",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["index-structure"],
-                    },
-                    &[0],
-                ),
-                ProtocolStep::new(Fence, &[1]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "index-desc",
-                    },
-                    &[2],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["index-desc"],
-                    },
-                    &[3],
-                ),
-                ProtocolStep::new(Fence, &[4]),
-            ],
-        },
-        // Shadow-WAL commit: the log is synced (external durability)
-        // strictly before the NVM commit-timestamp publish — the
-        // `log ⊇ published state` invariant rung 2 relies on.
-        ProtocolSpec {
-            name: "shadow-wal-commit",
-            what: "log-before-publish ordering of the shadow redo log",
-            steps: vec![
-                ProtocolStep::new(
-                    External {
-                        label: "shadow-log-sync",
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Publish {
-                        label: "catalog-cts",
-                    },
-                    &[0],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["catalog-cts"],
-                    },
-                    &[1],
-                ),
-                ProtocolStep::new(Fence, &[2]),
-            ],
-        },
-        // Recovery rung 2: the rebuilt table tree is durable before the
-        // catalogue root pointer swaps to it (quarantining the old tree).
-        ProtocolSpec {
-            name: "recovery-root-swap",
-            what: "rung-2 table rebuild, published by the catalogue root swap",
-            steps: vec![
-                ProtocolStep::new(
-                    Store {
-                        label: "rebuilt-table",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["rebuilt-table"],
-                    },
-                    &[0],
-                ),
-                ProtocolStep::new(Fence, &[1]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "catalog-table-root",
-                    },
-                    &[2],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["catalog-table-root"],
-                    },
-                    &[3],
-                ),
-                ProtocolStep::new(Fence, &[4]),
-            ],
-        },
-        // Recovery attempt accounting: the progress word is the one
-        // deliberately non-idempotent recovery-time store (a monotone
-        // attempt counter bumped at attempt start, zeroed on success).
-        // It is a single word, so the bump itself is the publish and
-        // must be fenced before any other recovery mutation depends on
-        // the attempt having been registered.
-        ProtocolSpec {
-            name: "recovery-progress",
-            what: "recovery attempt counter, published before recovery mutates state",
-            steps: vec![
-                ProtocolStep::new(
-                    Publish {
-                        label: "recovery-progress",
-                    },
-                    &[],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["recovery-progress"],
-                    },
-                    &[0],
-                ),
-                ProtocolStep::new(Fence, &[1]),
-            ],
-        },
-        // Recovery undo pass: per-row MVCC repairs are persisted strictly
-        // before the registry slot is released (tid zeroed). A crash
-        // between the two replays the repairs — they are idempotent at a
-        // fixed last-cts — while releasing first could strand a
-        // half-repaired row with no registry entry pointing at it.
-        ProtocolSpec {
-            name: "recovery-undo-release",
-            what: "undo-pass row repairs durable before the registry slot clear",
-            steps: vec![
-                ProtocolStep::optional(
-                    Store {
-                        label: "mvcc-repair",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::optional(
-                    Flush {
-                        covers: &["mvcc-repair"],
-                    },
-                    &[0],
-                ),
-                ProtocolStep::optional(Fence, &[1]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "registry-slot-clear",
-                    },
-                    &[2],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["registry-slot-clear"],
-                    },
-                    &[3],
-                ),
-                ProtocolStep::new(Fence, &[4]),
-            ],
-        },
-        // Seqlock write: the odd sequence bump opens the write window
-        // (readers retry), the payload is stored and persisted, and the
-        // even bump publishes it. Both bumps are release stores of the
-        // same word; only the closing bump is the publish step — the odd
-        // bump is declared as an (unbound in traces) store so the DAG
-        // shows the window ordering.
-        ProtocolSpec {
-            name: "seqlock-write",
-            what: "seqlock payload publish between odd/even sequence bumps",
-            steps: vec![
-                ProtocolStep::new(
-                    Store {
-                        label: "seqlock-seq-odd",
-                        checksummed: false,
-                    },
-                    &[],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["seqlock-seq-odd"],
-                    },
-                    &[0],
-                ),
-                ProtocolStep::new(Fence, &[1]),
-                ProtocolStep::new(
-                    Store {
-                        label: "seqlock-payload",
-                        checksummed: false,
-                    },
-                    &[2],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["seqlock-payload"],
-                    },
-                    &[3],
-                ),
-                ProtocolStep::new(Fence, &[4]),
-                ProtocolStep::new(
-                    Publish {
-                        label: "seqlock-seq",
-                    },
-                    &[5],
-                )
-                .with_order(MemOrder::Release),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["seqlock-seq"],
-                    },
-                    &[6],
-                ),
-                ProtocolStep::new(Fence, &[7]),
-            ],
-        },
-        // Seqlock read — the observe side of `seqlock-write`: an acquire
-        // load of the sequence word, the payload read, and a validating
-        // acquire re-read (equal and even ⇒ the payload is consistent).
-        // Static-only: loads produce no persist-trace events.
-        ProtocolSpec {
-            name: "seqlock-read",
-            what: "optimistic seqlock read validated by acquire re-read",
-            steps: vec![
-                ProtocolStep::new(
-                    AtomicLoad {
-                        label: "seqlock-seq",
-                    },
-                    &[],
-                )
-                .with_order(MemOrder::Acquire),
-                ProtocolStep::new(
-                    AtomicLoad {
-                        label: "seqlock-seq",
-                    },
-                    &[0],
-                )
-                .with_order(MemOrder::Acquire),
-            ],
-        },
-    ]
+    REGISTRY.iter().map(build).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{LatencyModel, NvmRegion, TraceConfig};
+
+    impl ProtocolStep {
+        fn new(kind: StepKind, after: &[StepId]) -> ProtocolStep {
+            ProtocolStep {
+                kind,
+                after: after.to_vec(),
+                optional: false,
+                order: None,
+            }
+        }
+
+        fn with_order(mut self, order: MemOrder) -> ProtocolStep {
+            self.order = Some(order);
+            self
+        }
+    }
 
     #[test]
     fn registry_specs_all_validate() {
@@ -1487,6 +1157,58 @@ mod tests {
             );
         }
         assert!(registry().len() >= 6, "at least six declared protocols");
+    }
+
+    /// The registry as its consumers see it, pinned: name, publish (or
+    /// observed) label, checksummed and optional store labels, and the six
+    /// `static_cost()` bounds as min-max of stores, flushes and fences.
+    #[test]
+    fn registry_shape_is_pinned() {
+        const SHAPES: [&str; 12] = [
+            "txn-commit-publish: publish catalog-cts | checksummed  | optional delta-end | cost 2-3 2-3 2-2",
+            "delta-append: publish delta-rows | checksummed delta-dict delta-blob | optional delta-dict delta-blob delta-lens | cost 4-7 2-7 2-3",
+            "merge-publish: publish table-pair | checksummed main-dict main-av main-blob | optional main-blob index-structure | cost 5-7 2-7 2-2",
+            "ddl-create-table: publish catalog-ntables | checksummed  | optional  | cost 2-2 2-2 2-2",
+            "index-register: publish index-count | checksummed  | optional  | cost 3-3 2-3 2-2",
+            "index-desc-swap: publish index-desc | checksummed  | optional  | cost 2-2 2-2 2-2",
+            "shadow-wal-commit: publish catalog-cts | checksummed  | optional  | cost 1-1 1-1 1-1",
+            "recovery-root-swap: publish catalog-table-root | checksummed  | optional  | cost 2-2 2-2 2-2",
+            "recovery-progress: publish recovery-progress | checksummed  | optional  | cost 1-1 1-1 1-1",
+            "recovery-undo-release: publish registry-slot-clear | checksummed  | optional mvcc-repair | cost 1-2 1-2 1-2",
+            "seqlock-write: publish seqlock-seq | checksummed  | optional  | cost 3-3 3-3 3-3",
+            "seqlock-read: observe seqlock-seq | checksummed  | optional  | cost 0-0 0-0 0-0",
+        ];
+        let shape = |spec: &ProtocolSpec| {
+            let end = spec.steps.iter().find_map(|s| match s.kind {
+                StepKind::Publish { label } => Some(format!("publish {label}")),
+                StepKind::AtomicLoad { label } => Some(format!("observe {label}")),
+                _ => None,
+            });
+            let stores = |pick: fn(bool, bool) -> bool| {
+                let picked = spec.steps.iter().filter_map(|s| match s.kind {
+                    StepKind::Store { label, checksummed } if pick(checksummed, s.optional) => {
+                        Some(label)
+                    }
+                    _ => None,
+                });
+                picked.collect::<Vec<_>>().join(" ")
+            };
+            let c = spec.static_cost();
+            format!(
+                "{}: {} | checksummed {} | optional {} | cost {}-{} {}-{} {}-{}",
+                spec.name,
+                end.unwrap_or_default(),
+                stores(|checksummed, _| checksummed),
+                stores(|_, optional| optional),
+                c.min_stores,
+                c.max_stores,
+                c.min_flushes,
+                c.max_flushes,
+                c.min_fences,
+                c.max_fences,
+            )
+        };
+        assert_eq!(registry().iter().map(shape).collect::<Vec<_>>(), SHAPES);
     }
 
     #[test]
@@ -1557,7 +1279,7 @@ mod tests {
             what: "publish annotated Relaxed",
             steps: vec![
                 ProtocolStep::new(Publish { label: "p" }, &[]).with_order(MemOrder::Relaxed),
-                ProtocolStep::new(Flush { covers: &["p"] }, &[0]),
+                ProtocolStep::new(Flush { covers: vec!["p"] }, &[0]),
                 ProtocolStep::new(Fence, &[1]),
             ],
         };
@@ -1634,9 +1356,9 @@ mod tests {
                     },
                     &[],
                 ),
-                ProtocolStep::new(Flush { covers: &["x"] }, &[0]),
+                ProtocolStep::new(Flush { covers: vec!["x"] }, &[0]),
                 ProtocolStep::new(Publish { label: "p" }, &[1]),
-                ProtocolStep::new(Flush { covers: &["p"] }, &[2]),
+                ProtocolStep::new(Flush { covers: vec!["p"] }, &[2]),
                 ProtocolStep::new(Fence, &[3]),
             ],
         };
@@ -1662,7 +1384,7 @@ mod tests {
                 ),
                 ProtocolStep::new(Fence, &[0]),
                 ProtocolStep::new(Publish { label: "p" }, &[1]),
-                ProtocolStep::new(Flush { covers: &["p"] }, &[2]),
+                ProtocolStep::new(Flush { covers: vec!["p"] }, &[2]),
                 ProtocolStep::new(Fence, &[3]),
             ],
         };
@@ -1702,35 +1424,13 @@ mod tests {
 
     /// Helper: a simple "store then publish" spec bound to two lines.
     fn simple_spec() -> ProtocolSpec {
-        use StepKind::*;
-        ProtocolSpec {
+        build(&Row {
             name: "test-simple",
             what: "one store, one publish",
-            steps: vec![
-                ProtocolStep::new(
-                    Store {
-                        label: "payload",
-                        checksummed: false,
-                    },
-                    &[],
-                ),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["payload"],
-                    },
-                    &[0],
-                ),
-                ProtocolStep::new(Fence, &[1]),
-                ProtocolStep::new(Publish { label: "publish" }, &[2]),
-                ProtocolStep::new(
-                    Flush {
-                        covers: &["publish"],
-                    },
-                    &[3],
-                ),
-                ProtocolStep::new(Fence, &[4]),
-            ],
-        }
+            phases: &[&[("payload", false, false)]],
+            external: None,
+            end: End::Publish("publish"),
+        })
     }
 
     fn bindings() -> Vec<RangeBinding> {
