@@ -6,18 +6,17 @@
 //! activate, bump allocation, log append / sync — returns a typed
 //! out-of-space error, and every caller up the chain must unwind with it,
 //! never abort. The rule computes the reverse call-graph closure of the
-//! allocation primitives and flags `.unwrap()` / `.expect(..)` and panic
-//! macros in any non-test fn inside that closure.
+//! allocation primitives and runs the panic scan (`.unwrap()` /
+//! `.expect(..)` and panic macros) over every fn inside it.
 //!
 //! Reachability is name-based over [`CallGraph`] — deliberately
 //! over-approximate (a fn that *might* call an allocation primitive is
 //! held to the no-panic bar), matching the soundness posture of the other
 //! interprocedural rules.
 
-use crate::callgraph::CallGraph;
-use crate::hir::{build_program, Event, HirProgram};
-use crate::lexer::TokKind;
-use crate::rules::Finding;
+use crate::callgraph::{fixpoint, CallGraph, Summary};
+use crate::hir::{Event, HirProgram};
+use crate::rules::{panic_scan, Finding, NoPanic};
 
 /// Rule identifier.
 pub const RULE_ALLOC_UNWRAP: &str = "alloc-unwrap";
@@ -33,114 +32,68 @@ pub const ALLOC_SEEDS: &[(&str, &str)] = &[
     ("wal", "sync"),
 ];
 
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Run the rule over `(path, source)` pairs with the given seeds.
-pub fn alloc_unwrap_findings(files: &[(String, String)], seeds: &[(&str, &str)]) -> Vec<Finding> {
-    let prog = build_program(files);
-    alloc_unwrap_on_program(&prog, seeds)
+/// `Some(witness)` once the fn can observe an allocation error; the
+/// witness names the call that carries the error in.
+impl Summary for Option<String> {
+    type Facts = bool;
+    fn facts(&self) -> bool {
+        self.is_some()
+    }
 }
 
-fn is_seed(prog: &HirProgram, id: usize, seeds: &[(&str, &str)]) -> bool {
-    let f = &prog.fns[id];
-    seeds
-        .iter()
-        .any(|(krate, name)| (krate.is_empty() || f.krate == *krate) && f.name == *name)
-}
-
-fn alloc_unwrap_on_program(prog: &HirProgram, seeds: &[(&str, &str)]) -> Vec<Finding> {
-    let graph = CallGraph::build(prog);
-
-    // `Some(witness)` once the fn can observe an allocation error; the
-    // witness names the call that carries the error in.
-    let mut observes: Vec<Option<String>> = vec![None; prog.fns.len()];
-    for f in &prog.fns {
-        if !f.is_test && is_seed(prog, f.id, seeds) {
-            observes[f.id] = Some("is an allocation primitive".to_owned());
-        }
-    }
-    // Fixpoint over the call graph (reverse reachability from the seeds).
-    loop {
-        let mut changed = false;
-        for f in &prog.fns {
-            if f.is_test || observes[f.id].is_some() {
-                continue;
-            }
-            for e in &f.events {
-                let Event::Call(c) = e else { continue };
-                let hit = graph
-                    .resolve(prog, f, c)
-                    .into_iter()
-                    .find(|&id| observes[id].is_some());
-                if hit.is_some() {
-                    observes[f.id] = Some(format!("calls `{}`", c.name));
-                    changed = true;
-                    break;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Token scan inside every fn in the closure: `.unwrap()` / `.expect(`
-    // and the panic macros. Events miss macro bodies, tokens do not.
-    let mut findings = Vec::new();
-    for f in &prog.fns {
-        let Some(witness) = &observes[f.id] else {
-            continue;
+/// Append the `alloc-unwrap` findings of `prog` for the given seeds.
+pub(crate) fn analyze(
+    prog: &HirProgram,
+    graph: &CallGraph,
+    seeds: &[(&str, &str)],
+    findings: &mut Vec<Finding>,
+) {
+    let observes = fixpoint(prog, |f, observes: &[Option<String>]| {
+        let seed = |&(krate, name): &(&str, &str)| {
+            (krate.is_empty() || f.krate == krate) && f.name == name
         };
-        // Test-only code may unwrap freely: `#[cfg(test)]` fns, and whole
-        // integration-test / bench / example files.
-        if f.is_test
-            || f.file.contains("/tests/")
-            || f.file.contains("/benches/")
-            || f.file.contains("/examples/")
-        {
-            continue;
+        if observes[f.id].is_some() {
+            return observes[f.id].clone();
         }
-        for (i, t) in f.tokens.iter().enumerate() {
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let prev_dot = i > 0 && f.tokens[i - 1].is_punct('.');
-            let next_paren = f.tokens.get(i + 1).is_some_and(|n| n.is_punct('('));
-            let next_bang = f.tokens.get(i + 1).is_some_and(|n| n.is_punct('!'));
-            let (what, hit) = match t.text.as_str() {
-                "unwrap" | "expect" if prev_dot && next_paren => {
-                    (format!("`.{}(..)`", t.text), true)
-                }
-                name if PANIC_MACROS.contains(&name) && next_bang => (format!("`{name}!`"), true),
-                _ => (String::new(), false),
-            };
-            if hit {
-                findings.push(Finding {
-                    rule: RULE_ALLOC_UNWRAP,
-                    file: f.file.clone(),
-                    line: t.line,
-                    col: t.col,
-                    msg: format!(
-                        "{what} in `{}`, which can observe an allocation failure \
-                         ({witness}) — capacity exhaustion must unwind as a typed \
-                         error, not abort",
-                        f.name
-                    ),
-                });
-            }
+        if seeds.iter().any(seed) {
+            return Some("is an allocation primitive".to_owned());
+        }
+        f.events.iter().find_map(|e| {
+            let Event::Call(c) = e else { return None };
+            let hit = graph
+                .resolve(prog, f, c)
+                .into_iter()
+                .any(|id| observes[id].is_some());
+            hit.then(|| format!("calls `{}`", c.name))
+        })
+    });
+    for (f, witness) in prog.fns.iter().zip(&observes) {
+        // Whole integration-test / bench / example files may unwrap freely.
+        let test_file = ["/tests/", "/benches/", "/examples/"]
+            .iter()
+            .any(|d| f.file.contains(d));
+        if let (Some(witness), false) = (witness, test_file) {
+            panic_scan(f, NoPanic::Alloc(witness), findings);
         }
     }
-    findings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hir::build_program;
 
     const SEEDS: &[(&str, &str)] = &[("", "reserve")];
 
+    fn run_with(src: &str, seeds: &[(&str, &str)]) -> Vec<Finding> {
+        let prog = build_program(&[("crates/x/src/lib.rs".to_owned(), src.to_owned())]);
+        let mut findings = Vec::new();
+        analyze(&prog, &CallGraph::build(&prog), seeds, &mut findings);
+        findings
+    }
+
     fn run(src: &str) -> Vec<Finding> {
-        alloc_unwrap_findings(&[("crates/x/src/lib.rs".to_owned(), src.to_owned())], SEEDS)
+        run_with(src, SEEDS)
     }
 
     #[test]
@@ -180,12 +133,8 @@ mod tests {
 
     #[test]
     fn crate_scoped_seeds_do_not_match_other_crates() {
-        let f = alloc_unwrap_findings(
-            &[(
-                "crates/x/src/lib.rs".to_owned(),
-                "fn reserve(n: u64) -> u64 { n }\nfn go() { let v = reserve(8); other().unwrap(); }\nfn other() -> Option<u64> { None }"
-                    .to_owned(),
-            )],
+        let f = run_with(
+            "fn reserve(n: u64) -> u64 { n }\nfn go() { let v = reserve(8); other().unwrap(); }\nfn other() -> Option<u64> { None }",
             &[("nvm", "reserve")],
         );
         assert!(f.is_empty(), "{f:?}");

@@ -39,8 +39,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::CallGraph;
-use crate::dataflow::{classify, fn_disp, AnalysisCtx, Intrinsic, Site};
+use crate::callgraph::{
+    fixpoint, fn_disp, intrinsic, lock_kind, CallGraph, Chain, Effect, LockKind, Site, Summary,
+};
+use crate::dataflow::AnalysisCtx;
 use crate::hir::{CallEvent, Event, HirFn, HirProgram};
 use crate::lexer::TokKind;
 use crate::rules::Finding;
@@ -54,9 +56,7 @@ pub const RULE_GUARD_ESCAPE: &str = "guard-escape";
 /// Rule: inconsistent lock acquisition order / self re-acquisition.
 pub const RULE_LOCK_CYCLE: &str = "lock-cycle";
 
-const MAX_CHAIN: usize = 8;
 const MAX_OPS: usize = 64;
-const MAX_ROUNDS: usize = 12;
 
 // ---------------------------------------------------------------------
 // Atomics-ordering dataflow
@@ -104,31 +104,24 @@ fn ordering_tokens(f: &HirFn, call: &CallEvent) -> Vec<String> {
     out
 }
 
-/// Classify a call as an atomic operation, or `None`.
-fn classify_atomic(f: &HirFn, call: &CallEvent) -> Option<AtomicOp> {
+/// Classify a call as an atomic operation, or `None`. `effect` is the
+/// call's intrinsic effect, if it has one.
+fn classify_atomic(f: &HirFn, call: &CallEvent, effect: Option<Effect>) -> Option<AtomicOp> {
     // Region publication primitives: the ordering is in the name.
-    if call.qualifiers.is_empty() && call.recv.is_some() {
-        match (call.name.as_str(), call.args.len()) {
-            ("store_u64_release", 2) => {
-                return Some(AtomicOp {
-                    kind: AtomKind::Store,
-                    release: true,
-                    acquire: false,
-                    known: true,
-                    disp: "Release".to_owned(),
-                })
-            }
-            ("load_u64_acquire", 1) => {
-                return Some(AtomicOp {
-                    kind: AtomKind::Load,
-                    release: false,
-                    acquire: true,
-                    known: true,
-                    disp: "Acquire".to_owned(),
-                })
-            }
-            _ => {}
-        }
+    let named = |kind, release: bool, disp: &str| {
+        let (acquire, known, disp) = (!release, true, disp.to_owned());
+        Some(AtomicOp {
+            kind,
+            release,
+            acquire,
+            known,
+            disp,
+        })
+    };
+    match effect {
+        Some(Effect::ReleaseStore) => return named(AtomKind::Store, true, "Release"),
+        Some(Effect::AcquireLoad) => return named(AtomKind::Load, false, "Acquire"),
+        _ => {}
     }
     // Qualified calls are only atomic when the path names an atomic type
     // (`AtomicU64::store(..)`); `ptr::write` etc. never are.
@@ -175,15 +168,8 @@ fn classify_atomic(f: &HirFn, call: &CallEvent) -> Option<AtomicOp> {
     }
 }
 
-/// Is this call a plain (non-atomic) NVM word read?
-fn is_plain_load(call: &CallEvent) -> bool {
-    call.qualifiers.is_empty()
-        && call.recv.is_some()
-        && matches!(call.name.as_str(), "read_pod" | "read_bytes")
-}
-
 /// One atomic / plain memory op visible from a fn, with the call chain
-/// that reaches it (most recent frame last).
+/// that reaches it.
 #[derive(Debug, Clone)]
 struct OpSite {
     site: Site,
@@ -191,13 +177,7 @@ struct OpSite {
     acquire: bool,
     known: bool,
     disp: String,
-    chain: Vec<Site>,
-}
-
-impl OpSite {
-    fn key(&self) -> (String, u32, u32) {
-        (self.site.file.clone(), self.site.line, self.site.col)
-    }
+    chain: Chain,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -212,45 +192,28 @@ struct AtomSummary {
     plain_loads: Vec<OpSite>,
 }
 
-impl AtomSummary {
-    fn digest(&self) -> String {
-        let fmt = |v: &[OpSite]| {
-            let mut s: Vec<String> = v
+type OpFact = (String, u32, u32, bool, bool, bool);
+
+impl Summary for AtomSummary {
+    type Facts = [Vec<OpFact>; 4];
+    fn facts(&self) -> Self::Facts {
+        let facts = |ops: &[OpSite]| {
+            let mut v: Vec<OpFact> = ops
                 .iter()
                 .map(|o| {
-                    format!(
-                        "{}:{}:{}/{}{}{}",
-                        o.site.file,
-                        o.site.line,
-                        o.site.col,
-                        o.release as u8,
-                        o.acquire as u8,
-                        o.known as u8
-                    )
+                    let s = &o.site;
+                    (s.file.clone(), s.line, s.col, o.release, o.acquire, o.known)
                 })
                 .collect();
-            s.sort();
-            s.join(",")
+            v.sort();
+            v
         };
-        format!(
-            "{}|{}|{}|{}",
-            fmt(&self.stores),
-            fmt(&self.plain_stores),
-            fmt(&self.loads),
-            fmt(&self.plain_loads)
-        )
-    }
-}
-
-fn inherit(into: &mut Vec<OpSite>, from: &[OpSite], frame: &Site) {
-    let have: BTreeSet<(String, u32, u32)> = into.iter().map(|o| o.key()).collect();
-    for op in from {
-        if op.chain.len() >= MAX_CHAIN || have.contains(&op.key()) || into.len() >= MAX_OPS {
-            continue;
-        }
-        let mut o = op.clone();
-        o.chain.push(frame.clone());
-        into.push(o);
+        [
+            facts(&self.stores),
+            facts(&self.plain_stores),
+            facts(&self.loads),
+            facts(&self.plain_loads),
+        ]
     }
 }
 
@@ -264,7 +227,8 @@ fn walk_atomics(
     let mut out = AtomSummary::default();
     for ev in &f.events {
         let Event::Call(call) = ev else { continue };
-        if acquisition(call).is_some() {
+        let effect = intrinsic(f, call).map(|i| i.effect);
+        if let Some(Effect::Lock(_)) = effect {
             continue; // lock acquisition: opaque to the atomics pass
         }
         let mk = |what: &str, op: Option<&AtomicOp>| OpSite {
@@ -278,9 +242,9 @@ fn walk_atomics(
             acquire: op.map(|o| o.acquire).unwrap_or(false),
             known: op.map(|o| o.known).unwrap_or(true),
             disp: op.map(|o| o.disp.clone()).unwrap_or_default(),
-            chain: Vec::new(),
+            chain: Chain::default(),
         };
-        if let Some(op) = classify_atomic(f, call) {
+        if let Some(op) = classify_atomic(f, call, effect) {
             let site = mk(&call.name, Some(&op));
             match op.kind {
                 AtomKind::Store => out.stores.push(site),
@@ -292,24 +256,20 @@ fn walk_atomics(
             }
             continue;
         }
-        match classify(f, call) {
-            Some(Intrinsic::DirtyStore { .. } | Intrinsic::DurableStore { .. }) => {
+        match effect {
+            Some(Effect::Store | Effect::DurableStore) => {
                 out.plain_stores.push(mk(&call.name, None));
                 continue;
             }
-            Some(_) => continue, // flush/fence/persist: no data word written
-            None => {}
+            Some(Effect::PlainLoad) => {
+                out.plain_loads.push(mk(&call.name, None));
+                continue;
+            }
+            // flush/fence/persist: no data word written
+            Some(Effect::Flush | Effect::Fence | Effect::Persist) => continue,
+            _ => {}
         }
-        if is_plain_load(call) {
-            out.plain_loads.push(mk(&call.name, None));
-            continue;
-        }
-        let frame = Site::of(
-            f,
-            call.line,
-            call.col,
-            format!("via call to `{}` in `{}`", call.name, fn_disp(f)),
-        );
+        let frame = Site::frame(f, call);
         for &id in &graph.resolve(prog, f, call) {
             // Substrate boundary: the nvm crate's internals (simulator
             // bookkeeping, Relaxed stat counters) are not publication.
@@ -317,36 +277,39 @@ fn walk_atomics(
                 continue;
             }
             let s = &summaries[id];
-            inherit(&mut out.stores, &s.stores, &frame);
-            inherit(&mut out.loads, &s.loads, &frame);
-            inherit(&mut out.plain_stores, &s.plain_stores, &frame);
-            inherit(&mut out.plain_loads, &s.plain_loads, &frame);
+            let lists = [
+                (&mut out.stores, &s.stores),
+                (&mut out.loads, &s.loads),
+                (&mut out.plain_stores, &s.plain_stores),
+                (&mut out.plain_loads, &s.plain_loads),
+            ];
+            for (into, from) in lists {
+                let had = into.len();
+                for op in from {
+                    if into.len() >= MAX_OPS || into[..had].iter().any(|o| o.site.at(&op.site)) {
+                        continue;
+                    }
+                    if let Some(chain) = op.chain.via(&frame) {
+                        into.push(OpSite {
+                            chain,
+                            ..op.clone()
+                        });
+                    }
+                }
+            }
         }
     }
     out
 }
 
-fn op_path(op: &OpSite, anchor: &Site) -> String {
-    let mut parts = vec![op.site.brief()];
-    for c in &op.chain {
-        parts.push(c.brief());
-    }
-    parts.push(anchor.brief());
-    parts.join(" -> ")
-}
-
-/// Check one annotated publish/observe site against the converged atomic
-/// summaries.
-#[allow(clippy::too_many_arguments)]
+/// Check one annotated publish/observe site — `(call, label, is_publish,
+/// released)` — against the converged atomic summaries.
 fn check_annotated_site(
     prog: &HirProgram,
     graph: &CallGraph,
     f: &HirFn,
-    call: &CallEvent,
     summaries: &[AtomSummary],
-    label: &str,
-    is_publish: bool,
-    released: bool,
+    (call, label, is_publish, released): (&CallEvent, &str, bool, bool),
     findings: &mut Vec<Finding>,
 ) {
     let side = if is_publish { "publish" } else { "observe" };
@@ -367,15 +330,16 @@ fn check_annotated_site(
         format!("{side} `{label}` in `{}`", fn_disp(f)),
     );
     let push = |findings: &mut Vec<Finding>, msg: String| {
-        findings.push(Finding {
-            rule: RULE_ATOMIC_ORDERING,
-            file: f.file.clone(),
-            line: call.line,
-            col: call.col,
+        findings.push(Finding::new(
+            RULE_ATOMIC_ORDERING,
+            &f.file,
+            call.line,
+            call.col,
             msg,
-        });
+        ));
     };
-    if let Some(op) = classify_atomic(f, call) {
+    let effect = intrinsic(f, call).map(|i| i.effect);
+    if let Some(op) = classify_atomic(f, call, effect) {
         let ok = match (is_publish, op.kind) {
             (true, AtomKind::Load) | (false, AtomKind::Store) => false, // side mismatch
             (true, _) => !op.known || op.release,
@@ -393,12 +357,9 @@ fn check_annotated_site(
         return;
     }
     let plain = if is_publish {
-        matches!(
-            classify(f, call),
-            Some(Intrinsic::DirtyStore { .. } | Intrinsic::DurableStore { .. })
-        )
+        matches!(effect, Some(Effect::Store | Effect::DurableStore))
     } else {
-        is_plain_load(call)
+        effect == Some(Effect::PlainLoad)
     };
     if plain {
         if released {
@@ -432,16 +393,14 @@ fn check_annotated_site(
         for op in atomics {
             let ok = if is_publish { op.release } else { op.acquire };
             if op.known && !ok {
-                hit.push(format!(
-                    "atomic op with ordering {}; path: {}",
-                    op.disp,
-                    op_path(op, &anchor)
-                ));
+                let path = op.chain.path(op.site.brief(), &anchor);
+                hit.push(format!("atomic op with ordering {}; path: {path}", op.disp));
             }
         }
         if released {
             for op in plains {
-                hit.push(format!("plain NVM access; path: {}", op_path(op, &anchor)));
+                let path = op.chain.path(op.site.brief(), &anchor);
+                hit.push(format!("plain NVM access; path: {path}"));
             }
         }
     }
@@ -458,31 +417,6 @@ fn check_annotated_site(
 // ---------------------------------------------------------------------
 // Lock discipline
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LockKind {
-    Mutex,
-    Read,
-    Write,
-}
-
-/// Zero-arg `recv.lock()` / `.read()` / `.write()`: an acquisition call.
-/// Returns the lock identity (the receiver field name) and kind. These
-/// calls are opaque to every pass — resolving `write` by name would
-/// alias unrelated engine fns.
-fn acquisition(call: &CallEvent) -> Option<(String, LockKind)> {
-    if !call.qualifiers.is_empty() || !call.args.is_empty() {
-        return None;
-    }
-    let recv = call.recv.as_ref()?;
-    let kind = match call.name.as_str() {
-        "lock" => LockKind::Mutex,
-        "read" => LockKind::Read,
-        "write" => LockKind::Write,
-        _ => return None,
-    };
-    Some((recv.clone(), kind))
-}
 
 /// Parse a `let` initializer span as a guard acquisition: the expression
 /// must *end* in a zero-arg `.lock()`/`.read()`/`.write()` (with optional
@@ -502,22 +436,14 @@ fn guard_init(f: &HirFn, span: (usize, usize)) -> Option<(String, LockKind)> {
     {
         e -= 4;
     }
-    if e >= 5
+    let shape = e >= 5
         && toks[e - 1].is_punct(')')
         && toks[e - 2].is_punct('(')
         && toks[e - 3].kind == TokKind::Ident
         && toks[e - 4].is_punct('.')
-        && toks[e - 5].kind == TokKind::Ident
-    {
-        let kind = match toks[e - 3].text.as_str() {
-            "lock" => LockKind::Mutex,
-            "read" => LockKind::Read,
-            "write" => LockKind::Write,
-            _ => return None,
-        };
-        return Some((toks[e - 5].text.clone(), kind));
-    }
-    None
+        && toks[e - 5].kind == TokKind::Ident;
+    let kind = lock_kind(&toks[e.checked_sub(3)?].text).filter(|_| shape)?;
+    Some((toks[e - 5].text.clone(), kind))
 }
 
 /// A live lock guard within one fn body.
@@ -581,51 +507,28 @@ fn fence_resolvable(call: &CallEvent) -> bool {
 /// fence-under-lock check. Atomic ops and lock acquisitions are opaque
 /// (an atomic `store(.., Release)` must not resolve to `PVar::store`).
 fn compute_does_fence(prog: &HirProgram, graph: &CallGraph) -> Vec<bool> {
-    let mut df = vec![false; prog.fns.len()];
-    for _ in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for f in &prog.fns {
-            if df[f.id] || f.is_test {
-                continue;
-            }
-            let mut hit = false;
-            for ev in &f.events {
-                let Event::Call(call) = ev else { continue };
-                if acquisition(call).is_some() || classify_atomic(f, call).is_some() {
-                    continue;
+    fixpoint(prog, |f, df: &[bool]| {
+        df[f.id]
+            || f.events.iter().any(|ev| {
+                let Event::Call(call) = ev else { return false };
+                let effect = intrinsic(f, call).map(|i| i.effect);
+                if matches!(effect, Some(Effect::Lock(_)))
+                    || classify_atomic(f, call, effect).is_some()
+                {
+                    return false;
                 }
-                match classify(f, call) {
+                match effect {
                     Some(
-                        Intrinsic::Flush
-                        | Intrinsic::Fence
-                        | Intrinsic::FlushFence
-                        | Intrinsic::DurableStore { .. },
-                    ) => {
-                        hit = true;
-                    }
-                    Some(_) => {}
-                    None => {
-                        if fence_resolvable(call)
+                        Effect::Flush | Effect::Fence | Effect::Persist | Effect::DurableStore,
+                    ) => true,
+                    Some(Effect::Store) => false,
+                    _ => {
+                        fence_resolvable(call)
                             && graph.resolve(prog, f, call).iter().any(|&id| df[id])
-                        {
-                            hit = true;
-                        }
                     }
                 }
-                if hit {
-                    break;
-                }
-            }
-            if hit {
-                df[f.id] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    df
+            })
+    })
 }
 
 /// Lock-discipline walk of one fn: fence-under-lock, guard escape,
@@ -669,6 +572,7 @@ fn walk_locks(
             }
             Event::Call(call) => {
                 let idx = call.tok_idx;
+                let effect = intrinsic(f, call).map(|i| i.effect);
                 let live: Vec<usize> = guards
                     .iter()
                     .enumerate()
@@ -693,29 +597,26 @@ fn walk_locks(
                 // sites only: the name-based call graph is too coarse to
                 // propagate lock sets through callees without phantom
                 // pairs (a documented approximation — see DESIGN.md).
-                let acquired: Vec<(String, bool)> = acquisition(call)
-                    .map(|(lock, kind)| (lock, kind == LockKind::Read))
-                    .into_iter()
-                    .collect();
-                for (lock, is_read) in &acquired {
+                if let (Some(Effect::Lock(kind)), Some(lock)) = (effect, &call.recv) {
                     for &gi in &live {
                         let g = &guards[gi];
                         if g.lock == *lock {
                             // Read-read reentrance on an RwLock is legal.
-                            if *is_read && g.kind == LockKind::Read {
+                            if kind == LockKind::Read && g.kind == LockKind::Read {
                                 continue;
                             }
-                            findings.push(Finding {
-                                rule: RULE_LOCK_CYCLE,
-                                file: f.file.clone(),
-                                line: call.line,
-                                col: call.col,
-                                msg: format!(
-                                    "lock `{lock}` acquired in `{}` while already held since line {}; std locks are not reentrant — this self-deadlocks",
-                                    fn_disp(f),
-                                    g.born_line,
-                                ),
-                            });
+                            let msg = format!(
+                                "lock `{lock}` acquired in `{}` while already held since line {}; std locks are not reentrant — this self-deadlocks",
+                                fn_disp(f),
+                                g.born_line,
+                            );
+                            findings.push(Finding::new(
+                                RULE_LOCK_CYCLE,
+                                &f.file,
+                                call.line,
+                                call.col,
+                                msg,
+                            ));
                         } else {
                             pairs
                                 .entry((g.lock.clone(), lock.clone()))
@@ -734,24 +635,21 @@ fn walk_locks(
                                 });
                         }
                     }
-                }
-                if !acquired.is_empty() {
                     continue;
                 }
                 // Persist fences while a guard is live.
                 if live.is_empty() || f.lock_held_persist {
                     continue;
                 }
-                let fence_what: Option<String> = match classify(f, call) {
+                let fence_what: Option<String> = match effect {
                     Some(
-                        Intrinsic::Flush
-                        | Intrinsic::Fence
-                        | Intrinsic::FlushFence
-                        | Intrinsic::DurableStore { .. },
+                        Effect::Flush | Effect::Fence | Effect::Persist | Effect::DurableStore,
                     ) => Some(format!("`{}`", call.name)),
-                    Some(_) => None,
-                    None if classify_atomic(f, call).is_some() || !fence_resolvable(call) => None,
-                    None => graph
+                    Some(Effect::Store) => None,
+                    _ if classify_atomic(f, call, effect).is_some() || !fence_resolvable(call) => {
+                        None
+                    }
+                    _ => graph
                         .resolve(prog, f, call)
                         .iter()
                         .find(|&&id| does_fence[id])
@@ -765,22 +663,23 @@ fn walk_locks(
                 };
                 if let Some(what) = fence_what {
                     let g = &guards[live[0]];
-                    findings.push(Finding {
-                        rule: RULE_LOCK_HELD_PERSIST,
-                        file: f.file.clone(),
-                        line: call.line,
-                        col: call.col,
-                        msg: format!(
-                            "persist fence {what} in `{}` while holding lock `{}` (acquired line {}); persist latency under a lock stalls every contending thread — drop the guard first, or annotate the fn `// pmlint: lock-held-persist(<reason>)` if the protocol requires it",
-                            fn_disp(f),
-                            g.lock,
-                            g.born_line,
-                        ),
-                    });
+                    let msg = format!(
+                        "persist fence {what} in `{}` while holding lock `{}` (acquired line {}); persist latency under a lock stalls every contending thread — drop the guard first, or annotate the fn `// pmlint: lock-held-persist(<reason>)` if the protocol requires it",
+                        fn_disp(f),
+                        g.lock,
+                        g.born_line,
+                    );
+                    findings.push(Finding::new(
+                        RULE_LOCK_HELD_PERSIST,
+                        &f.file,
+                        call.line,
+                        call.col,
+                        msg,
+                    ));
                 }
             }
-            Event::Return(r) => {
-                let (s, e) = r.expr;
+            Event::Return((s, e)) => {
+                let (s, e) = (*s, *e);
                 for g in guards.iter().filter(|g| g.live_at(&depth, s.max(1))) {
                     for (k, t) in f.tokens[s..e].iter().enumerate() {
                         let gi = s + k;
@@ -797,18 +696,13 @@ fn walk_locks(
                         if next_use || field {
                             continue;
                         }
-                        findings.push(Finding {
-                            rule: RULE_GUARD_ESCAPE,
-                            file: f.file.clone(),
-                            line: t.line,
-                            col: t.col,
-                            msg: format!(
-                                "guard `{}` for lock `{}` escapes `{}` by return; the lock stays held for as long as the caller keeps the value — extract the data and drop the guard instead",
-                                t.text,
-                                g.lock,
-                                fn_disp(f),
-                            ),
-                        });
+                        let msg = format!(
+                            "guard `{}` for lock `{}` escapes `{}` by return; the lock stays held for as long as the caller keeps the value — extract the data and drop the guard instead",
+                            t.text,
+                            g.lock,
+                            fn_disp(f),
+                        );
+                        findings.push(Finding::new(RULE_GUARD_ESCAPE, &f.file, t.line, t.col, msg));
                         break;
                     }
                 }
@@ -829,56 +723,18 @@ pub(crate) fn analyze(
     ctx: &AnalysisCtx,
     findings: &mut Vec<Finding>,
 ) {
-    // Atomics fixpoint.
-    let mut asums: Vec<AtomSummary> = vec![AtomSummary::default(); prog.fns.len()];
-    for _ in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for f in &prog.fns {
-            if f.is_test {
-                continue;
-            }
-            let next = walk_atomics(prog, graph, f, &asums);
-            if next.digest() != asums[f.id].digest() {
-                changed = true;
-            }
-            asums[f.id] = next;
-        }
-        if !changed {
-            break;
-        }
-    }
+    let asums = fixpoint(prog, |f, sums| walk_atomics(prog, graph, f, sums));
     let released: BTreeSet<&str> = ctx.released_labels.iter().map(|s| s.as_str()).collect();
     for f in &prog.fns {
-        if f.is_test {
-            continue;
-        }
         for ev in &f.events {
             let Event::Call(call) = ev else { continue };
-            if let Some(label) = &call.publish_label {
-                check_annotated_site(
-                    prog,
-                    graph,
-                    f,
-                    call,
-                    &asums,
-                    label,
-                    true,
-                    released.contains(label.as_str()),
-                    findings,
-                );
-            }
-            if let Some(label) = &call.observe_label {
-                check_annotated_site(
-                    prog,
-                    graph,
-                    f,
-                    call,
-                    &asums,
-                    label,
-                    false,
-                    released.contains(label.as_str()),
-                    findings,
-                );
+            let sides = [(true, &call.publish_label), (false, &call.observe_label)];
+            for (is_publish, label) in sides {
+                if let Some(label) = label {
+                    let released = released.contains(label.as_str());
+                    let site = (call, label.as_str(), is_publish, released);
+                    check_annotated_site(prog, graph, f, &asums, site, findings);
+                }
             }
         }
     }
@@ -887,9 +743,6 @@ pub(crate) fn analyze(
     let does_fence = compute_does_fence(prog, graph);
     let mut pairs: BTreeMap<(String, String), Site> = BTreeMap::new();
     for f in &prog.fns {
-        if f.is_test {
-            continue;
-        }
         walk_locks(prog, graph, f, &does_fence, &mut pairs, findings);
     }
     // Inconsistent pairwise order across the program: A→B here, B→A
@@ -898,17 +751,18 @@ pub(crate) fn analyze(
     for ((a, b), site) in &pairs {
         if a < b {
             if let Some(rev) = pairs.get(&(b.clone(), a.clone())) {
-                findings.push(Finding {
-                    rule: RULE_LOCK_CYCLE,
-                    file: site.file.clone(),
-                    line: site.line,
-                    col: site.col,
-                    msg: format!(
-                        "inconsistent lock order: {} but {} — a concurrent interleaving deadlocks; pick one order",
-                        site.brief(),
-                        rev.brief(),
-                    ),
-                });
+                let msg = format!(
+                    "inconsistent lock order: {} but {} — a concurrent interleaving deadlocks; pick one order",
+                    site.brief(),
+                    rev.brief(),
+                );
+                findings.push(Finding::new(
+                    RULE_LOCK_CYCLE,
+                    &site.file,
+                    site.line,
+                    site.col,
+                    msg,
+                ));
             }
         }
     }
@@ -1136,10 +990,10 @@ mod tests {
     #[test]
     fn interprocedural_fence_under_lock() {
         let f = run(
-            "fn persist_all_dirty(region: &R) { region.persist(0, 8); }\n\
+            "fn persist_dirty(region: &R) { region.persist(0, 8); }\n\
              fn commit(&self, region: &R) {\n\
              let g = self.state.lock();\n\
-             persist_all_dirty(region);\n\
+             persist_dirty(region);\n\
              }",
             &[],
             &[],
@@ -1148,7 +1002,7 @@ mod tests {
             .iter()
             .find(|x| x.rule == RULE_LOCK_HELD_PERSIST)
             .expect("transitive fence under lock");
-        assert!(hit.msg.contains("persist_all_dirty"), "{}", hit.msg);
+        assert!(hit.msg.contains("persist_dirty"), "{}", hit.msg);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Lint configuration: which files/fns are recovery- or replay-critical,
-//! and which tree-level rules run.
+//! and which findings are suppressed.
 
 /// One recovery/replay-critical scope: a file, optionally narrowed to a
 /// set of fns within it.
@@ -35,26 +35,16 @@ pub struct Config {
     /// Recovery/replay-critical scopes (drives `recovery-unwrap`,
     /// `recovery-panic`, `recovery-indexing`).
     pub critical: Vec<CriticalScope>,
-    /// Run the tree-level `publish-once-media` rule against the nvm
-    /// protocol registry.
-    pub check_media_registry: bool,
-    /// Run the interprocedural persist-order and taint analyses
-    /// (`persist-order`, `unflushed-escape`, `volatile-escape`,
-    /// `publish-binding`) over the engine crates.
-    pub check_dataflow: bool,
     /// Suppressions: `(rule, path-suffix)` pairs dropped from the final
     /// finding list (loaded from `pmlint.suppress`).
     pub suppressions: Vec<(String, String)>,
 }
 
 impl Config {
-    /// An empty config: only the scope-free rules run (raw writes, Pod
-    /// layout, SAFETY comments, `get_unchecked`).
+    /// An empty config: no critical scopes, no suppressions.
     pub fn empty() -> Config {
         Config {
             critical: Vec::new(),
-            check_media_registry: false,
-            check_dataflow: false,
             suppressions: Vec::new(),
         }
     }
@@ -110,8 +100,6 @@ impl Config {
                     ],
                 ),
             ],
-            check_media_registry: true,
-            check_dataflow: true,
             suppressions: Vec::new(),
         }
     }

@@ -34,9 +34,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::callgraph::CallGraph;
-use crate::dataflow::{classify, fn_disp, Intrinsic, Site};
-use crate::hir::{CallEvent, Event, HirFn, HirProgram, Span};
+use crate::callgraph::{
+    fixpoint, fn_disp, intrinsic, CallGraph, Chain, Effect, Site, Summary, MAX_CHAIN,
+};
+use crate::hir::{CallEvent, Event, HirFn, HirProgram};
 use crate::lexer::TokKind;
 use crate::rules::Finding;
 
@@ -60,10 +61,10 @@ enum AbsEvent {
     Flush {
         key: String,
         site: Site,
-        chain: Vec<Site>,
+        chain: Chain,
     },
     /// Store fence.
-    Fence { site: Site, chain: Vec<Site> },
+    Fence { site: Site, chain: Chain },
     /// Control-flow merge point between events (branch arm, loop head):
     /// pairing across it would assume both arms execute.
     Barrier,
@@ -78,40 +79,32 @@ struct CostSummary {
     trace: Vec<AbsEvent>,
 }
 
-impl CostSummary {
-    fn digest(&self) -> String {
-        let mut s = String::new();
-        for ev in &self.trace {
-            match ev {
-                AbsEvent::Store { key } => {
-                    s.push('S');
-                    s.push_str(key);
-                }
-                AbsEvent::Flush { key, .. } => {
-                    s.push('F');
-                    s.push_str(key);
-                }
-                AbsEvent::Fence { .. } => s.push('N'),
-                AbsEvent::Barrier => s.push('B'),
-                AbsEvent::Opaque => s.push('O'),
-            }
-            s.push('|');
-        }
-        s
+impl Summary for CostSummary {
+    /// The trace's event kinds with their line keys.
+    type Facts = Vec<(char, String)>;
+    fn facts(&self) -> Self::Facts {
+        let fact = |ev: &AbsEvent| match ev {
+            AbsEvent::Store { key } => ('S', key.clone()),
+            AbsEvent::Flush { key, .. } => ('F', key.clone()),
+            AbsEvent::Fence { .. } => ('N', String::new()),
+            AbsEvent::Barrier => ('B', String::new()),
+            AbsEvent::Opaque => ('O', String::new()),
+        };
+        self.trace.iter().map(fact).collect()
     }
 }
 
 /// Longest trace a summary may carry before degrading to opaque. Keeps
-/// inlining (and the fixpoint digest) bounded on deep call chains.
+/// inlining (and the fixpoint) bounded on deep call chains.
 const MAX_TRACE: usize = 32;
-const MAX_CHAIN: usize = 8;
-const MAX_ROUNDS: usize = 12;
 
-/// Render the source text of a token span (identifiers and literals
-/// verbatim, punctuation as-is) — the textual identity of a flush/store
-/// target.
-fn span_text(f: &HirFn, span: Span) -> String {
+/// The textual identity of an intrinsic's target line: receiver plus the
+/// target argument's source text (`region.flush(self.desc + 8, 8)` →
+/// `region[self.desc+8]`). Two events with equal keys touch the same
+/// line as far as a linear, alias-free reading of the source can tell.
+fn target_key(f: &HirFn, call: &CallEvent, target: usize) -> String {
     let mut s = String::new();
+    let span = call.args.get(target).copied().unwrap_or((0, 0));
     for t in &f.tokens[span.0..span.1] {
         match t.kind {
             TokKind::Punct(c) => s.push(c),
@@ -127,45 +120,7 @@ fn span_text(f: &HirFn, span: Span) -> String {
             }
         }
     }
-    s
-}
-
-/// The textual identity of an intrinsic's target line: receiver plus the
-/// offset-ish argument (`region.flush(self.desc + 8, 8)` →
-/// `region[self.desc+8]`). Two events with equal keys touch the same
-/// line as far as a linear, alias-free reading of the source can tell.
-fn target_key(f: &HirFn, call: &CallEvent) -> String {
-    let recv = call.recv.clone().unwrap_or_default();
-    // Region-first intrinsics (`set(region, i, v)`, `store(region, i,
-    // v)`) target their second argument; direct region methods
-    // (`flush(off, len)`, `write_pod(off, v)`) their first.
-    let idx = match call.name.as_str() {
-        "set" | "set_volatile" | "copy_from_slice" | "store" | "push" | "push_unpublished"
-        | "publish_len" | "append_bytes" => 1,
-        _ => 0,
-    };
-    let arg = call
-        .args
-        .get(idx)
-        .map(|&s| span_text(f, s))
-        .unwrap_or_default();
-    format!("{recv}[{arg}]")
-}
-
-/// Cost-model classification: the shared [`classify`] intrinsics plus
-/// the atomic release store (`store_u64_release(off, v)`), which writes
-/// NVM without flushing it — invisible to the persist lattice (publish
-/// annotations handle its ordering) but load-bearing here, where a
-/// missed store would make the following `persist` look dead.
-fn classify_cost(f: &HirFn, call: &CallEvent) -> Option<Intrinsic> {
-    if call.qualifiers.is_empty()
-        && call.name == "store_u64_release"
-        && call.args.len() == 2
-        && call.recv.is_some()
-    {
-        return Some(Intrinsic::DirtyStore { value_arg: Some(1) });
-    }
-    classify(f, call)
+    format!("{}[{s}]", call.recv.as_deref().unwrap_or_default())
 }
 
 /// Tokens that mark a control-flow merge: events on either side may
@@ -214,83 +169,40 @@ fn walk_cost(
             }
         }
         last_tok = Some(call.tok_idx);
-        match classify_cost(f, call) {
-            Some(Intrinsic::DirtyStore { .. }) => {
-                trace.push(AbsEvent::Store {
-                    key: target_key(f, call),
-                });
-            }
-            Some(Intrinsic::StagedStore { .. }) => {
-                let key = target_key(f, call);
-                let site = flush_site(f, call);
-                trace.push(AbsEvent::Store { key: key.clone() });
-                trace.push(AbsEvent::Flush {
-                    key,
-                    site,
-                    chain: Vec::new(),
-                });
-            }
-            Some(Intrinsic::DurableStore { .. }) => {
-                let key = target_key(f, call);
-                let site = flush_site(f, call);
-                trace.push(AbsEvent::Store { key: key.clone() });
-                trace.push(AbsEvent::Flush {
-                    key,
-                    site: site.clone(),
-                    chain: Vec::new(),
-                });
-                trace.push(AbsEvent::Fence {
-                    site,
-                    chain: Vec::new(),
-                });
-            }
-            Some(Intrinsic::Flush) => {
-                trace.push(AbsEvent::Flush {
-                    key: target_key(f, call),
-                    site: flush_site(f, call),
-                    chain: Vec::new(),
-                });
-            }
-            Some(Intrinsic::Fence) => {
-                trace.push(AbsEvent::Fence {
-                    site: flush_site(f, call),
-                    chain: Vec::new(),
-                });
-            }
-            Some(Intrinsic::FlushFence) => {
-                let site = flush_site(f, call);
-                trace.push(AbsEvent::Flush {
-                    key: target_key(f, call),
-                    site: site.clone(),
-                    chain: Vec::new(),
-                });
-                trace.push(AbsEvent::Fence {
-                    site,
-                    chain: Vec::new(),
-                });
+        let local = |what: &str| {
+            let what = format!("`{what}` in `{}`", fn_disp(f));
+            (Site::of(f, call.line, call.col, what), Chain::default())
+        };
+        let (site, chain) = local(&call.name);
+        match intrinsic(f, call).filter(|i| i.effect.persists()) {
+            Some(i) => {
+                let key = target_key(f, call, i.target);
+                use Effect::*;
+                let stores = matches!(i.effect, Store | ReleaseStore | DurableStore);
+                let flushes = matches!(i.effect, DurableStore | Flush | Persist);
+                let fences = matches!(i.effect, DurableStore | Fence | Persist);
+                if stores {
+                    trace.push(AbsEvent::Store { key: key.clone() });
+                }
+                if flushes {
+                    let (site, chain) = (site.clone(), chain.clone());
+                    trace.push(AbsEvent::Flush { key, site, chain });
+                }
+                if fences {
+                    trace.push(AbsEvent::Fence { site, chain });
+                }
             }
             None => {
                 let callees = graph.resolve(prog, f, call);
-                if callees.is_empty() {
-                    continue; // std / external: no persistence effect
-                }
                 let interesting: Vec<usize> = callees
-                    .iter()
-                    .copied()
+                    .into_iter()
                     .filter(|&id| !summaries[id].trace.is_empty())
                     .collect();
                 match interesting.as_slice() {
                     [] => {}
                     &[id] => {
-                        let frame = Site::of(
-                            f,
-                            call.line,
-                            call.col,
-                            format!("via call to `{}` in `{}`", call.name, fn_disp(f)),
-                        );
-                        for ev in &summaries[id].trace {
-                            trace.push(inherit(ev, &frame));
-                        }
+                        let frame = Site::frame(f, call);
+                        trace.extend(summaries[id].trace.iter().map(|ev| ev.via(&frame)));
                     }
                     // Ambiguous resolution: the union of candidate
                     // traces is not a sequence any execution performs.
@@ -307,45 +219,24 @@ fn walk_cost(
     CostSummary { trace }
 }
 
-fn flush_site(f: &HirFn, call: &CallEvent) -> Site {
-    Site::of(
-        f,
-        call.line,
-        call.col,
-        format!("`{}` in `{}`", call.name, fn_disp(f)),
-    )
-}
-
-fn inherit(ev: &AbsEvent, frame: &Site) -> AbsEvent {
-    match ev {
-        AbsEvent::Flush { key, site, chain } if chain.len() < MAX_CHAIN => {
-            let mut chain = chain.clone();
-            chain.push(frame.clone());
-            AbsEvent::Flush {
+impl AbsEvent {
+    /// This event of a callee's trace, seen through the call frame `frame`
+    /// (a full chain stays as it is).
+    fn via(&self, frame: &Site) -> AbsEvent {
+        let via = |chain: &Chain| chain.via(frame).unwrap_or_else(|| chain.clone());
+        match self {
+            AbsEvent::Flush { key, site, chain } => AbsEvent::Flush {
                 key: key.clone(),
                 site: site.clone(),
-                chain,
-            }
-        }
-        AbsEvent::Fence { site, chain } if chain.len() < MAX_CHAIN => {
-            let mut chain = chain.clone();
-            chain.push(frame.clone());
-            AbsEvent::Fence {
+                chain: via(chain),
+            },
+            AbsEvent::Fence { site, chain } => AbsEvent::Fence {
                 site: site.clone(),
-                chain,
-            }
+                chain: via(chain),
+            },
+            other => other.clone(),
         }
-        other => other.clone(),
     }
-}
-
-fn path_text(first: &Site, first_chain: &[Site], second: &Site) -> String {
-    let mut parts = vec![first.brief()];
-    for c in first_chain {
-        parts.push(c.brief());
-    }
-    parts.push(second.brief());
-    parts.join(" -> ")
 }
 
 /// Scan one converged trace for the three cost rules, reporting only
@@ -353,10 +244,10 @@ fn path_text(first: &Site, first_chain: &[Site], second: &Site) -> String {
 /// helper is charged to the helper, not to every caller.
 fn report_trace(trace: &[AbsEvent], findings: &mut Vec<Finding>) {
     // Key → site of the covering flush with no store since.
-    let mut flushed: BTreeMap<String, (Site, Vec<Site>)> = BTreeMap::new();
+    let mut flushed: BTreeMap<String, (Site, Chain)> = BTreeMap::new();
     // Store keys written but not yet matched by a flush of the same key.
     let mut dirty: BTreeSet<String> = BTreeSet::new();
-    let mut prev_fence: Option<(Site, Vec<Site>)> = None;
+    let mut prev_fence: Option<(Site, Chain)> = None;
     let mut fence_seen = false;
     let mut store_since_fence = false;
     let mut work_since_fence = false;
@@ -371,62 +262,44 @@ fn report_trace(trace: &[AbsEvent], findings: &mut Vec<Finding>) {
             }
             AbsEvent::Flush { key, site, chain } => {
                 let covered = dirty.remove(key);
+                let local = chain.is_local();
                 if let Some((first, first_chain)) = flushed.get(key) {
-                    if chain.is_empty() {
-                        findings.push(Finding {
-                            rule: RULE_REDUNDANT_FLUSH,
-                            file: site.file.clone(),
-                            line: site.line,
-                            col: site.col,
-                            msg: format!(
-                                "line `{key}` is flushed again by {} with no intervening store; \
-                                 the write-back is a no-op — drop it; path: flush {}",
-                                site.brief(),
-                                path_text(first, first_chain, site),
-                            ),
-                        });
-                    }
-                } else if !covered
-                    && dirty.is_empty()
-                    && fence_seen
-                    && !store_since_fence
-                    && chain.is_empty()
-                {
-                    findings.push(Finding {
-                        rule: RULE_DEAD_FLUSH,
-                        file: site.file.clone(),
-                        line: site.line,
-                        col: site.col,
-                        msg: format!(
-                            "flush {} has no reaching store since the last fence; \
-                             every line it could cover is already durable — delete it; path: fence {}",
+                    if local {
+                        let msg = format!(
+                            "line `{key}` is flushed again by {} with no intervening store; \
+                             the write-back is a no-op — drop it; path: flush {}",
                             site.brief(),
-                            match &prev_fence {
-                                Some((fs, fc)) => path_text(fs, fc, site),
-                                None => site.brief(),
-                            },
-                        ),
-                    });
+                            first_chain.path(first.brief(), site),
+                        );
+                        findings.push(Finding::at(RULE_REDUNDANT_FLUSH, site, msg));
+                    }
+                } else if !covered && dirty.is_empty() && fence_seen && !store_since_fence && local
+                {
+                    let msg = format!(
+                        "flush {} has no reaching store since the last fence; \
+                         every line it could cover is already durable — delete it; path: fence {}",
+                        site.brief(),
+                        match &prev_fence {
+                            Some((fs, fc)) => fc.path(fs.brief(), site),
+                            None => site.brief(),
+                        },
+                    );
+                    findings.push(Finding::at(RULE_DEAD_FLUSH, site, msg));
                 }
                 flushed.insert(key.clone(), (site.clone(), chain.clone()));
                 work_since_fence = true;
             }
             AbsEvent::Fence { site, chain } => {
-                if fence_seen && !work_since_fence && chain.is_empty() {
+                if fence_seen && !work_since_fence && chain.is_local() {
                     if let Some((prev, prev_chain)) = &prev_fence {
-                        findings.push(Finding {
-                            rule: RULE_FENCE_COALESCE,
-                            file: site.file.clone(),
-                            line: site.line,
-                            col: site.col,
-                            msg: format!(
-                                "fence {} follows fence {} with no intervening flushed store; \
-                                 the write-back queue is empty — coalesce into one fence; path: fence {}",
-                                site.brief(),
-                                prev.brief(),
-                                path_text(prev, prev_chain, site),
-                            ),
-                        });
+                        let msg = format!(
+                            "fence {} follows fence {} with no intervening flushed store; \
+                             the write-back queue is empty — coalesce into one fence; path: fence {}",
+                            site.brief(),
+                            prev.brief(),
+                            prev_chain.path(prev.brief(), site),
+                        );
+                        findings.push(Finding::at(RULE_FENCE_COALESCE, site, msg));
                     }
                 }
                 prev_fence = Some((site.clone(), chain.clone()));
@@ -455,21 +328,12 @@ fn report_trace(trace: &[AbsEvent], findings: &mut Vec<Finding>) {
     }
 }
 
-/// Zero-arg `recv.lock()` / `.read()` / `.write()` — the same
-/// acquisition shape the lock-discipline pass tracks.
-fn is_lock_acquisition(call: &CallEvent) -> bool {
-    call.qualifiers.is_empty()
-        && call.args.is_empty()
-        && call.recv.is_some()
-        && matches!(call.name.as_str(), "lock" | "read" | "write")
-}
-
 /// The read-path purity gate: from every `// pmlint: read-path` root,
 /// prove the transitive call closure free of persistence primitives and
 /// lock acquisitions.
 fn purity_gate(prog: &HirProgram, graph: &CallGraph, findings: &mut Vec<Finding>) {
     let mut reported: BTreeSet<(String, u32, u32)> = BTreeSet::new();
-    for root in prog.fns.iter().filter(|f| f.read_path && !f.is_test) {
+    for root in prog.fns.iter().filter(|f| f.read_path) {
         let mut visited: BTreeSet<usize> = BTreeSet::new();
         let mut queue: VecDeque<(usize, Vec<String>)> = VecDeque::new();
         visited.insert(root.id);
@@ -478,31 +342,30 @@ fn purity_gate(prog: &HirProgram, graph: &CallGraph, findings: &mut Vec<Finding>
             let f = &prog.fns[id];
             for ev in &f.events {
                 let Event::Call(call) = ev else { continue };
-                let impure = if classify_cost(f, call).is_some() {
-                    Some("persistence primitive")
-                } else if is_lock_acquisition(call) {
-                    Some("lock acquisition")
-                } else {
-                    None
+                let impure = match intrinsic(f, call).map(|i| i.effect) {
+                    Some(e) if e.persists() => Some("persistence primitive"),
+                    Some(Effect::Lock(_)) => Some("lock acquisition"),
+                    _ => None,
                 };
                 if let Some(what) = impure {
                     if reported.insert((f.file.clone(), call.line, call.col)) {
-                        findings.push(Finding {
-                            rule: RULE_READ_PATH_PURITY,
-                            file: f.file.clone(),
-                            line: call.line,
-                            col: call.col,
-                            msg: format!(
-                                "read-path root {} reaches {} `{}` at {}:{}; \
-                                 the read path must issue zero persistence primitives and take no lock; path: {}",
-                                path.first().map(String::as_str).unwrap_or("?"),
-                                what,
-                                call.name,
-                                f.file,
-                                call.line,
-                                path.join(" -> "),
-                            ),
-                        });
+                        let msg = format!(
+                            "read-path root {} reaches {} `{}` at {}:{}; \
+                             the read path must issue zero persistence primitives and take no lock; path: {}",
+                            path.first().map(String::as_str).unwrap_or("?"),
+                            what,
+                            call.name,
+                            f.file,
+                            call.line,
+                            path.join(" -> "),
+                        );
+                        findings.push(Finding::new(
+                            RULE_READ_PATH_PURITY,
+                            &f.file,
+                            call.line,
+                            call.col,
+                            msg,
+                        ));
                     }
                     continue;
                 }
@@ -528,28 +391,8 @@ fn purity_gate(prog: &HirProgram, graph: &CallGraph, findings: &mut Vec<Finding>
 
 /// Run the persistence-cost pass and the read-path purity gate.
 pub(crate) fn analyze(prog: &HirProgram, graph: &CallGraph, findings: &mut Vec<Finding>) {
-    let mut sums: Vec<CostSummary> = vec![CostSummary::default(); prog.fns.len()];
-    for _ in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for f in &prog.fns {
-            if f.is_test {
-                continue;
-            }
-            let next = walk_cost(prog, graph, f, &sums);
-            if next.digest() != sums[f.id].digest() {
-                changed = true;
-            }
-            sums[f.id] = next;
-        }
-        if !changed {
-            break;
-        }
-    }
-    for f in &prog.fns {
-        if f.is_test {
-            continue;
-        }
-        report_trace(&sums[f.id].trace, findings);
+    for sum in fixpoint(prog, |f, sums| walk_cost(prog, graph, f, sums)) {
+        report_trace(&sum.trace, findings);
     }
     purity_gate(prog, graph, findings);
 }

@@ -1,4 +1,5 @@
-//! Interprocedural crash-consistency dataflow.
+//! Interprocedural crash-consistency dataflow, and the driver that runs
+//! every interprocedural pass over one program and one call graph.
 //!
 //! Two analyses over the HIR + call graph:
 //!
@@ -27,19 +28,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{
+    fixpoint, fn_disp, intrinsic, is_regionish, CallGraph, Chain, Effect, Site, Summary,
+};
 use crate::hir::{CallEvent, Event, HirFn, HirProgram, Span};
 use crate::lexer::TokKind;
 use crate::rules::Finding;
-
-/// Rule: unflushed store reaches a publish site.
-pub const RULE_PERSIST_ORDER: &str = "persist-order";
-/// Rule: fn returns with its own dirty stores and no contract.
-pub const RULE_UNFLUSHED_ESCAPE: &str = "unflushed-escape";
-/// Rule: DRAM-derived address flows into a persistent sink.
-pub const RULE_VOLATILE_ESCAPE: &str = "volatile-escape";
-/// Rule: publish annotations must match the protocol registry.
-pub const RULE_PUBLISH_BINDING: &str = "publish-binding";
 
 /// Analysis configuration.
 pub struct AnalysisCtx {
@@ -52,8 +46,6 @@ pub struct AnalysisCtx {
     pub released_labels: Vec<String>,
     /// Require every known label to have an annotated site in tree.
     pub check_publish_binding: bool,
-    /// File to anchor missing-label findings at.
-    pub labels_anchor: String,
 }
 
 impl AnalysisCtx {
@@ -64,7 +56,6 @@ impl AnalysisCtx {
             known_labels: labels.iter().map(|s| s.to_string()).collect(),
             released_labels: Vec::new(),
             check_publish_binding: false,
-            labels_anchor: "crates/nvm/src/protocol.rs".to_owned(),
         }
     }
 
@@ -74,29 +65,6 @@ impl AnalysisCtx {
         let mut ctx = Self::bare(labels);
         ctx.released_labels = released.iter().map(|s| s.to_string()).collect();
         ctx
-    }
-}
-
-/// A source position plus a human-readable description.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Site {
-    pub(crate) file: String,
-    pub(crate) line: u32,
-    pub(crate) col: u32,
-    pub(crate) what: String,
-}
-
-impl Site {
-    pub(crate) fn of(f: &HirFn, line: u32, col: u32, what: String) -> Self {
-        Site {
-            file: f.file.clone(),
-            line,
-            col,
-            what,
-        }
-    }
-    pub(crate) fn brief(&self) -> String {
-        format!("{} ({}:{})", self.what, self.file, self.line)
     }
 }
 
@@ -113,14 +81,7 @@ struct PendingStore {
     origin: Site,
     origin_fn: usize,
     state: StoreState,
-    /// Call-site frames from the origin outward (most recent last).
-    chain: Vec<Site>,
-}
-
-impl PendingStore {
-    fn key(&self) -> (String, u32, u32) {
-        (self.origin.file.clone(), self.origin.line, self.origin.col)
-    }
+    chain: Chain,
 }
 
 /// A publish point visible from a fn (its own or reached transitively).
@@ -147,116 +108,45 @@ struct PersistSummary {
     escaping: Vec<PendingStore>,
 }
 
-impl PersistSummary {
-    fn digest(&self) -> String {
-        let mut pubs: Vec<String> = self
+type PubFact = (String, String, u32, bool, bool);
+type StoreFact = (String, u32, u32, StoreState);
+
+impl Summary for PersistSummary {
+    type Facts = (bool, bool, Vec<PubFact>, Vec<StoreFact>);
+    fn facts(&self) -> Self::Facts {
+        let mut pubs: Vec<PubFact> = self
             .publishes
             .iter()
             .map(|p| {
-                format!(
-                    "{}@{}:{}/{}{}",
-                    p.label, p.site.file, p.site.line, p.flush_before as u8, p.fence_before as u8
+                let s = &p.site;
+                (
+                    p.label.clone(),
+                    s.file.clone(),
+                    s.line,
+                    p.flush_before,
+                    p.fence_before,
                 )
             })
             .collect();
         pubs.sort();
-        let mut esc: Vec<String> = self
+        let mut esc: Vec<StoreFact> = self
             .escaping
             .iter()
-            .map(|e| {
-                format!(
-                    "{}:{}:{}/{:?}",
-                    e.origin.file, e.origin.line, e.origin.col, e.state
-                )
-            })
+            .map(|e| (e.origin.file.clone(), e.origin.line, e.origin.col, e.state))
             .collect();
         esc.sort();
-        format!("{}|{}|{:?}|{:?}", self.fences, self.flushes, pubs, esc)
+        (self.fences, self.flushes, pubs, esc)
     }
 }
 
-/// What a call site does to NVM, classified by name + arity + argument
-/// shape (`nvm` write-primitive intrinsics).
-pub(crate) enum Intrinsic {
-    /// Writes without persisting (caller must flush + fence).
-    DirtyStore { value_arg: Option<usize> },
-    /// Writes and flushes internally but leaves the fence to the caller
-    /// (`push_unpublished`: durability is batched under the publishing
-    /// fence).
-    StagedStore { value_arg: Option<usize> },
-    /// Writes and persists internally (implies a fence).
-    DurableStore { value_arg: Option<usize> },
-    /// `flush(off, len)` — Dirty → InFlight for all pending.
-    Flush,
-    /// `fence()` — retires InFlight stores.
-    Fence,
-    /// `persist(off, len)` / `persist_all(region)` — flush + fence.
-    FlushFence,
-}
-
-fn last_arg(call: &CallEvent) -> Option<usize> {
-    call.args.len().checked_sub(1)
-}
-
-pub(crate) const REGIONISH: &[&str] = &["region", "heap", "reg", "r", "h", "nvm"];
-
-/// Does the arg at `idx` mention a region/heap handle?
-fn region_arg(f: &HirFn, call: &CallEvent, idx: usize) -> bool {
-    let Some(&(s, e)) = call.args.get(idx) else {
-        return false;
-    };
-    f.tokens[s..e].iter().any(|t| {
-        t.kind == TokKind::Ident
-            && (REGIONISH.contains(&t.text.as_str())
-                || t.text.ends_with("region")
-                || t.text.ends_with("heap"))
-    })
-}
-
-pub(crate) fn classify(f: &HirFn, call: &CallEvent) -> Option<Intrinsic> {
-    if !call.qualifiers.is_empty() {
-        return None; // `ptr::write`, `std::…` — never an nvm intrinsic
-    }
-    let n = call.args.len();
-    match call.name.as_str() {
-        "write_pod" | "write_bytes" if n == 2 => Some(Intrinsic::DirtyStore { value_arg: Some(1) }),
-        "flush" if n == 2 => Some(Intrinsic::Flush),
-        "fence" if n == 0 && call.recv.is_some() => Some(Intrinsic::Fence),
-        "persist" if n == 2 && call.recv.is_some() => Some(Intrinsic::FlushFence),
-        "persist_all" if call.recv.is_some() => Some(Intrinsic::FlushFence),
-        "set" if (n == 2 || n == 3) && region_arg(f, call, 0) => Some(Intrinsic::DirtyStore {
-            value_arg: last_arg(call),
-        }),
-        "set_volatile" | "copy_from_slice" if (n == 2 || n == 3) && region_arg(f, call, 0) => {
-            Some(Intrinsic::DirtyStore {
-                value_arg: last_arg(call),
-            })
-        }
-        "push_unpublished" if (n == 2 || n == 3) && region_arg(f, call, 0) => {
-            Some(Intrinsic::StagedStore {
-                value_arg: last_arg(call),
-            })
-        }
-        "store" | "push" | "publish_len" | "append_bytes"
-            if (n == 2 || n == 3) && region_arg(f, call, 0) =>
-        {
-            Some(Intrinsic::DurableStore {
-                value_arg: last_arg(call),
-            })
-        }
-        "set_root" if (n == 1 || n == 2) && call.recv.is_some() => Some(Intrinsic::DurableStore {
-            value_arg: last_arg(call),
-        }),
-        _ => None,
-    }
-}
-
-pub(crate) fn fn_disp(f: &HirFn) -> String {
-    match &f.impl_type {
-        Some(t) => format!("{}::{}", t, f.name),
-        None => f.name.clone(),
-    }
-}
+/// Rule: unflushed store reaches a publish site.
+pub const RULE_PERSIST_ORDER: &str = "persist-order";
+/// Rule: fn returns with its own dirty stores and no contract.
+pub const RULE_UNFLUSHED_ESCAPE: &str = "unflushed-escape";
+/// Rule: DRAM-derived address flows into a persistent sink.
+pub const RULE_VOLATILE_ESCAPE: &str = "volatile-escape";
+/// Rule: publish annotations must match the protocol registry.
+pub const RULE_PUBLISH_BINDING: &str = "publish-binding";
 
 fn state_text(s: StoreState) -> &'static str {
     match s {
@@ -265,18 +155,7 @@ fn state_text(s: StoreState) -> &'static str {
     }
 }
 
-fn path_text(p: &PendingStore, publish: &Site) -> String {
-    let mut parts = vec![format!("store {}", p.origin.brief())];
-    for c in &p.chain {
-        parts.push(c.brief());
-    }
-    parts.push(publish.brief());
-    parts.join(" -> ")
-}
-
-const MAX_CHAIN: usize = 8;
 const MAX_ESCAPING: usize = 64;
-const MAX_ROUNDS: usize = 12;
 
 /// Linear persist walk of one fn. When `report` is set, emit findings
 /// against the converged `summaries`.
@@ -290,7 +169,6 @@ fn walk_persist(
     let mut pending: Vec<PendingStore> = Vec::new();
     let mut fenced = false;
     let mut flushed = false;
-    let mut out = PersistSummary::default();
     let mut findings: Vec<Finding> = Vec::new();
     let mut reported: BTreeSet<(String, u32, u32, String, u32)> = BTreeSet::new();
     // (label,file,line) → (flush_before, fence_before); AND-merged so the
@@ -301,9 +179,8 @@ fn walk_persist(
         |pending: &[PendingStore],
          label: &str,
          site: &Site,
-         flush_before: bool,
-         fence_before: bool,
-         anchor: (u32, u32),
+         (flush_before, fence_before): (bool, bool),
+         call: &CallEvent,
          findings: &mut Vec<Finding>,
          reported: &mut BTreeSet<(String, u32, u32, String, u32)>| {
             for p in pending {
@@ -311,34 +188,27 @@ fn walk_persist(
                     StoreState::Dirty => !(flush_before && fence_before),
                     StoreState::InFlight => !fence_before,
                 };
-                if !violated {
+                let (o, s) = (&p.origin, site);
+                let key = (o.file.clone(), o.line, o.col, s.file.clone(), s.line);
+                if !violated || !reported.insert(key) {
                     continue;
                 }
-                let dk = (
-                    p.origin.file.clone(),
-                    p.origin.line,
-                    p.origin.col,
-                    site.file.clone(),
+                let msg = format!(
+                    "NVM store {} reaches publish `{}` at {}:{} while {}; path: {}",
+                    p.origin.brief(),
+                    label,
+                    site.file,
                     site.line,
+                    state_text(p.state),
+                    p.chain.path(format!("store {}", p.origin.brief()), site),
                 );
-                if !reported.insert(dk) {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: RULE_PERSIST_ORDER,
-                    file: f.file.clone(),
-                    line: anchor.0,
-                    col: anchor.1,
-                    msg: format!(
-                        "NVM store {} reaches publish `{}` at {}:{} while {}; path: {}",
-                        p.origin.brief(),
-                        label,
-                        site.file,
-                        site.line,
-                        state_text(p.state),
-                        path_text(p, site),
-                    ),
-                });
+                findings.push(Finding::new(
+                    RULE_PERSIST_ORDER,
+                    &f.file,
+                    call.line,
+                    call.col,
+                    msg,
+                ));
             }
         };
 
@@ -347,20 +217,16 @@ fn walk_persist(
         // A publish annotation marks this statement as a publish point;
         // pending stores are checked *before* the call's own effect.
         if let Some(label) = &call.publish_label {
-            let site = Site::of(
-                f,
-                call.line,
-                call.col,
-                format!("publish `{label}` in `{}`", fn_disp(f)),
-            );
+            let what = format!("publish `{label}` in `{}`", fn_disp(f));
+            let site = Site::of(f, call.line, call.col, what);
             if report.is_some() {
+                let before = (flushed, fenced);
                 check_publish(
                     &pending,
                     label,
                     &site,
-                    flushed,
-                    fenced,
-                    (call.line, call.col),
+                    before,
+                    call,
                     &mut findings,
                     &mut reported,
                 );
@@ -371,58 +237,34 @@ fn walk_persist(
             e.0 &= flushed;
             e.1 &= fenced;
         }
-        match classify(f, call) {
-            Some(Intrinsic::DirtyStore { .. }) => {
+        match intrinsic(f, call).map(|i| i.effect) {
+            Some(Effect::Store) => {
+                let what = format!("`{}` in `{}`", call.name, fn_disp(f));
                 pending.push(PendingStore {
-                    origin: Site::of(
-                        f,
-                        call.line,
-                        call.col,
-                        format!("`{}` in `{}`", call.name, fn_disp(f)),
-                    ),
+                    origin: Site::of(f, call.line, call.col, what),
                     origin_fn: f.id,
                     state: StoreState::Dirty,
-                    chain: Vec::new(),
+                    chain: Chain::default(),
                 });
             }
-            Some(Intrinsic::StagedStore { .. }) => {
-                // Written and flushed internally, not fenced: the line
-                // is in flight until the caller's publishing fence.
-                flushed = true;
-                pending.push(PendingStore {
-                    origin: Site::of(
-                        f,
-                        call.line,
-                        call.col,
-                        format!("`{}` in `{}`", call.name, fn_disp(f)),
-                    ),
-                    origin_fn: f.id,
-                    state: StoreState::InFlight,
-                    chain: Vec::new(),
-                });
-            }
-            Some(Intrinsic::DurableStore { .. }) => {
-                // Internally persisted: acts as a fence for in-flight
-                // lines, leaves dirty ones dirty.
+            // Internally persisted: acts as a fence for in-flight lines,
+            // leaves dirty ones dirty.
+            Some(Effect::DurableStore | Effect::Fence) => {
                 fenced = true;
                 pending.retain(|p| p.state == StoreState::Dirty);
             }
-            Some(Intrinsic::Flush) => {
+            Some(Effect::Flush) => {
                 flushed = true;
                 for p in &mut pending {
                     p.state = StoreState::InFlight;
                 }
             }
-            Some(Intrinsic::Fence) => {
-                fenced = true;
-                pending.retain(|p| p.state == StoreState::Dirty);
-            }
-            Some(Intrinsic::FlushFence) => {
+            Some(Effect::Persist) => {
                 flushed = true;
                 fenced = true;
                 pending.clear();
             }
-            None => {
+            _ => {
                 let callees = graph.resolve(prog, f, call);
                 if callees.is_empty() {
                     continue; // std / external: no NVM effect
@@ -435,14 +277,15 @@ fn walk_persist(
                     callee_flushes |= s.flushes;
                     // Caller's pending stores vs the callee's publishes.
                     for pp in &s.publishes {
+                        let before = (pp.flush_before, pp.fence_before);
                         if report.is_some() {
+                            let (label, site) = (&pp.label, &pp.site);
                             check_publish(
                                 &pending,
-                                &pp.label,
-                                &pp.site,
-                                pp.flush_before,
-                                pp.fence_before,
-                                (call.line, call.col),
+                                label,
+                                site,
+                                before,
+                                call,
                                 &mut findings,
                                 &mut reported,
                             );
@@ -458,24 +301,23 @@ fn walk_persist(
                 }
                 // Inherit the callee's escaping stores with an extended
                 // chain; they are now the caller's responsibility.
-                let frame = Site::of(
-                    f,
-                    call.line,
-                    call.col,
-                    format!("via call to `{}` in `{}`", call.name, fn_disp(f)),
-                );
-                let have: BTreeSet<(String, u32, u32)> = pending.iter().map(|p| p.key()).collect();
+                let frame = Site::frame(f, call);
+                let had = pending.len();
                 for &id in &callees {
                     for esc in &summaries[id].escaping {
-                        if esc.chain.len() >= MAX_CHAIN || have.contains(&esc.key()) {
+                        if pending[..had].iter().any(|p| p.origin.at(&esc.origin)) {
                             continue;
                         }
+                        let Some(chain) = esc.chain.via(&frame) else {
+                            continue;
+                        };
                         if pending.len() >= MAX_ESCAPING {
                             break;
                         }
-                        let mut inherited = esc.clone();
-                        inherited.chain.push(frame.clone());
-                        pending.push(inherited);
+                        pending.push(PendingStore {
+                            chain,
+                            ..esc.clone()
+                        });
                     }
                 }
                 // The callee's own flush/fence effects apply after its
@@ -502,38 +344,35 @@ fn walk_persist(
                 .iter()
                 .filter(|p| p.state == StoreState::Dirty && p.origin_fn == f.id)
             {
-                findings.push(Finding {
-                    rule: RULE_UNFLUSHED_ESCAPE,
-                    file: f.file.clone(),
-                    line: p.origin.line,
-                    col: p.origin.col,
-                    msg: format!(
-                        "`{}` returns with NVM store {} unflushed; flush before returning or annotate the fn `// pmlint: caller-flushes`",
-                        fn_disp(f),
-                        p.origin.brief(),
-                    ),
-                });
+                let msg = format!(
+                    "`{}` returns with NVM store {} unflushed; flush before returning or annotate the fn `// pmlint: caller-flushes`",
+                    fn_disp(f),
+                    p.origin.brief(),
+                );
+                let (line, col) = (p.origin.line, p.origin.col);
+                findings.push(Finding::new(RULE_UNFLUSHED_ESCAPE, &f.file, line, col, msg));
             }
         }
         sink.append(&mut findings);
     }
 
-    out.fences = fenced;
-    out.flushes = flushed;
-    out.publishes = pubs
-        .into_iter()
-        .map(
-            |((label, _, _), (flush_before, fence_before, site))| PubPoint {
-                label,
-                site,
-                flush_before,
-                fence_before,
-            },
-        )
-        .collect();
     pending.truncate(MAX_ESCAPING);
-    out.escaping = pending;
-    out
+    PersistSummary {
+        fences: fenced,
+        flushes: flushed,
+        publishes: pubs
+            .into_iter()
+            .map(
+                |((label, _, _), (flush_before, fence_before, site))| PubPoint {
+                    label,
+                    site,
+                    flush_before,
+                    fence_before,
+                },
+            )
+            .collect(),
+        escaping: pending,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -578,8 +417,9 @@ struct TaintSummary {
     ret_src: Option<Site>,
 }
 
-impl TaintSummary {
-    fn digest(&self) -> (bool, u64, u64) {
+impl Summary for TaintSummary {
+    type Facts = (bool, u64, u64);
+    fn facts(&self) -> Self::Facts {
         (self.returns_local, self.ret_from_params, self.param_sinks)
     }
 }
@@ -608,13 +448,10 @@ fn span_source(f: &HirFn, span: Span) -> Option<Site> {
         }
         if t.kind == TokKind::Ident && PTR_FNS.contains(&t.text.as_str()) {
             // `recv . as_ptr` — skip NVM-derived receivers.
-            let recv_ok =
-                if k >= 2 && toks[k - 1].is_punct('.') && toks[k - 2].kind == TokKind::Ident {
-                    let r = toks[k - 2].text.as_str();
-                    !(REGIONISH.contains(&r) || r.ends_with("region") || r.ends_with("heap"))
-                } else {
-                    true
-                };
+            let recv_ok = !(k >= 2
+                && toks[k - 1].is_punct('.')
+                && toks[k - 2].kind == TokKind::Ident
+                && is_regionish(&toks[k - 2].text));
             if recv_ok && ptr_origin.is_none() {
                 ptr_origin = Some((t.line, t.col, format!("`{}` result", t.text)));
             }
@@ -631,7 +468,7 @@ fn eval_span(
     f: &HirFn,
     span: Span,
     tainted: &HashMap<String, Origins>,
-    params: &HashMap<String, u32>,
+    params: &HashMap<&str, u32>,
     call_taints: &HashMap<usize, Origins>,
 ) -> Origins {
     let mut o = Origins::default();
@@ -642,7 +479,7 @@ fn eval_span(
                 o.merge(prev);
                 continue;
             }
-            if let Some(&i) = params.get(&t.text) {
+            if let Some(&i) = params.get(t.text.as_str()) {
                 o.params |= 1u64 << i.min(63);
             }
         }
@@ -659,6 +496,17 @@ fn eval_span(
     o
 }
 
+/// Indices of the set bits of `bits`.
+fn bit_indices(mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = bits.trailing_zeros();
+            bits &= bits - 1;
+            i
+        })
+    })
+}
+
 fn walk_taint(
     prog: &HirProgram,
     graph: &CallGraph,
@@ -669,21 +517,20 @@ fn walk_taint(
     let mut out = TaintSummary::default();
     let mut tainted: HashMap<String, Origins> = HashMap::new();
     let mut call_taints: HashMap<usize, Origins> = HashMap::new();
-    let params: HashMap<String, u32> = f
+    let params: HashMap<&str, u32> = f
         .params
         .iter()
         .enumerate()
-        .filter(|(_, p)| !p.name.is_empty())
-        .map(|(i, p)| (p.name.clone(), i as u32))
+        .filter(|(_, p)| !p.is_empty())
+        .map(|(i, p)| (p.as_str(), i as u32))
         .collect();
     let mut findings: Vec<Finding> = Vec::new();
 
-    let sink_hit = |origins: &Origins,
-                    sink: Site,
-                    via: Option<&Site>,
-                    out: &mut TaintSummary,
-                    findings: &mut Vec<Finding>,
-                    reporting: bool| {
+    let reporting = report.is_some();
+    let mut sink_hit = |origins: &Origins,
+                        sink: Site,
+                        via: Option<&Site>,
+                        out: &mut TaintSummary| {
         if origins.local && reporting {
             let src = origins
                 .src
@@ -693,98 +540,64 @@ fn walk_taint(
             let via_txt = via
                 .map(|v| format!("; via {}", v.brief()))
                 .unwrap_or_default();
-            findings.push(Finding {
-                rule: RULE_VOLATILE_ESCAPE,
-                file: f.file.clone(),
-                line: sink.line,
-                col: sink.col,
-                msg: format!(
-                    "DRAM-derived address from {} flows into persistent sink {}{}; \
-                     persisted virtual addresses are dangling after restart — store an NvmRegion offset instead",
-                    src,
-                    sink.brief(),
-                    via_txt,
-                ),
-            });
+            let msg = format!(
+                "DRAM-derived address from {} flows into persistent sink {}{}; \
+                 persisted virtual addresses are dangling after restart — store an NvmRegion offset instead",
+                src,
+                sink.brief(),
+                via_txt,
+            );
+            findings.push(Finding::new(
+                RULE_VOLATILE_ESCAPE,
+                &f.file,
+                sink.line,
+                sink.col,
+                msg,
+            ));
         }
-        let mut bits = origins.params;
-        while bits != 0 {
-            let i = bits.trailing_zeros();
-            bits &= bits - 1;
+        for i in bit_indices(origins.params) {
             out.param_sinks |= 1u64 << i;
             out.sink_sites.entry(i).or_insert_with(|| sink.clone());
         }
     };
 
-    let reporting = report.is_some();
     for ev in &f.events {
         match ev {
             Event::Call(call) => {
                 let sink_site = |what: String| Site::of(f, call.line, call.col, what);
-                match classify(f, call) {
-                    Some(
-                        Intrinsic::DirtyStore {
-                            value_arg: Some(v), ..
-                        }
-                        | Intrinsic::StagedStore {
-                            value_arg: Some(v), ..
-                        }
-                        | Intrinsic::DurableStore {
-                            value_arg: Some(v), ..
-                        },
-                    ) => {
-                        if let Some(&span) = call.args.get(v) {
-                            let o = eval_span(f, span, &tainted, &params, &call_taints);
-                            if !o.is_empty() {
-                                sink_hit(
-                                    &o,
-                                    sink_site(format!("`{}` in `{}`", call.name, fn_disp(f))),
-                                    None,
-                                    &mut out,
-                                    &mut findings,
-                                    reporting,
-                                );
-                            }
+                let eval = |span| eval_span(f, span, &tainted, &params, &call_taints);
+                match intrinsic(f, call).map(|i| i.effect) {
+                    Some(Effect::Store | Effect::DurableStore) => {
+                        // The stored value is the last argument.
+                        let o = call.args.last().map(|&span| eval(span)).unwrap_or_default();
+                        if !o.is_empty() {
+                            let what = format!("`{}` in `{}`", call.name, fn_disp(f));
+                            sink_hit(&o, sink_site(what), None, &mut out);
                         }
                     }
-                    Some(_) => {}
-                    None => {
-                        let callees = graph.resolve(prog, f, call);
-                        if callees.is_empty() {
-                            continue;
-                        }
+                    Some(Effect::Flush | Effect::Fence | Effect::Persist) => {}
+                    _ => {
                         let mut ret = Origins::default();
-                        for &id in &callees {
+                        for id in graph.resolve(prog, f, call) {
                             let s = &summaries[id];
-                            let callee = &prog.fns[id];
                             // Args flowing into the callee's sinks.
-                            let mut bits = s.param_sinks;
-                            while bits != 0 {
-                                let i = bits.trailing_zeros();
-                                bits &= bits - 1;
-                                if let Some(&span) = call.args.get(i as usize) {
-                                    let o = eval_span(f, span, &tainted, &params, &call_taints);
-                                    if !o.is_empty() {
-                                        let deep = s.sink_sites.get(&i).cloned();
-                                        sink_hit(
-                                            &o,
-                                            deep.unwrap_or_else(|| {
-                                                sink_site(format!(
-                                                    "sink inside `{}`",
-                                                    fn_disp(callee)
-                                                ))
-                                            }),
-                                            Some(&sink_site(format!(
-                                                "call to `{}` in `{}`",
-                                                call.name,
-                                                fn_disp(f)
-                                            ))),
-                                            &mut out,
-                                            &mut findings,
-                                            reporting,
-                                        );
-                                    }
+                            for i in bit_indices(s.param_sinks) {
+                                let Some(&span) = call.args.get(i as usize) else {
+                                    continue;
+                                };
+                                let o = eval(span);
+                                if o.is_empty() {
+                                    continue;
                                 }
+                                let deep = s.sink_sites.get(&i).cloned().unwrap_or_else(|| {
+                                    sink_site(format!("sink inside `{}`", fn_disp(&prog.fns[id])))
+                                });
+                                let via = sink_site(format!(
+                                    "call to `{}` in `{}`",
+                                    call.name,
+                                    fn_disp(f)
+                                ));
+                                sink_hit(&o, deep, Some(&via), &mut out);
                             }
                             // Taint returned by the callee.
                             if s.returns_local {
@@ -795,13 +608,9 @@ fn walk_taint(
                                     });
                                 }
                             }
-                            let mut bits = s.ret_from_params;
-                            while bits != 0 {
-                                let i = bits.trailing_zeros();
-                                bits &= bits - 1;
+                            for i in bit_indices(s.ret_from_params) {
                                 if let Some(&span) = call.args.get(i as usize) {
-                                    let o = eval_span(f, span, &tainted, &params, &call_taints);
-                                    ret.merge(&o);
+                                    ret.merge(&eval(span));
                                 }
                             }
                         }
@@ -821,8 +630,8 @@ fn walk_taint(
                     }
                 }
             }
-            Event::Return(r) => {
-                let o = eval_span(f, r.expr, &tainted, &params, &call_taints);
+            Event::Return(span) => {
+                let o = eval_span(f, *span, &tainted, &params, &call_taints);
                 out.returns_local |= o.local;
                 out.ret_from_params |= o.params;
                 if out.ret_src.is_none() {
@@ -841,129 +650,75 @@ fn walk_taint(
 // Driver
 // ---------------------------------------------------------------------
 
-/// Run both interprocedural analyses plus publish-binding over `prog`.
+/// Run every interprocedural pass over `prog` with one call graph:
+/// persist order, taint, publish binding, the concurrency passes, the
+/// persistence-cost pass and `alloc-unwrap`.
 pub fn analyze(prog: &HirProgram, ctx: &AnalysisCtx) -> Vec<Finding> {
     let graph = CallGraph::build(prog);
     let mut findings = Vec::new();
 
-    // Persist-order fixpoint.
-    let mut psums: Vec<PersistSummary> = vec![PersistSummary::default(); prog.fns.len()];
-    for _ in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for f in &prog.fns {
-            if f.is_test {
-                continue;
-            }
-            let next = walk_persist(prog, &graph, f, &psums, None);
-            if next.digest() != psums[f.id].digest() {
-                changed = true;
-            }
-            psums[f.id] = next;
-        }
-        if !changed {
-            break;
-        }
-    }
+    let psums = fixpoint(prog, |f, sums| walk_persist(prog, &graph, f, sums, None));
+    let tsums = fixpoint(prog, |f, sums| walk_taint(prog, &graph, f, sums, None));
     for f in &prog.fns {
-        if f.is_test {
-            continue;
-        }
         walk_persist(prog, &graph, f, &psums, Some(&mut findings));
-    }
-
-    // Taint fixpoint.
-    let mut tsums: Vec<TaintSummary> = vec![TaintSummary::default(); prog.fns.len()];
-    for _ in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for f in &prog.fns {
-            if f.is_test {
-                continue;
-            }
-            let next = walk_taint(prog, &graph, f, &tsums, None);
-            if next.digest() != tsums[f.id].digest() {
-                changed = true;
-            }
-            tsums[f.id] = next;
-        }
-        if !changed {
-            break;
-        }
-    }
-    for f in &prog.fns {
-        if f.is_test {
-            continue;
-        }
         walk_taint(prog, &graph, f, &tsums, Some(&mut findings));
     }
 
     // Publish-label binding.
     let known: BTreeSet<&str> = ctx.known_labels.iter().map(|s| s.as_str()).collect();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
     for f in &prog.fns {
-        if f.is_test {
-            continue;
-        }
         for ev in &f.events {
-            if let Event::Call(c) = ev {
-                if let Some(label) = &c.publish_label {
-                    seen.insert(label.clone());
-                    if !known.contains(label.as_str()) {
-                        findings.push(Finding {
-                            rule: RULE_PUBLISH_BINDING,
-                            file: f.file.clone(),
-                            line: c.line,
-                            col: c.col,
-                            msg: format!(
-                                "publish label `{label}` is not declared by any ProtocolSpec in nvm::protocol_registry()"
-                            ),
-                        });
-                    }
+            let Event::Call(c) = ev else { continue };
+            let sides = [("publish", &c.publish_label), ("observe", &c.observe_label)];
+            for (side, label) in sides {
+                let Some(label) = label else { continue };
+                if side == "publish" {
+                    seen.insert(label);
                 }
-                if let Some(label) = &c.observe_label {
-                    if !known.contains(label.as_str()) {
-                        findings.push(Finding {
-                            rule: RULE_PUBLISH_BINDING,
-                            file: f.file.clone(),
-                            line: c.line,
-                            col: c.col,
-                            msg: format!(
-                                "observe label `{label}` is not declared by any ProtocolSpec in nvm::protocol_registry()"
-                            ),
-                        });
-                    }
+                if !known.contains(label.as_str()) {
+                    let msg = format!(
+                        "{side} label `{label}` is not declared by any ProtocolSpec in nvm::protocol_registry()"
+                    );
+                    findings.push(Finding::new(
+                        RULE_PUBLISH_BINDING,
+                        &f.file,
+                        c.line,
+                        c.col,
+                        msg,
+                    ));
                 }
             }
         }
     }
     if ctx.check_publish_binding {
-        for label in &ctx.known_labels {
-            if !seen.contains(label) {
-                findings.push(Finding {
-                    rule: RULE_PUBLISH_BINDING,
-                    file: ctx.labels_anchor.clone(),
-                    line: 1,
-                    col: 1,
-                    msg: format!(
-                        "publish label `{label}` has no `// pmlint: publish({label})` annotated site in the tree"
-                    ),
-                });
-            }
+        for label in ctx
+            .known_labels
+            .iter()
+            .filter(|l| !seen.contains(l.as_str()))
+        {
+            let msg = format!(
+                "publish label `{label}` has no `// pmlint: publish({label})` annotated site in the tree"
+            );
+            findings.push(Finding::new(
+                RULE_PUBLISH_BINDING,
+                crate::PROTOCOL_FILE,
+                1,
+                1,
+                msg,
+            ));
         }
     }
 
-    // Concurrency-safety passes (atomics ordering, lock discipline).
     crate::concurrency::analyze(prog, &graph, ctx, &mut findings);
-
-    // Persistence-cost pass and read-path purity gate (v4).
     crate::cost::analyze(prog, &graph, &mut findings);
+    crate::allocpath::analyze(prog, &graph, crate::allocpath::ALLOC_SEEDS, &mut findings);
 
     // Stable order + dedupe.
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.col, a.rule, &a.msg).cmp(&(&b.file, b.line, b.col, b.rule, &b.msg))
     });
-    findings.dedup_by(|a, b| {
-        a.rule == b.rule && a.file == b.file && a.line == b.line && a.col == b.col && a.msg == b.msg
-    });
+    findings.dedup();
     findings
 }
 

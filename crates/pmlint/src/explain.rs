@@ -658,7 +658,14 @@ mod tests {
 
     #[test]
     fn every_rule_has_why_example_and_fix() {
-        assert!(explained_rules().len() >= 20);
+        let mut explained = explained_rules();
+        let mut emitted = crate::RULES.to_vec();
+        explained.sort_unstable();
+        emitted.sort_unstable();
+        assert_eq!(
+            explained, emitted,
+            "every emitted rule is explained, and only those"
+        );
         for rule in explained_rules() {
             let text = explain(rule).unwrap();
             assert!(text.contains("WHY"), "{rule} missing WHY");

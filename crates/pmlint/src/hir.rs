@@ -1,37 +1,28 @@
-//! A lightweight HIR on top of the token stream: function items with
-//! signatures, and per-function body *events* (calls, `let` bindings,
-//! returns) in source order.
+//! The one front end: every source file is lexed once, its `fn` items are
+//! lifted into a lightweight HIR — signatures and per-function body
+//! *events* (calls, `let` bindings, returns) in source order — and its test
+//! code is located, so no pass re-lexes a file or re-derives test-ness.
 //!
 //! This is deliberately not a full Rust parser. It recovers exactly the
-//! structure the interprocedural analyses need:
+//! structure the analyses need:
 //!
-//! * every `fn` item with its name, enclosing `impl` type, parameter
-//!   names/types, return type, and test-ness (`#[test]` / `#[cfg(test)]`);
+//! * every non-test `fn` item with its name, enclosing `impl` type and
+//!   parameter names (`#[test]` / `#[cfg(test)]` items are dropped here,
+//!   once, and their token ranges recorded);
 //! * the linear sequence of call expressions inside each body, with
 //!   receiver hints, path qualifiers, and argument token ranges;
 //! * `let` bindings and `return` expressions as token ranges, for the
 //!   taint analysis;
-//! * `// pmlint:` annotations attached to items and statements
-//!   (`flush-helper`, `caller-flushes`, `publish(<label>)`).
+//! * `// pmlint:` annotations attached to items and statements, through the
+//!   one lookup [`Lexed::annotation`].
 //!
 //! Macro invocations are treated as opaque (their interior produces no
 //! events), and nested `fn` items are excluded from the enclosing body.
 
-use std::collections::HashMap;
+use crate::lexer::{lex, Lexed, Tok, TokKind};
 
-use crate::lexer::{annotation, lex, Tok, TokKind};
-
-/// Token range `[start, end)` into a [`HirFn`]'s token slice.
+/// Token range `[start, end)` into a token slice.
 pub type Span = (usize, usize);
-
-/// One parsed parameter.
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// Binding name (`""` for pattern parameters we don't resolve).
-    pub name: String,
-    /// Type text, tokens joined with spaces.
-    pub ty: String,
-}
 
 /// One call expression, in body order.
 #[derive(Debug, Clone)]
@@ -70,13 +61,6 @@ pub struct LetEvent {
     pub expr: Span,
 }
 
-/// One `return` expression (or the body's tail expression).
-#[derive(Debug, Clone)]
-pub struct ReturnEvent {
-    /// Returned expression token range.
-    pub expr: Span,
-}
-
 /// A body event, ordered by source position.
 #[derive(Debug, Clone)]
 pub enum Event {
@@ -85,11 +69,11 @@ pub enum Event {
     /// `let` binding (anchored at the end of its initializer, so calls
     /// inside the initializer are processed first).
     Let(LetEvent),
-    /// `return` / tail expression.
-    Return(ReturnEvent),
+    /// `return` / tail expression: the returned token range.
+    Return(Span),
 }
 
-/// One function item.
+/// One (non-test) function item.
 #[derive(Debug, Clone)]
 pub struct HirFn {
     /// Index into [`HirProgram::fns`].
@@ -104,18 +88,13 @@ pub struct HirFn {
     /// Enclosing `impl` type, when any (`impl NvTable { fn open … }` →
     /// `Some("NvTable")`).
     pub impl_type: Option<String>,
-    /// Parsed parameters (excluding `self`).
-    pub params: Vec<Param>,
+    /// Parameter binding names, excluding `self` (`""` for pattern
+    /// parameters we don't resolve).
+    pub params: Vec<String>,
     /// Whether the signature has a `self` receiver.
     pub has_self: bool,
-    /// Return type text (`""` when the fn returns unit).
-    pub ret: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
-    /// Inside `#[cfg(test)]` / `#[test]` code.
-    pub is_test: bool,
+    /// The body's token range in its file.
+    pub body: Span,
     /// Annotated `// pmlint: flush-helper`.
     pub flush_helper: bool,
     /// Annotated `// pmlint: caller-flushes` — the fn's contract is to
@@ -134,10 +113,22 @@ pub struct HirFn {
     /// accessors whose internal bookkeeping locks are simulator artefacts),
     /// so the walk does not descend into it.
     pub read_pure: bool,
-    /// Body tokens (shared slice of the file's tokens).
+    /// Body tokens (a copy of the file's tokens in `body`).
     pub tokens: Vec<Tok>,
     /// Body events, in execution-ish order.
     pub events: Vec<Event>,
+}
+
+/// One source file through the front end.
+pub struct SourceFile {
+    /// Workspace-relative path.
+    pub path: String,
+    /// Tokens, comments and the annotation lookup.
+    pub lexed: Lexed,
+    /// Its non-test fn items with bodies.
+    pub fns: Vec<HirFn>,
+    /// Token ranges of test code (`#[test]` / `#[cfg(test)]` items).
+    pub test_spans: Vec<Span>,
 }
 
 /// All functions recovered from a set of source files.
@@ -145,6 +136,26 @@ pub struct HirFn {
 pub struct HirProgram {
     /// Every parsed function.
     pub fns: Vec<HirFn>,
+}
+
+impl HirProgram {
+    /// The program over `fns`, assigning fn ids in order.
+    pub fn new(fns: impl IntoIterator<Item = HirFn>) -> HirProgram {
+        let mut fns: Vec<HirFn> = fns.into_iter().collect();
+        for (id, f) in fns.iter_mut().enumerate() {
+            f.id = id;
+        }
+        HirProgram { fns }
+    }
+}
+
+/// Build a program from `(path, source)` pairs.
+pub fn build_program(files: &[(String, String)]) -> HirProgram {
+    HirProgram::new(
+        files
+            .iter()
+            .flat_map(|(path, source)| SourceFile::parse(path, source).fns),
+    )
 }
 
 /// Crate directory name from a workspace-relative path
@@ -164,244 +175,164 @@ const KEYWORDS_NOT_CALLS: &[&str] = &[
     "unsafe", "ref", "mut", "pub", "where", "impl", "dyn",
 ];
 
-/// Parse every function item in `source`.
-pub fn parse_file(path: &str, source: &str) -> Vec<HirFn> {
-    let lexed = lex(source);
-    let toks = &lexed.tokens;
-    let lines: Vec<&str> = source.lines().collect();
-    let krate = crate_of(path);
+impl SourceFile {
+    /// Lex `source` and parse its items.
+    pub fn parse(path: &str, source: &str) -> SourceFile {
+        let lexed = lex(source);
+        let toks = &lexed.tokens;
 
-    // --- phase 1: item discovery with a scope walker --------------------
-    struct RawFn {
-        name: String,
-        impl_type: Option<String>,
-        line: u32,
-        col: u32,
-        is_test: bool,
-        flush_helper: bool,
-        caller_flushes: bool,
-        lock_held_persist: bool,
-        read_path: bool,
-        read_pure: bool,
-        sig_start: usize,
-        body: Option<Span>,
-    }
-
-    #[derive(Clone)]
-    struct Scope {
-        test: bool,
-        impl_type: Option<String>,
-    }
-
-    let mut raw: Vec<RawFn> = Vec::new();
-    let mut scopes: Vec<Scope> = vec![Scope {
-        test: false,
-        impl_type: None,
-    }];
-    // Pending scope opened by the *next* `{`.
-    let mut pending: Option<Scope> = None;
-    let mut pending_fn: Option<usize> = None; // raw index awaiting its body
-    let mut attr_test = false;
-
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        // Attributes `#[...]` / `#![...]`.
-        if t.is_punct('#') {
-            let mut j = i + 1;
-            if j < toks.len() && toks[j].is_punct('!') {
-                j += 1;
-            }
-            if j < toks.len() && toks[j].is_punct('[') {
-                let mut depth = 0usize;
-                while j < toks.len() {
-                    match toks[j].kind {
-                        TokKind::Punct('[') => depth += 1,
-                        TokKind::Punct(']') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        TokKind::Ident if toks[j].text == "test" => attr_test = true,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-                continue;
-            }
+        // --- phase 1: item discovery with a scope walker ----------------
+        struct RawFn {
+            name: String,
+            impl_type: Option<String>,
+            line: u32,
+            test: bool,
+            sig_start: usize,
+            body: Option<Span>,
         }
-        match t.kind {
-            TokKind::Punct('{') => {
-                let cur = scopes.last().cloned().unwrap();
-                let next = pending.take().unwrap_or(cur);
-                if let Some(fi) = pending_fn.take() {
-                    raw[fi].body = Some((i + 1, matching_brace(toks, i)));
+
+        #[derive(Clone)]
+        struct Scope {
+            test: bool,
+            impl_type: Option<String>,
+        }
+
+        let mut raw: Vec<RawFn> = Vec::new();
+        let mut test_spans: Vec<Span> = Vec::new();
+        let mut scopes: Vec<Scope> = vec![Scope {
+            test: false,
+            impl_type: None,
+        }];
+        // Pending scope opened by the *next* `{`.
+        let mut pending: Option<Scope> = None;
+        let mut pending_fn: Option<usize> = None; // raw index awaiting its body
+        let mut attr_test = false;
+
+        let mut i = 0usize;
+        while i < toks.len() {
+            let t = &toks[i];
+            // Attributes `#[...]` / `#![...]`.
+            if t.is_punct('#') {
+                let j = i + 1 + usize::from(toks.get(i + 1).is_some_and(|n| n.is_punct('!')));
+                if toks.get(j).is_some_and(|n| n.is_punct('[')) {
+                    let end = skip_balanced(toks, j);
+                    attr_test |= toks[j..end].iter().any(|t| t.is_ident("test"));
+                    i = end;
+                    continue;
                 }
-                scopes.push(next);
             }
-            TokKind::Punct('}') if scopes.len() > 1 => {
-                scopes.pop();
-            }
-            TokKind::Punct(';') => {
-                pending = None;
-                pending_fn = None;
-                attr_test = false;
-            }
-            TokKind::Ident => {
-                let cur = scopes.last().cloned().unwrap();
-                match t.text.as_str() {
-                    "fn" => {
-                        if let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
+            // The root scope is never popped.
+            let cur = &scopes[scopes.len() - 1];
+            match t.kind {
+                TokKind::Punct('{') => {
+                    let next = pending.take().unwrap_or_else(|| cur.clone());
+                    let body = (i + 1, skip_balanced(toks, i) - 1);
+                    if let Some(fi) = pending_fn.take() {
+                        raw[fi].body = Some(body);
+                    }
+                    if next.test && !cur.test {
+                        test_spans.push(body);
+                    }
+                    scopes.push(next);
+                }
+                TokKind::Punct('}') if scopes.len() > 1 => {
+                    scopes.pop();
+                }
+                TokKind::Punct(';') => {
+                    pending = None;
+                    pending_fn = None;
+                    attr_test = false;
+                }
+                TokKind::Ident => {
+                    let test = cur.test || attr_test;
+                    match t.text.as_str() {
+                        "fn" => {
+                            let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident)
+                            else {
+                                i += 1;
+                                continue;
+                            };
                             raw.push(RawFn {
                                 name: name.text.clone(),
                                 impl_type: cur.impl_type.clone(),
                                 line: t.line,
-                                col: t.col,
-                                is_test: cur.test || attr_test,
-                                flush_helper: has_annotation(
-                                    &lexed.comments,
-                                    &lines,
-                                    t.line,
-                                    "pmlint: flush-helper",
-                                ),
-                                caller_flushes: has_annotation(
-                                    &lexed.comments,
-                                    &lines,
-                                    t.line,
-                                    "pmlint: caller-flushes",
-                                ),
-                                lock_held_persist: has_annotation(
-                                    &lexed.comments,
-                                    &lines,
-                                    t.line,
-                                    "pmlint: lock-held-persist(",
-                                ),
-                                read_path: has_annotation(
-                                    &lexed.comments,
-                                    &lines,
-                                    t.line,
-                                    "pmlint: read-path",
-                                ),
-                                read_pure: has_annotation(
-                                    &lexed.comments,
-                                    &lines,
-                                    t.line,
-                                    "pmlint: read-pure",
-                                ),
+                                test,
                                 sig_start: i,
                                 body: None,
                             });
                             pending_fn = Some(raw.len() - 1);
+                            let impl_type = cur.impl_type.clone();
+                            pending = Some(Scope { test, impl_type });
+                            attr_test = false;
+                        }
+                        "impl" => {
+                            let impl_type = parse_impl_type(toks, i);
+                            pending = Some(Scope { test, impl_type });
+                            attr_test = false;
+                        }
+                        "mod" | "trait" | "struct" | "enum" | "union" => {
                             pending = Some(Scope {
-                                test: cur.test || attr_test,
-                                impl_type: cur.impl_type,
+                                test,
+                                impl_type: None,
                             });
                             attr_test = false;
                         }
+                        _ => {}
                     }
-                    "impl" => {
-                        let ty = parse_impl_type(toks, i);
-                        pending = Some(Scope {
-                            test: cur.test || attr_test,
-                            impl_type: ty,
-                        });
-                        attr_test = false;
-                    }
-                    "mod" | "trait" | "struct" | "enum" | "union" => {
-                        pending = Some(Scope {
-                            test: cur.test || attr_test,
-                            impl_type: None,
-                        });
-                        attr_test = false;
-                    }
-                    _ => {}
                 }
+                _ => {}
             }
-            _ => {}
+            i += 1;
         }
-        i += 1;
-    }
 
-    // --- phase 2: signatures + body events ------------------------------
-    let bodies: Vec<Span> = raw.iter().filter_map(|r| r.body).collect();
-    let mut fns = Vec::new();
-    for r in raw {
-        let Some(body) = r.body else {
-            continue; // trait method declaration without a body
-        };
-        let (params, has_self, ret) = parse_signature(toks, r.sig_start, body.0);
-        // Nested fn bodies strictly inside this one are skipped.
-        let nested: Vec<Span> = bodies
-            .iter()
-            .copied()
-            .filter(|&(s, e)| s > body.0 && e <= body.1 && (s, e) != body)
-            .collect();
-        let tokens: Vec<Tok> = toks[body.0..body.1].to_vec();
-        let events = extract_events(
-            &tokens,
-            &nested
+        // --- phase 2: signatures + body events of the non-test fns ------
+        let bodies: Vec<Span> = raw.iter().filter_map(|r| r.body).collect();
+        let krate = crate_of(path);
+        let mut fns = Vec::new();
+        for r in raw.into_iter().filter(|r| !r.test) {
+            let Some(body) = r.body else {
+                continue; // trait method declaration without a body
+            };
+            let (params, has_self) = parse_params(toks, r.sig_start);
+            // Nested fn bodies strictly inside this one are skipped.
+            let nested: Vec<Span> = bodies
                 .iter()
+                .filter(|&&(s, e)| s > body.0 && e <= body.1)
                 .map(|&(s, e)| (s - body.0, e - body.0))
-                .collect::<Vec<_>>(),
-            &lexed.comments,
-            &lines,
-        );
-        fns.push(HirFn {
-            id: 0, // assigned by the program builder
-            krate: krate.clone(),
-            file: path.to_owned(),
-            name: r.name,
-            impl_type: r.impl_type,
-            params,
-            has_self,
-            ret,
-            line: r.line,
-            col: r.col,
-            is_test: r.is_test,
-            flush_helper: r.flush_helper,
-            caller_flushes: r.caller_flushes,
-            lock_held_persist: r.lock_held_persist,
-            read_path: r.read_path,
-            read_pure: r.read_pure,
-            tokens,
-            events,
-        });
-    }
-    fns
-}
-
-/// Build a program from `(path, source)` pairs, assigning fn ids.
-pub fn build_program(files: &[(String, String)]) -> HirProgram {
-    let mut prog = HirProgram::default();
-    for (path, source) in files {
-        for mut f in parse_file(path, source) {
-            f.id = prog.fns.len();
-            prog.fns.push(f);
+                .collect();
+            let tokens: Vec<Tok> = toks[body.0..body.1].to_vec();
+            let events = extract_events(&tokens, &nested, &lexed);
+            let has = |needle: &str| lexed.annotation(r.line, |c| c.contains(needle)).is_some();
+            fns.push(HirFn {
+                id: 0, // assigned by the program builder
+                krate: krate.clone(),
+                file: path.to_owned(),
+                name: r.name,
+                impl_type: r.impl_type,
+                params,
+                has_self,
+                body,
+                flush_helper: has("pmlint: flush-helper"),
+                caller_flushes: has("pmlint: caller-flushes"),
+                lock_held_persist: has("pmlint: lock-held-persist("),
+                read_path: has("pmlint: read-path"),
+                read_pure: has("pmlint: read-pure"),
+                tokens,
+                events,
+            });
+        }
+        SourceFile {
+            path: path.to_owned(),
+            lexed,
+            fns,
+            test_spans,
         }
     }
-    prog
-}
 
-/// Index of the `}` matching the `{` at `open` (or the end of the stream).
-fn matching_brace(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < toks.len() {
-        match toks[j].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
+    /// Is token `i` inside test code?
+    pub fn in_test(&self, i: usize) -> bool {
+        self.test_spans.iter().any(|&(s, e)| i >= s && i < e)
     }
-    toks.len()
 }
 
 /// For `impl [<…>] Path [for Path] {`, return the implementing type (the
@@ -429,7 +360,7 @@ fn parse_impl_type(toks: &[Tok], impl_idx: usize) -> Option<String> {
 
 /// Skip a balanced `<...>` group at `j` (token-level; `>` preceded by `-`
 /// is an arrow, not a close).
-fn skip_generics(toks: &[Tok], j: usize) -> usize {
+pub(crate) fn skip_generics(toks: &[Tok], j: usize) -> usize {
     if !toks.get(j).is_some_and(|t| t.is_punct('<')) {
         return j;
     }
@@ -451,7 +382,7 @@ fn skip_generics(toks: &[Tok], j: usize) -> usize {
 
 /// Read `Seg [::Seg]* [<…>]` starting at `j`; returns the last segment and
 /// the index just past the path (generics skipped).
-fn read_path_last_segment(toks: &[Tok], j: usize) -> Option<(String, usize)> {
+pub(crate) fn read_path_last_segment(toks: &[Tok], j: usize) -> Option<(String, usize)> {
     let first = toks.get(j)?;
     if first.kind != TokKind::Ident {
         return None;
@@ -473,32 +404,16 @@ fn read_path_last_segment(toks: &[Tok], j: usize) -> Option<(String, usize)> {
     Some((name, k))
 }
 
-/// Parse the signature between `fn` at `sig_start` and the body `{` at
-/// `body_open - 1`: parameters (excluding `self`) and return type.
-fn parse_signature(toks: &[Tok], sig_start: usize, body_open: usize) -> (Vec<Param>, bool, String) {
-    let mut j = sig_start + 2; // skip `fn name`
-    j = skip_generics(toks, j);
+/// Parse the parameter list of the `fn` at `sig_start`: binding names
+/// (excluding `self`) and whether there is a `self` receiver.
+fn parse_params(toks: &[Tok], sig_start: usize) -> (Vec<String>, bool) {
+    let open = skip_generics(toks, sig_start + 2); // skip `fn name <…>`
     let mut params = Vec::new();
     let mut has_self = false;
-    let mut ret = String::new();
-    if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
-        return (params, has_self, ret);
+    if !toks.get(open).is_some_and(|t| t.is_punct('(')) {
+        return (params, has_self);
     }
-    // Collect the parameter token range.
-    let open = j;
-    let mut depth = 0usize;
-    let mut close = open;
-    while close < toks.len() {
-        if toks[close].is_punct('(') {
-            depth += 1;
-        } else if toks[close].is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        close += 1;
-    }
+    let close = skip_balanced(toks, open) - 1;
     // Split top-level commas inside (open+1 .. close).
     let mut start = open + 1;
     let mut d_par = 0i32;
@@ -533,81 +448,24 @@ fn parse_signature(toks: &[Tok], sig_start: usize, body_open: usize) -> (Vec<Par
         }
         // `name : Type` (skip `mut`; pattern parameters are unresolved).
         let mut name = String::new();
-        let mut ty = String::new();
-        let mut seen_colon = false;
-        let mut pattern = false;
         for t in slice {
-            if !seen_colon {
-                if t.is_punct(':') {
-                    seen_colon = true;
-                } else if t.kind == TokKind::Ident && t.text != "mut" && name.is_empty() && !pattern
-                {
-                    name = t.text.clone();
-                } else if t.is_punct('(') || t.is_punct('[') {
-                    name.clear();
-                    pattern = true;
-                }
-                continue;
-            }
-            match t.kind {
-                TokKind::Ident | TokKind::Num => {
-                    if !ty.is_empty() {
-                        ty.push(' ');
-                    }
-                    ty.push_str(&t.text);
-                }
-                TokKind::Punct(c) => ty.push(c),
-                _ => {}
+            if t.is_punct(':') {
+                break;
+            } else if t.is_punct('(') || t.is_punct('[') {
+                name.clear();
+                break;
+            } else if t.kind == TokKind::Ident && t.text != "mut" && name.is_empty() {
+                name = t.text.clone();
             }
         }
-        params.push(Param { name, ty });
+        params.push(name);
     }
-    // Return type: after `)`, a `->` up to `{`/`where`.
-    let mut k = close + 1;
-    if toks.get(k).is_some_and(|t| t.is_punct('-'))
-        && toks.get(k + 1).is_some_and(|t| t.is_punct('>'))
-    {
-        k += 2;
-        while k < body_open.saturating_sub(1)
-            && !toks[k].is_ident("where")
-            && !toks[k].is_punct('{')
-        {
-            if !ret.is_empty() {
-                ret.push(' ');
-            }
-            match toks[k].kind {
-                TokKind::Ident | TokKind::Num => ret.push_str(&toks[k].text),
-                TokKind::Punct(c) => {
-                    ret.pop_if_space();
-                    ret.push(c);
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    (params, has_self, ret)
-}
-
-trait PopIfSpace {
-    fn pop_if_space(&mut self);
-}
-impl PopIfSpace for String {
-    fn pop_if_space(&mut self) {
-        if self.ends_with(' ') {
-            self.pop();
-        }
-    }
+    (params, has_self)
 }
 
 /// Extract body events from `tokens` (a fn body), skipping `nested` fn
 /// body ranges and macro interiors.
-fn extract_events(
-    tokens: &[Tok],
-    nested: &[Span],
-    comments: &HashMap<u32, String>,
-    lines: &[&str],
-) -> Vec<Event> {
+fn extract_events(tokens: &[Tok], nested: &[Span], lexed: &Lexed) -> Vec<Event> {
     // (anchor, order, event) — anchored events sorted at the end.
     let mut out: Vec<(usize, usize, Event)> = Vec::new();
     let mut used_annotations: std::collections::HashSet<u32> = std::collections::HashSet::new();
@@ -644,11 +502,7 @@ fn extract_events(
                 }
                 if t.text == "return" {
                     let end = expr_end(tokens, j + 1);
-                    out.push((
-                        end,
-                        order,
-                        Event::Return(ReturnEvent { expr: (j + 1, end) }),
-                    ));
+                    out.push((end, order, Event::Return((j + 1, end))));
                     order += 1;
                     j += 1;
                     continue;
@@ -698,14 +552,12 @@ fn extract_events(
                     let (qualifiers, recv) = call_context(tokens, j);
                     // Each publish annotation binds to the first call
                     // after it only — not to every call within reach.
-                    let publish_label =
-                        label_annotation(comments, lines, t.line, "pmlint: publish(")
-                            .filter(|(al, _)| used_annotations.insert(*al))
-                            .map(|(_, label)| label);
-                    let observe_label =
-                        label_annotation(comments, lines, t.line, "pmlint: observe(")
-                            .filter(|(al, _)| used_observe_annotations.insert(*al))
-                            .map(|(_, label)| label);
+                    let publish_label = label_annotation(lexed, t.line, "pmlint: publish(")
+                        .filter(|(al, _)| used_annotations.insert(*al))
+                        .map(|(_, label)| label);
+                    let observe_label = label_annotation(lexed, t.line, "pmlint: observe(")
+                        .filter(|(al, _)| used_observe_annotations.insert(*al))
+                        .map(|(_, label)| label);
                     // Anchor at the closing paren: argument sub-calls
                     // execute before the call itself.
                     let anchor = skip_balanced(tokens, paren) - 1;
@@ -765,13 +617,7 @@ fn extract_events(
             .iter()
             .any(|&(s, e)| tail_start >= s && tail_start < e)
     {
-        out.push((
-            n,
-            order,
-            Event::Return(ReturnEvent {
-                expr: (tail_start, n),
-            }),
-        ));
+        out.push((n, order, Event::Return((tail_start, n))));
     }
     out.sort_by_key(|&(anchor, ord, _)| (anchor, ord));
     out.into_iter().map(|(_, _, e)| e).collect()
@@ -779,7 +625,7 @@ fn extract_events(
 
 /// Skip a balanced (), [], {} group starting at `open`; returns the index
 /// just past the closer.
-fn skip_balanced(tokens: &[Tok], open: usize) -> usize {
+pub(crate) fn skip_balanced(tokens: &[Tok], open: usize) -> usize {
     let (o, c) = match tokens.get(open).map(|t| t.kind) {
         Some(TokKind::Punct('(')) => ('(', ')'),
         Some(TokKind::Punct('[')) => ('[', ']'),
@@ -1009,28 +855,13 @@ fn call_context(tokens: &[Tok], idx: usize) -> (Vec<String>, Option<String>) {
 /// `// pmlint: <needle><label>)` attached to `line` (`needle` is e.g.
 /// `"pmlint: publish("`). Returns the annotation's own line so the caller
 /// can bind each annotation to the *first* call after it only.
-fn label_annotation(
-    comments: &HashMap<u32, String>,
-    lines: &[&str],
-    line: u32,
-    needle: &str,
-) -> Option<(u32, String)> {
-    let (at, c) = annotation(comments, lines, line, |c| {
-        c.find(needle)
-            .is_some_and(|i| c[i + needle.len()..].contains(')'))
-    })?;
-    let rest = &c[c.find(needle)? + needle.len()..];
-    Some((at, rest[..rest.find(')')?].trim().to_owned()))
-}
-
-/// Is `needle` present in the comment attached to `line`?
-fn has_annotation(
-    comments: &HashMap<u32, String>,
-    lines: &[&str],
-    line: u32,
-    needle: &str,
-) -> bool {
-    annotation(comments, lines, line, |c| c.contains(needle)).is_some()
+fn label_annotation(lexed: &Lexed, line: u32, needle: &str) -> Option<(u32, String)> {
+    let label = |c: &str| {
+        let rest = &c[c.find(needle)? + needle.len()..];
+        Some(rest[..rest.find(')')?].trim().to_owned())
+    };
+    let (at, c) = lexed.annotation(line, |c| label(c).is_some())?;
+    Some((at, label(c)?))
 }
 
 #[cfg(test)]
@@ -1038,7 +869,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> Vec<HirFn> {
-        parse_file("crates/x/src/lib.rs", src)
+        SourceFile::parse("crates/x/src/lib.rs", src).fns
     }
 
     #[test]
@@ -1049,9 +880,7 @@ mod tests {
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "f");
         assert_eq!(fns[0].params.len(), 2);
-        assert_eq!(fns[0].params[0].name, "map");
-        assert_eq!(fns[0].params[1].name, "n");
-        assert!(fns[0].ret.contains("Result"));
+        assert_eq!(fns[0].params, ["map", "n"]);
     }
 
     #[test]
@@ -1126,11 +955,14 @@ mod tests {
 
     #[test]
     fn test_code_is_marked() {
-        let fns = parse("#[cfg(test)] mod tests { fn helper() {} #[test] fn t() {} } fn real() {}");
-        let by_name = |n: &str| fns.iter().find(|f| f.name == n).unwrap();
-        assert!(by_name("helper").is_test);
-        assert!(by_name("t").is_test);
-        assert!(!by_name("real").is_test);
+        let src = "#[cfg(test)] mod tests { fn helper() {} #[test] fn t() {} } fn real() {}";
+        let file = SourceFile::parse("crates/x/src/lib.rs", src);
+        let names: Vec<&str> = file.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["real"], "test fns are dropped at parse time");
+        let helper = file.lexed.tokens.iter().position(|t| t.is_ident("helper"));
+        assert!(file.in_test(helper.unwrap()));
+        let real = file.lexed.tokens.iter().position(|t| t.is_ident("real"));
+        assert!(!file.in_test(real.unwrap()));
     }
 
     #[test]
@@ -1230,7 +1062,7 @@ mod tests {
     fn raw_identifiers_parse_as_fns() {
         let fns = parse("fn r#async(r#type: u64) -> u64 { r#type }");
         assert_eq!(fns[0].name, "async");
-        assert_eq!(fns[0].params[0].name, "type");
+        assert_eq!(fns[0].params, ["type"]);
     }
 
     #[test]

@@ -60,6 +60,36 @@ pub struct Lexed {
     pub tokens: Vec<Tok>,
     /// 1-based line number → concatenated comment text on that line.
     pub comments: HashMap<u32, String>,
+    /// How each source line starts (index = line - 1).
+    starts: Vec<LineStart>,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum LineStart {
+    Comment,
+    Attribute,
+    Other,
+}
+
+impl Lexed {
+    /// The one annotation lookup: the comment on `line` itself, then the
+    /// `//` comment block directly above it — attribute lines are skipped, a
+    /// blank line or a code line ends the block. Returns the first line
+    /// (walking up) whose comment satisfies `pred`, with that comment.
+    pub fn annotation(&self, line: u32, pred: impl Fn(&str) -> bool) -> Option<(u32, &str)> {
+        let hit = |l: u32| {
+            let c = self.comments.get(&l).filter(|c| pred(c))?;
+            Some((l, c.as_str()))
+        };
+        let start = |l: u32| self.starts.get(l as usize - 1).copied();
+        let above = (1..line)
+            .rev()
+            .take_while(|&l| start(l) != Some(LineStart::Other));
+        hit(line).or_else(|| {
+            let mut block = above.filter(|&l| start(l) == Some(LineStart::Comment));
+            block.find_map(hit)
+        })
+    }
 }
 
 struct Cursor<'a> {
@@ -242,41 +272,19 @@ pub fn lex(source: &str) -> Lexed {
             }
         }
     }
-    Lexed { tokens, comments }
-}
-
-/// The one annotation lookup: the comment on `line` itself, then the `//`
-/// comment block directly above it — attribute lines are skipped, a blank
-/// line or a code line ends the block. Returns the first line (walking
-/// up) whose comment satisfies `pred`, with that comment's text.
-pub fn annotation<'a>(
-    comments: &'a HashMap<u32, String>,
-    lines: &[&str],
-    line: u32,
-    pred: impl Fn(&str) -> bool,
-) -> Option<(u32, &'a str)> {
-    let hit = |l: u32| {
-        comments
-            .get(&l)
-            .filter(|c| pred(c))
-            .map(|c| (l, c.as_str()))
-    };
-    if let Some(h) = hit(line) {
-        return Some(h);
+    let starts = source
+        .lines()
+        .map(|l| match l.trim_start() {
+            l if l.starts_with("//") => LineStart::Comment,
+            l if l.starts_with("#[") || l.starts_with("#![") => LineStart::Attribute,
+            _ => LineStart::Other,
+        })
+        .collect();
+    Lexed {
+        tokens,
+        comments,
+        starts,
     }
-    let mut l = line;
-    while l > 1 {
-        l -= 1;
-        let raw = lines.get(l as usize - 1).map_or("", |s| s.trim());
-        if raw.starts_with("//") {
-            if let Some(h) = hit(l) {
-                return Some(h);
-            }
-        } else if !(raw.starts_with("#[") || raw.starts_with("#![")) {
-            break; // blank line or code: the block ended
-        }
-    }
-    None
 }
 
 /// Plain string literal starting at the opening `"`.

@@ -2,8 +2,10 @@
 
 //! `pmlint` — static crash-consistency analysis for the workspace.
 //!
-//! Two halves, in the spirit of rustc's `tidy` (hand-rolled, zero
-//! registry dependencies):
+//! Hand-rolled, zero registry dependencies, in the spirit of rustc's
+//! `tidy`. One front end ([`hir`](crate)) lexes every file once, lifts
+//! its non-test fn items into a small HIR and locates its test code; the
+//! checks then read that:
 //!
 //! 1. **Protocol specs** — the persist-order protocols declared in
 //!    [`nvm::protocol_registry`] are statically validated for
@@ -11,22 +13,20 @@
 //!    checksummed labels they declare are cross-checked against the
 //!    `media_extents` targeting maps in the source tree
 //!    ([`media_findings`], rule `publish-once-media`).
-//! 2. **Concurrency lints** — interprocedural atomics-ordering and
-//!    lock-discipline passes over the engine call graph
-//!    ([`analyze`](crate), rules `atomic-ordering`, `lock-held-persist`,
-//!    `guard-escape`, `lock-cycle`): release publication / acquire
-//!    observation at every ordering-annotated protocol site, no persist
-//!    fences under a lock, no escaping guards, one global lock order.
-//! 3. **Source lints** — a token-level walk of every crate
-//!    ([`lint_source`], [`lint_tree`]) enforcing the rules documented in
-//!    [`rules`](crate): no raw NVM writes outside flush-annotated
-//!    helpers, no panicking constructs on recovery/replay-critical paths,
-//!    `Pod` layout discipline, `// SAFETY:` comments on every `unsafe`,
-//!    no `get_unchecked`, and — via the call-graph closure of the
-//!    allocation primitives — no panicking construct in any fn that can
-//!    observe an allocation failure (`alloc-unwrap`).
+//! 2. **Token rules** ([`lint_source`]) over every crate: no raw NVM
+//!    writes outside flush-annotated helpers, `Pod` layout discipline,
+//!    `// SAFETY:` comments on every `unsafe` and foreign block, no
+//!    `get_unchecked`, and — through the one panic scan — no panicking
+//!    construct on recovery/replay-critical fns.
+//! 3. **Interprocedural passes** ([`analyze`]) over the engine crates'
+//!    one program and one call graph, each a summary fixpoint through
+//!    one driver: persist order and unflushed escapes, volatile-pointer
+//!    taint, publish-label binding, atomics ordering and lock
+//!    discipline, persistence cost and read-path purity, and
+//!    `alloc-unwrap` (the panic scan over the reverse call-graph closure
+//!    of the allocation primitives).
 //!
-//! The CLI (`cargo run -p pmlint -- --deny`) runs both halves over the
+//! The CLI (`cargo run -p pmlint -- --deny`) runs all of it over the
 //! workspace and exits non-zero on any finding.
 
 mod allocpath;
@@ -44,7 +44,7 @@ pub mod sarif;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-pub use allocpath::{alloc_unwrap_findings, ALLOC_SEEDS, RULE_ALLOC_UNWRAP};
+pub use allocpath::{ALLOC_SEEDS, RULE_ALLOC_UNWRAP};
 pub use concurrency::{
     RULE_ATOMIC_ORDERING, RULE_GUARD_ESCAPE, RULE_LOCK_CYCLE, RULE_LOCK_HELD_PERSIST,
 };
@@ -58,6 +58,39 @@ pub use explain::{explain, explained_rules};
 pub use hir::{build_program, HirFn, HirProgram};
 pub use rules::{lint_source, FileFacts, Finding};
 
+/// Every rule id pmlint emits (debug builds refuse a finding of any other).
+pub const RULES: [&str; 26] = [
+    "protocol-spec",
+    "publish-once-media",
+    "raw-nvm-write",
+    "recovery-unwrap",
+    "recovery-panic",
+    "recovery-indexing",
+    "pod-repr-c",
+    "pod-padding-assert",
+    "pod-interior-mutability",
+    "unsafe-safety-comment",
+    "send-sync-justification",
+    "ffi-safety-comment",
+    "no-get-unchecked",
+    RULE_ALLOC_UNWRAP,
+    RULE_PERSIST_ORDER,
+    RULE_UNFLUSHED_ESCAPE,
+    RULE_VOLATILE_ESCAPE,
+    RULE_PUBLISH_BINDING,
+    RULE_ATOMIC_ORDERING,
+    RULE_LOCK_HELD_PERSIST,
+    RULE_GUARD_ESCAPE,
+    RULE_LOCK_CYCLE,
+    RULE_REDUNDANT_FLUSH,
+    RULE_DEAD_FLUSH,
+    RULE_FENCE_COALESCE,
+    RULE_READ_PATH_PURITY,
+];
+
+/// Where protocol-level findings (specs, unbound labels) anchor.
+const PROTOCOL_FILE: &str = "crates/nvm/src/protocol.rs";
+
 /// Crates covered by the interprocedural analyses (the engine's
 /// persistence-relevant call graph).
 pub const ANALYZED_CRATES: &[&str] = &["nvm", "storage", "core", "txn", "wal", "index"];
@@ -65,8 +98,7 @@ pub const ANALYZED_CRATES: &[&str] = &["nvm", "storage", "core", "txn", "wal", "
 /// Run the interprocedural analyses over an explicit set of
 /// `(path, source)` pairs — the corpus-test entry point.
 pub fn analyze_sources(files: &[(String, String)], ctx: &AnalysisCtx) -> Vec<Finding> {
-    let prog = hir::build_program(files);
-    dataflow::analyze(&prog, ctx)
+    dataflow::analyze(&hir::build_program(files), ctx)
 }
 
 /// The analysis context for the real tree: publish labels from the nvm
@@ -88,28 +120,19 @@ pub fn tree_analysis_ctx() -> AnalysisCtx {
             .map(|p| p.label.to_owned())
             .collect(),
         check_publish_binding: true,
-        labels_anchor: "crates/nvm/src/protocol.rs".to_owned(),
     }
 }
 
 /// Statically validate every declared persist-order protocol spec.
 pub fn validate_protocols() -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for spec in nvm::protocol_registry() {
-        if let Err(e) = spec.validate() {
-            findings.push(Finding {
-                rule: "protocol-spec",
-                file: "crates/nvm/src/protocol.rs".to_owned(),
-                line: 1,
-                col: 1,
-                msg: format!(
-                    "protocol {:?} fails happens-before validation: {e}",
-                    spec.name
-                ),
-            });
-        }
-    }
-    findings
+    let specs = nvm::protocol_registry().into_iter();
+    let failing = specs.filter_map(|spec| Some((spec.name, spec.validate().err()?)));
+    failing
+        .map(|(name, e)| {
+            let msg = format!("protocol {name:?} fails happens-before validation: {e}");
+            Finding::new("protocol-spec", PROTOCOL_FILE, 1, 1, msg)
+        })
+        .collect()
 }
 
 /// Tree-level `publish-once-media` rule: every checksummed store label
@@ -126,21 +149,16 @@ pub fn media_findings(files: &[(String, FileFacts)]) -> Vec<Finding> {
         }
     }
     let mut findings = Vec::new();
-    let anchor = media_files.first().copied().unwrap_or("<tree>").to_owned();
+    let anchor = media_files.first().copied().unwrap_or("<tree>");
     let mut checked: BTreeSet<&'static str> = BTreeSet::new();
     for spec in nvm::protocol_registry() {
         for (label, checksummed) in spec.store_labels() {
             if checksummed && checked.insert(label) && !registered.contains(label) {
-                findings.push(Finding {
-                    rule: "publish-once-media",
-                    file: anchor.clone(),
-                    line: 1,
-                    col: 1,
-                    msg: format!(
-                        "checksummed protocol label {label:?} (spec {:?}) is not registered in any media_extents map",
-                        spec.name
-                    ),
-                });
+                let msg = format!(
+                    "checksummed protocol label {label:?} (spec {:?}) is not registered in any media_extents map",
+                    spec.name
+                );
+                findings.push(Finding::new("publish-once-media", anchor, 1, 1, msg));
             }
         }
     }
@@ -172,43 +190,32 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lint the whole workspace under `root`: every `.rs` file in `crates/`,
-/// `tests/`, and `examples/`, plus the protocol-spec and media-registry
-/// checks.
+/// `tests/`, and `examples/` through the token rules, the protocol-spec
+/// and media-registry checks, and the interprocedural passes over the
+/// engine crates — each file lexed and parsed once.
 pub fn lint_tree(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
+    let mut paths = Vec::new();
     for sub in ["crates", "tests", "examples"] {
-        collect_rs_files(&root.join(sub), &mut files)?;
+        collect_rs_files(&root.join(sub), &mut paths)?;
     }
     let mut findings = validate_protocols();
     let mut facts = Vec::new();
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for path in files {
+    let mut engine = Vec::new();
+    for path in paths {
         let source = std::fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let (mut f, file_facts) = lint_source(&rel, &source, cfg);
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        let file = hir::SourceFile::parse(&rel, &source);
+        let (mut f, file_facts) = rules::lint_file(&file, cfg);
         findings.append(&mut f);
-        facts.push((rel.clone(), file_facts));
-        sources.push((rel, source));
+        facts.push((rel, file_facts));
+        if ANALYZED_CRATES.contains(&hir::crate_of(&file.path).as_str()) {
+            engine.extend(file.fns);
+        }
     }
-    if cfg.check_media_registry {
-        findings.append(&mut media_findings(&facts));
-    }
-    if cfg.check_dataflow {
-        let engine: Vec<(String, String)> = sources
-            .into_iter()
-            .filter(|(p, _)| {
-                ANALYZED_CRATES
-                    .iter()
-                    .any(|c| p.starts_with(&format!("crates/{c}/")))
-            })
-            .collect();
-        findings.append(&mut analyze_sources(&engine, &tree_analysis_ctx()));
-        findings.append(&mut alloc_unwrap_findings(&engine, allocpath::ALLOC_SEEDS));
-    }
+    findings.append(&mut media_findings(&facts));
+    let prog = HirProgram::new(engine);
+    findings.append(&mut dataflow::analyze(&prog, &tree_analysis_ctx()));
     findings.retain(|f| !cfg.is_suppressed(f.rule, &f.file));
     Ok(findings)
 }

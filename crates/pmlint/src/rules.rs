@@ -1,8 +1,7 @@
-//! The lint rules, run over the token stream with a brace-depth context
-//! walker (fn/mod scopes, `#[cfg(test)]` suppression, critical-path
-//! scoping).
+//! The token-level rules, and the one panic scan.
 //!
-//! Rules:
+//! Token rules run over each file's token stream, using the front end's
+//! test spans and `flush-helper` fn bodies for context:
 //!
 //! * `raw-nvm-write` — raw pointer writes (`ptr::write`, `ptr::copy`,
 //!   `copy_nonoverlapping`, `write_volatile`, `write_unaligned`,
@@ -10,13 +9,6 @@
 //!   `// pmlint: flush-helper` comment. All NVM stores must go through the
 //!   region API so the flush/fence discipline and the persist-trace
 //!   recorder see them.
-//! * `recovery-unwrap` — `.unwrap()` / `.expect(...)` on recovery- and
-//!   replay-critical paths. Recovery code faces arbitrary post-crash
-//!   bytes; it must return typed errors, never abort.
-//! * `recovery-panic` — `panic!` / `unreachable!` / `todo!` /
-//!   `unimplemented!` on critical paths.
-//! * `recovery-indexing` — panicking `container[index]` expressions on
-//!   critical paths (use `.get()` with a typed error instead).
 //! * `pod-repr-c` — `unsafe impl Pod for T` where `T`'s definition in the
 //!   same file lacks `#[repr(C)]` / `#[repr(transparent)]`.
 //! * `pod-padding-assert` — such impls without a `size_of::<T>` layout
@@ -43,6 +35,13 @@
 //!   contracts must be written down. `extern crate` and `extern "C" fn`
 //!   definitions are not foreign blocks and are exempt.
 //!
+//! The panic scan ([`panic_scan`]) reads a fn body's tokens for
+//! `.unwrap()` / `.expect(..)` and the panic macros. The fn set picks the
+//! rule: on the configured recovery/replay-critical fns it reports
+//! `recovery-unwrap` / `recovery-panic` — plus `recovery-indexing` for
+//! panicking `container[index]` expressions — and on the reverse
+//! call-graph closure of the allocation primitives `alloc-unwrap`.
+//!
 //! A tree-level rule (`publish-once-media`) lives in
 //! [`media_findings`](crate::media_findings): every checksummed store
 //! label declared in the nvm protocol registry must be registered in a
@@ -50,8 +49,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use crate::callgraph::Site;
 use crate::config::Config;
-use crate::lexer::{annotation, lex, Tok, TokKind};
+use crate::hir::{read_path_last_segment, skip_balanced, skip_generics, HirFn, SourceFile};
+use crate::lexer::{Lexed, Tok, TokKind};
 
 /// One lint finding, anchored to a source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +67,26 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable description.
     pub msg: String,
+}
+
+impl Finding {
+    /// A finding of `rule`, which must be one of [`RULES`](crate::RULES).
+    pub(crate) fn new(rule: &'static str, file: &str, line: u32, col: u32, msg: String) -> Finding {
+        debug_assert!(crate::RULES.contains(&rule), "unregistered rule {rule}");
+        let file = file.to_owned();
+        Finding {
+            rule,
+            file,
+            line,
+            col,
+            msg,
+        }
+    }
+
+    /// A finding of `rule` anchored at `site`.
+    pub(crate) fn at(rule: &'static str, site: &Site, msg: String) -> Finding {
+        Finding::new(rule, &site.file, site.line, site.col, msg)
+    }
 }
 
 impl std::fmt::Display for Finding {
@@ -108,38 +129,6 @@ const POD_PRIMITIVES: &[&str] = &[
     "isize",
 ];
 
-#[derive(Debug, Clone)]
-struct Scope {
-    /// Name of the fn that opened this scope (empty for non-fn scopes).
-    fn_name: String,
-    /// Inside `#[cfg(test)]` / `#[test]` code.
-    test: bool,
-    /// On a recovery/replay-critical path per the config.
-    critical: bool,
-    /// Inside a `// pmlint: flush-helper` annotated fn.
-    flush_helper: bool,
-}
-
-struct PendingItem {
-    fn_name: String,
-    test: bool,
-    flush_helper: bool,
-    critical: bool,
-}
-
-struct PodImpl {
-    type_name: String,
-    line: u32,
-    col: u32,
-}
-
-struct MarkerImpl {
-    trait_name: String,
-    type_name: String,
-    line: u32,
-    col: u32,
-}
-
 struct TypeDef {
     has_repr: bool,
     /// First interior-mutable field type mentioned in the definition.
@@ -148,278 +137,118 @@ struct TypeDef {
 
 /// Lint one file; returns findings plus tree-level facts.
 pub fn lint_source(path: &str, source: &str, cfg: &Config) -> (Vec<Finding>, FileFacts) {
-    let lexed = lex(source);
-    let toks = &lexed.tokens;
-    let lines: Vec<&str> = source.lines().collect();
-    let critical_fns = cfg.critical_fns(path);
-    let whole_file_critical = matches!(critical_fns, Some(None));
+    lint_file(&SourceFile::parse(path, source), cfg)
+}
 
+/// Lint one parsed file: the token rules, the critical-path panic scan and
+/// the file's media labels.
+pub(crate) fn lint_file(file: &SourceFile, cfg: &Config) -> (Vec<Finding>, FileFacts) {
+    let toks = &file.lexed.tokens;
+    let path = file.path.as_str();
     let mut findings = Vec::new();
-    let mut facts = FileFacts::default();
-    let mut scopes: Vec<Scope> = vec![Scope {
-        fn_name: String::new(),
-        test: false,
-        critical: whole_file_critical,
-        flush_helper: false,
-    }];
-    let mut pending: Option<PendingItem> = None;
-    let mut attr_test = false;
     let mut attrs: Vec<Vec<String>> = Vec::new();
-    let mut pod_impls: Vec<PodImpl> = Vec::new();
-    let mut marker_impls: Vec<MarkerImpl> = Vec::new();
+    let mut pod_impls: Vec<&Tok> = Vec::new();
     let mut type_defs: HashMap<String, TypeDef> = HashMap::new();
     let mut size_asserted: BTreeSet<String> = BTreeSet::new();
-    // Depth of the scope stack while inside `fn media_extents`.
-    let mut media_depth: Option<usize> = None;
-
+    let flush_helper = |i: usize| {
+        let mut helpers = file.fns.iter().filter(|f| f.flush_helper);
+        helpers.any(|f| i >= f.body.0 && i < f.body.1)
+    };
     let mut emit = |rule: &'static str, t: &Tok, msg: String| {
-        findings.push(Finding {
-            rule,
-            file: path.to_owned(),
-            line: t.line,
-            col: t.col,
-            msg,
-        });
+        findings.push(Finding::new(rule, path, t.line, t.col, msg));
     };
 
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
-        let scope = scopes.last().cloned().unwrap_or(Scope {
-            fn_name: String::new(),
-            test: false,
-            critical: whole_file_critical,
-            flush_helper: false,
-        });
-        let in_test = scope.test;
-        let in_critical = scope.critical && !in_test;
-
-        // ------- attributes: consume `#[...]` / `#![...]` wholesale ------
+        // Attributes: consume `#[...]` / `#![...]` wholesale.
         if t.is_punct('#') {
-            let mut j = i + 1;
-            if j < toks.len() && toks[j].is_punct('!') {
-                j += 1;
-            }
-            if j < toks.len() && toks[j].is_punct('[') {
-                let mut depth = 0usize;
-                let mut words = Vec::new();
-                while j < toks.len() {
-                    match toks[j].kind {
-                        TokKind::Punct('[') => depth += 1,
-                        TokKind::Punct(']') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        TokKind::Ident => words.push(toks[j].text.clone()),
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if words.iter().any(|w| w == "test") {
-                    attr_test = true;
-                }
-                attrs.push(words);
-                i = j + 1;
+            let j = i + 1 + usize::from(toks.get(i + 1).is_some_and(|n| n.is_punct('!')));
+            if toks.get(j).is_some_and(|n| n.is_punct('[')) {
+                let end = skip_balanced(toks, j);
+                let words = toks[j..end].iter().filter(|t| t.kind == TokKind::Ident);
+                attrs.push(words.map(|t| t.text.clone()).collect());
+                i = end;
                 continue;
             }
         }
-
-        match t.kind {
-            TokKind::Punct('{') => {
-                let parent = scope;
-                let next = match pending.take() {
-                    Some(p) => Scope {
-                        fn_name: p.fn_name,
-                        test: parent.test || p.test,
-                        critical: parent.critical || p.critical,
-                        flush_helper: parent.flush_helper || p.flush_helper,
-                    },
-                    None => parent,
-                };
-                if next.fn_name == "media_extents" && media_depth.is_none() {
-                    media_depth = Some(scopes.len());
-                    facts.media_labels.get_or_insert_with(BTreeSet::new);
-                }
-                scopes.push(next);
+        let prev = i.checked_sub(1).map(|p| &toks[p]);
+        let next = toks.get(i + 1);
+        let after_fn = prev.is_some_and(|p| p.is_ident("fn"));
+        match (t.kind, t.text.as_str()) {
+            (TokKind::Punct(';'), _) | (TokKind::Ident, "mod" | "impl" | "trait") => attrs.clear(),
+            (TokKind::Ident, "fn") if next.is_some_and(|n| n.kind == TokKind::Ident) => {
+                attrs.clear()
             }
-            TokKind::Punct('}') => {
-                if scopes.len() > 1 {
-                    scopes.pop();
+            (TokKind::Ident, "struct" | "enum" | "union") => {
+                if let Some(name) = next.filter(|n| n.kind == TokKind::Ident) {
+                    let has_repr = attrs.iter().any(|a| {
+                        a.iter().any(|w| w == "repr")
+                            && a.iter().any(|w| w == "C" || w == "transparent")
+                    });
+                    let interior_mut = body_interior_mut(toks, i);
+                    let def = TypeDef {
+                        has_repr,
+                        interior_mut,
+                    };
+                    type_defs.insert(name.text.clone(), def);
                 }
-                if media_depth.is_some_and(|d| scopes.len() <= d) {
-                    media_depth = None;
-                }
-            }
-            TokKind::Punct(';') => {
-                pending = None;
-                attr_test = false;
                 attrs.clear();
             }
-            TokKind::Str if media_depth.is_some() => {
-                if let Some(labels) = facts.media_labels.as_mut() {
-                    labels.insert(t.text.clone());
+            (TokKind::Ident, "extern") => check_extern_block(toks, i, &file.lexed, &mut emit),
+            (TokKind::Ident, "unsafe") => {
+                if !has_safety_comment(&file.lexed, t) {
+                    let msg = "`unsafe` without a `// SAFETY:` comment justifying it";
+                    emit("unsafe-safety-comment", t, msg.to_owned());
                 }
-            }
-            TokKind::Ident => {
-                let prev = i.checked_sub(1).map(|p| &toks[p]);
-                let next = toks.get(i + 1);
-                match t.text.as_str() {
-                    "fn" => {
-                        if let Some(name) = next.filter(|n| n.kind == TokKind::Ident) {
-                            let critical = match &critical_fns {
-                                Some(Some(list)) => list.iter().any(|f| f == &name.text),
-                                Some(None) => true,
-                                None => false,
-                            };
-                            pending = Some(PendingItem {
-                                fn_name: name.text.clone(),
-                                test: attr_test,
-                                flush_helper: annotation(&lexed.comments, &lines, t.line, |c| {
-                                    c.contains("pmlint: flush-helper")
-                                })
-                                .is_some(),
-                                critical,
-                            });
-                            attr_test = false;
-                            attrs.clear();
-                        }
-                    }
-                    "mod" | "impl" | "trait" => {
-                        pending = Some(PendingItem {
-                            fn_name: String::new(),
-                            test: attr_test,
-                            flush_helper: false,
-                            critical: false,
-                        });
-                        attr_test = false;
-                        attrs.clear();
-                    }
-                    "struct" | "enum" | "union" => {
-                        if let Some(name) = next.filter(|n| n.kind == TokKind::Ident) {
-                            let has_repr = attrs.iter().any(|a| {
-                                a.iter().any(|w| w == "repr")
-                                    && a.iter().any(|w| w == "C" || w == "transparent")
-                            });
-                            type_defs.insert(
-                                name.text.clone(),
-                                TypeDef {
-                                    has_repr,
-                                    interior_mut: body_interior_mut(toks, i),
-                                },
-                            );
-                        }
-                        pending = Some(PendingItem {
-                            fn_name: String::new(),
-                            test: attr_test,
-                            flush_helper: false,
-                            critical: false,
-                        });
-                        attr_test = false;
-                        attrs.clear();
-                    }
-                    "extern" => {
-                        check_extern_block(toks, i, &lexed.comments, &lines, &mut emit);
-                    }
-                    "unsafe" => {
-                        check_safety_comment(&lexed.comments, &lines, t, &mut emit);
-                        if let Some(imp) = parse_pod_impl(toks, i) {
-                            pod_impls.push(imp);
-                        }
-                        if let Some(imp) = parse_marker_impl(toks, i) {
-                            if !safety_argues_threads(&lexed.comments, &lines, t) {
-                                marker_impls.push(imp);
-                            }
-                        }
-                    }
-                    "size_of" | "align_of" => {
-                        // `size_of::<T>` — whitelist T for the padding rule.
-                        if let Some(name) = generic_arg_ident(toks, i) {
-                            size_asserted.insert(name);
-                        }
-                    }
-                    "unwrap" | "expect" if in_critical && prev.is_some_and(|p| p.is_punct('.')) => {
-                        emit(
-                            "recovery-unwrap",
-                            t,
-                            format!(
-                                "`.{}()` in recovery/replay-critical fn `{}` — return a typed error instead",
-                                t.text, scope.fn_name
-                            ),
-                        );
-                    }
-                    name if PANIC_MACROS.contains(&name)
-                        && in_critical
-                        && next.is_some_and(|n| n.is_punct('!')) =>
+                match parse_unsafe_impl(toks, i) {
+                    Some((tr, ty))
+                        if tr == "Pod" && !POD_PRIMITIVES.contains(&ty.text.as_str()) =>
                     {
-                        emit(
-                            "recovery-panic",
-                            t,
-                            format!(
-                                "`{name}!` in recovery/replay-critical fn `{}` — recovery must not abort on bad bytes",
-                                scope.fn_name
-                            ),
-                        );
+                        pod_impls.push(ty)
                     }
-                    name if GET_UNCHECKED.contains(&name)
-                        && !in_test
-                        && !prev.is_some_and(|p| p.is_ident("fn")) =>
+                    Some((tr, ty))
+                        if matches!(tr.as_str(), "Send" | "Sync")
+                            && !safety_argues_threads(&file.lexed, t) =>
                     {
-                        emit(
-                            "no-get-unchecked",
-                            t,
-                            format!("`{name}` bypasses bounds checks — banned outside tests"),
+                        let msg = format!(
+                            "`unsafe impl {tr} for {}` without a thread-safety argument in its `// SAFETY:` comment — asserting `{tr}` claims the type is safe across threads; the comment must say why (what lock, atomic, or ownership rule makes it so)",
+                            ty.text
                         );
-                    }
-                    name if RAW_WRITE_BARE.contains(&name)
-                        && !in_test
-                        && !scope.flush_helper
-                        && !prev.is_some_and(|p| p.is_ident("fn")) =>
-                    {
-                        emit(
-                            "raw-nvm-write",
-                            t,
-                            format!(
-                                "raw memory write `{name}` outside a `// pmlint: flush-helper` fn — all NVM stores must go through the region API"
-                            ),
-                        );
-                    }
-                    name if RAW_WRITE_PTR_QUALIFIED.contains(&name) => {
-                        let ptr_qualified = i >= 2
-                            && toks[i - 1].is_punct(':')
-                            && toks[i - 2].is_punct(':')
-                            && i >= 3
-                            && toks[i - 3].is_ident("ptr");
-                        if ptr_qualified && !in_test && !scope.flush_helper {
-                            emit(
-                                "raw-nvm-write",
-                                t,
-                                format!(
-                                    "raw memory write `ptr::{name}` outside a `// pmlint: flush-helper` fn — all NVM stores must go through the region API"
-                                ),
-                            );
-                        }
+                        emit("send-sync-justification", ty, msg);
                     }
                     _ => {}
                 }
             }
-            TokKind::Punct('[') if in_critical => {
-                let prev = i.checked_sub(1).map(|p| &toks[p]);
-                let indexes = prev.is_some_and(|p| match p.kind {
-                    TokKind::Ident => !INDEX_OK_KEYWORDS.contains(&p.text.as_str()),
-                    TokKind::Punct(')') | TokKind::Punct(']') => true,
-                    _ => false,
-                });
-                if indexes {
-                    emit(
-                        "recovery-indexing",
-                        t,
-                        format!(
-                            "panicking index expression in recovery/replay-critical fn `{}` — use `.get()` with a typed error",
-                            scope.fn_name
-                        ),
+            // `size_of::<T>` — whitelist T for the padding rule.
+            (TokKind::Ident, "size_of" | "align_of") => {
+                if let Some(name) = generic_arg_ident(toks, i) {
+                    size_asserted.insert(name);
+                }
+            }
+            (TokKind::Ident, name)
+                if GET_UNCHECKED.contains(&name) && !file.in_test(i) && !after_fn =>
+            {
+                let msg = format!("`{name}` bypasses bounds checks — banned outside tests");
+                emit("no-get-unchecked", t, msg);
+            }
+            (TokKind::Ident, name)
+                if RAW_WRITE_BARE.contains(&name) || RAW_WRITE_PTR_QUALIFIED.contains(&name) =>
+            {
+                let qualified = i >= 3
+                    && toks[i - 1].is_punct(':')
+                    && toks[i - 2].is_punct(':')
+                    && toks[i - 3].is_ident("ptr");
+                let raw = match RAW_WRITE_BARE.contains(&name) {
+                    true if !after_fn => format!("`{name}`"),
+                    false if qualified => format!("`ptr::{name}`"),
+                    _ => String::new(),
+                };
+                if !raw.is_empty() && !file.in_test(i) && !flush_helper(i) {
+                    let msg = format!(
+                        "raw memory write {raw} outside a `// pmlint: flush-helper` fn — all NVM stores must go through the region API"
                     );
+                    emit("raw-nvm-write", t, msg);
                 }
             }
             _ => {}
@@ -427,89 +256,170 @@ pub fn lint_source(path: &str, source: &str, cfg: &Config) -> (Vec<Finding>, Fil
         i += 1;
     }
 
-    for imp in &marker_impls {
-        findings.push(Finding {
-            rule: "send-sync-justification",
-            file: path.to_owned(),
-            line: imp.line,
-            col: imp.col,
-            msg: format!(
-                "`unsafe impl {} for {}` without a thread-safety argument in its `// SAFETY:` comment — asserting `{}` claims the type is safe across threads; the comment must say why (what lock, atomic, or ownership rule makes it so)",
-                imp.trait_name, imp.type_name, imp.trait_name
-            ),
-        });
-    }
-
-    // Pod layout rules, resolved against the file-wide defs.
-    for imp in &pod_impls {
-        let Some(def) = type_defs.get(&imp.type_name) else {
-            continue; // defined in another file — out of scope for a lexer
+    // Pod layout rules, resolved against the file-wide defs (a type
+    // defined in another file is out of scope for a lexer).
+    for ty in pod_impls {
+        let Some(def) = type_defs.get(&ty.text) else {
+            continue;
         };
+        let name = &ty.text;
         if !def.has_repr {
-            findings.push(Finding {
-                rule: "pod-repr-c",
-                file: path.to_owned(),
-                line: imp.line,
-                col: imp.col,
-                msg: format!(
-                    "`unsafe impl Pod for {}` but `{}` lacks #[repr(C)]/#[repr(transparent)] — field order is unstable",
-                    imp.type_name, imp.type_name
-                ),
-            });
+            let msg = format!(
+                "`unsafe impl Pod for {name}` but `{name}` lacks #[repr(C)]/#[repr(transparent)] — field order is unstable"
+            );
+            emit("pod-repr-c", ty, msg);
         }
         if let Some(field_ty) = &def.interior_mut {
-            findings.push(Finding {
-                rule: "pod-interior-mutability",
-                file: path.to_owned(),
-                line: imp.line,
-                col: imp.col,
-                msg: format!(
-                    "`unsafe impl Pod for {}` but `{}` contains interior-mutable field type `{field_ty}` — Pod values are raw bytes on the medium; lock/atomic state must not be persisted",
-                    imp.type_name, imp.type_name
-                ),
-            });
+            let msg = format!(
+                "`unsafe impl Pod for {name}` but `{name}` contains interior-mutable field type `{field_ty}` — Pod values are raw bytes on the medium; lock/atomic state must not be persisted"
+            );
+            emit("pod-interior-mutability", ty, msg);
         }
-        if !size_asserted.contains(&imp.type_name) {
-            findings.push(Finding {
-                rule: "pod-padding-assert",
-                file: path.to_owned(),
-                line: imp.line,
-                col: imp.col,
-                msg: format!(
-                    "`unsafe impl Pod for {}` without a `size_of::<{}>` const assertion pinning padding-freedom",
-                    imp.type_name, imp.type_name
-                ),
-            });
+        if !size_asserted.contains(name) {
+            let msg = format!(
+                "`unsafe impl Pod for {name}` without a `size_of::<{name}>` const assertion pinning padding-freedom"
+            );
+            emit("pod-padding-assert", ty, msg);
         }
     }
 
+    // Recovery/replay-critical fns: the panic scan.
+    if let Some(names) = cfg.critical_fns(path) {
+        let mut critical = Vec::new();
+        for f in file
+            .fns
+            .iter()
+            .filter(|f| names.is_none_or(|n| n.contains(&f.name)))
+        {
+            panic_scan(f, NoPanic::Critical, &mut critical);
+        }
+        // A nested fn is also scanned as part of its critical parent.
+        critical.sort_by_key(|f| (f.line, f.col));
+        critical.dedup_by_key(|f| (f.line, f.col));
+        findings.append(&mut critical);
+    }
+
+    let mut facts = FileFacts::default();
+    for f in file.fns.iter().filter(|f| f.name == "media_extents") {
+        let labels = facts.media_labels.get_or_insert_with(BTreeSet::new);
+        let strings = f.tokens.iter().filter(|t| t.kind == TokKind::Str);
+        labels.extend(strings.map(|t| t.text.clone()));
+    }
     (findings, facts)
 }
 
-/// Is there a `// SAFETY:` comment (or `# Safety` doc section) on `t`'s
-/// line or in the comment block directly above it?
-fn has_safety_comment(comments: &HashMap<u32, String>, lines: &[&str], t: &Tok) -> bool {
-    annotation(comments, lines, t.line, |c| {
-        c.contains("SAFETY:") || c.contains("# Safety")
-    })
-    .is_some()
+/// Why a fn body must not panic — and so which rule the scan reports.
+pub(crate) enum NoPanic<'a> {
+    /// A configured recovery/replay-critical fn: it faces arbitrary
+    /// post-crash bytes and must return typed errors.
+    Critical,
+    /// The fn can observe an allocation failure; the witness says how.
+    Alloc(&'a str),
 }
 
-/// `unsafe` must carry a `// SAFETY:` comment (or a `# Safety` doc
-/// section) on its line or in the comment/attribute block directly above.
-fn check_safety_comment(
-    comments: &HashMap<u32, String>,
-    lines: &[&str],
-    t: &Tok,
-    emit: &mut impl FnMut(&'static str, &Tok, String),
-) {
-    if !has_safety_comment(comments, lines, t) {
-        emit(
-            "unsafe-safety-comment",
-            t,
-            "`unsafe` without a `// SAFETY:` comment justifying it".to_owned(),
-        );
+/// The one panic scan over `f`'s body tokens (macro bodies included):
+/// `.unwrap()` / `.expect(..)`, the panic macros and — on critical paths —
+/// panicking index expressions.
+pub(crate) fn panic_scan(f: &HirFn, why: NoPanic, out: &mut Vec<Finding>) {
+    let toks = &f.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        let prev = i.checked_sub(1).map(|p| &toks[p]);
+        let next = toks.get(i + 1);
+        let name = t.text.as_str();
+        let unwrap = matches!(name, "unwrap" | "expect")
+            && t.kind == TokKind::Ident
+            && prev.is_some_and(|p| p.is_punct('.'))
+            && next.is_some_and(|n| n.is_punct('('));
+        let panic = t.kind == TokKind::Ident
+            && PANIC_MACROS.contains(&name)
+            && next.is_some_and(|n| n.is_punct('!'));
+        let index = t.is_punct('[')
+            && prev.is_some_and(|p| match p.kind {
+                TokKind::Ident => !INDEX_OK_KEYWORDS.contains(&p.text.as_str()),
+                TokKind::Punct(')') | TokKind::Punct(']') => true,
+                _ => false,
+            });
+        let fname = &f.name;
+        let (rule, msg) = match why {
+            NoPanic::Critical if unwrap => (
+                "recovery-unwrap",
+                format!("`.{name}()` in recovery/replay-critical fn `{fname}` — return a typed error instead"),
+            ),
+            NoPanic::Critical if panic => (
+                "recovery-panic",
+                format!("`{name}!` in recovery/replay-critical fn `{fname}` — recovery must not abort on bad bytes"),
+            ),
+            NoPanic::Critical if index => (
+                "recovery-indexing",
+                format!("panicking index expression in recovery/replay-critical fn `{fname}` — use `.get()` with a typed error"),
+            ),
+            NoPanic::Alloc(witness) if unwrap || panic => {
+                let what = if unwrap {
+                    format!("`.{name}(..)`")
+                } else {
+                    format!("`{name}!`")
+                };
+                let msg = format!(
+                    "{what} in `{fname}`, which can observe an allocation failure \
+                     ({witness}) — capacity exhaustion must unwind as a typed \
+                     error, not abort"
+                );
+                (crate::allocpath::RULE_ALLOC_UNWRAP, msg)
+            }
+            _ => continue,
+        };
+        out.push(Finding::new(rule, &f.file, t.line, t.col, msg));
     }
+}
+
+/// Is there a `// SAFETY:` comment (or `# Safety` doc section) attached to
+/// `t`'s line?
+fn has_safety_comment(lexed: &Lexed, t: &Tok) -> bool {
+    let ok = |c: &str| c.contains("SAFETY:") || c.contains("# Safety");
+    lexed.annotation(t.line, ok).is_some()
+}
+
+/// Does the `// SAFETY:` comment attached to `t`'s line argue thread safety?
+fn safety_argues_threads(lexed: &Lexed, t: &Tok) -> bool {
+    const THREAD_WORDS: &[&str] = &[
+        "sync",
+        "send",
+        "thread",
+        "lock",
+        "atomic",
+        "synchroniz",
+        "mutex",
+        "rwlock",
+        "concurren",
+        "race",
+    ];
+    let argues = |c: &str| {
+        let c = c.to_lowercase();
+        THREAD_WORDS.iter().any(|w| c.contains(w))
+    };
+    lexed.annotation(t.line, argues).is_some()
+}
+
+/// At an `unsafe` token, parse `unsafe impl [<…>] Trait for Type` into the
+/// trait's last path segment and the token naming the type (the last
+/// segment of its path). Array impls and macro metavariables yield `None`.
+fn parse_unsafe_impl(toks: &[Tok], i: usize) -> Option<(String, &Tok)> {
+    if !toks.get(i + 1)?.is_ident("impl") {
+        return None;
+    }
+    let (trait_name, j) = read_path_last_segment(toks, skip_generics(toks, i + 2))?;
+    if !toks.get(j)?.is_ident("for") {
+        return None;
+    }
+    let mut name = toks.get(j + 1).filter(|t| t.kind == TokKind::Ident)?;
+    let mut k = j + 2;
+    while toks.get(k).is_some_and(|t| t.is_punct(':'))
+        && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
+    {
+        name = toks.get(k + 2)?;
+        k += 3;
+    }
+    Some((trait_name, name))
 }
 
 /// At the index of an `extern` token, detect a foreign block (`extern
@@ -523,8 +433,7 @@ fn check_safety_comment(
 fn check_extern_block(
     toks: &[Tok],
     i: usize,
-    comments: &HashMap<u32, String>,
-    lines: &[&str],
+    lexed: &Lexed,
     emit: &mut impl FnMut(&'static str, &Tok, String),
 ) {
     let t = &toks[i];
@@ -535,7 +444,7 @@ fn check_extern_block(
     if !toks.get(j).is_some_and(|n| n.is_punct('{')) {
         return; // not a foreign block
     }
-    if !has_safety_comment(comments, lines, t) {
+    if !has_safety_comment(lexed, t) {
         emit(
             "ffi-safety-comment",
             t,
@@ -569,7 +478,7 @@ fn check_extern_block(
                     }
                     k += 1;
                 }
-                if raw_ptr && !has_safety_comment(comments, lines, tk) {
+                if raw_ptr && !has_safety_comment(lexed, tk) {
                     emit(
                         "ffi-safety-comment",
                         name,
@@ -588,154 +497,6 @@ fn check_extern_block(
         }
         j += 1;
     }
-}
-
-/// At the index of an `unsafe` token, parse `unsafe impl [<…>] [path::]Pod
-/// for Type` and return the implementing type, skipping arrays, macro
-/// metavariables, and primitives.
-fn parse_pod_impl(toks: &[Tok], i: usize) -> Option<PodImpl> {
-    let mut j = i + 1;
-    if !toks.get(j)?.is_ident("impl") {
-        return None;
-    }
-    j += 1;
-    // Skip generic parameters `<...>` (handling `->` inside bounds).
-    if toks.get(j)?.is_punct('<') {
-        let mut depth = 0usize;
-        while j < toks.len() {
-            if toks[j].is_punct('<') {
-                depth += 1;
-            } else if toks[j].is_punct('>') {
-                let arrow = j >= 1 && toks[j - 1].is_punct('-');
-                if !arrow {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-            }
-            j += 1;
-        }
-    }
-    // Path ending in `Pod`.
-    let mut trait_name = toks.get(j)?.clone();
-    if trait_name.kind != TokKind::Ident {
-        return None;
-    }
-    j += 1;
-    while toks.get(j).is_some_and(|t| t.is_punct(':'))
-        && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-    {
-        trait_name = toks.get(j + 2)?.clone();
-        j += 3;
-    }
-    if trait_name.text != "Pod" {
-        return None;
-    }
-    if !toks.get(j)?.is_ident("for") {
-        return None;
-    }
-    j += 1;
-    let target = toks.get(j)?;
-    if target.is_punct('[') || target.is_punct('$') {
-        return None; // array impl (element bound carries it) or macro var
-    }
-    if target.kind != TokKind::Ident {
-        return None;
-    }
-    // Take the last segment of a possible path.
-    let mut name = target.clone();
-    let mut k = j + 1;
-    while toks.get(k).is_some_and(|t| t.is_punct(':'))
-        && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
-    {
-        name = toks.get(k + 2)?.clone();
-        k += 3;
-    }
-    if POD_PRIMITIVES.contains(&name.text.as_str()) {
-        return None;
-    }
-    Some(PodImpl {
-        type_name: name.text,
-        line: name.line,
-        col: name.col,
-    })
-}
-
-/// At the index of an `unsafe` token, parse `unsafe impl Send/Sync for
-/// Type` and return the marker impl.
-fn parse_marker_impl(toks: &[Tok], i: usize) -> Option<MarkerImpl> {
-    let mut j = i + 1;
-    if !toks.get(j)?.is_ident("impl") {
-        return None;
-    }
-    j += 1;
-    // Skip generic parameters `<...>`.
-    if toks.get(j)?.is_punct('<') {
-        let mut depth = 0usize;
-        while j < toks.len() {
-            if toks[j].is_punct('<') {
-                depth += 1;
-            } else if toks[j].is_punct('>') && !(j >= 1 && toks[j - 1].is_punct('-')) {
-                depth -= 1;
-                if depth == 0 {
-                    j += 1;
-                    break;
-                }
-            }
-            j += 1;
-        }
-    }
-    let trait_tok = toks.get(j)?;
-    if trait_tok.kind != TokKind::Ident || !matches!(trait_tok.text.as_str(), "Send" | "Sync") {
-        return None;
-    }
-    j += 1;
-    if !toks.get(j)?.is_ident("for") {
-        return None;
-    }
-    j += 1;
-    let target = toks.get(j)?;
-    if target.kind != TokKind::Ident {
-        return None;
-    }
-    // Take the last segment of a possible path; keep generics off.
-    let mut name = target.clone();
-    let mut k = j + 1;
-    while toks.get(k).is_some_and(|t| t.is_punct(':'))
-        && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
-    {
-        name = toks.get(k + 2)?.clone();
-        k += 3;
-    }
-    Some(MarkerImpl {
-        trait_name: trait_tok.text.clone(),
-        type_name: name.text,
-        line: name.line,
-        col: name.col,
-    })
-}
-
-/// Does the `// SAFETY:` comment block on/above `t` argue thread safety?
-fn safety_argues_threads(comments: &HashMap<u32, String>, lines: &[&str], t: &Tok) -> bool {
-    const THREAD_WORDS: &[&str] = &[
-        "sync",
-        "send",
-        "thread",
-        "lock",
-        "atomic",
-        "synchroniz",
-        "mutex",
-        "rwlock",
-        "concurren",
-        "race",
-    ];
-    annotation(comments, lines, t.line, |c| {
-        let c = c.to_lowercase();
-        THREAD_WORDS.iter().any(|w| c.contains(w))
-    })
-    .is_some()
 }
 
 const INTERIOR_MUT_TYPES: &[&str] = &["Cell", "RefCell", "UnsafeCell", "Mutex", "RwLock"];
