@@ -1,12 +1,11 @@
 //! P0 — pmlint whole-tree analysis must stay interactive.
 //!
-//! The v3 analyzer runs on every CI push and is meant to be part of the
-//! inner development loop, so its full-tree runtime (lex + HIR + call
-//! graph + the persist-order/taint fixpoints + the v3 concurrency
-//! passes: atomics-ordering dataflow, lock-discipline walk, pairwise
-//! lock-order facts over all engine crates) is a budgeted quantity: the
-//! median of the harness's repetitions must stay under 10 seconds or the
-//! experiment fails.
+//! The analyzer runs on every CI push and is meant to be part of the inner
+//! development loop, so its full-tree runtime (`lint_tree`: each file
+//! lexed and parsed once, the token rules and the panic scan, the protocol
+//! checks, then every interprocedural pass over one program and one call
+//! graph) is a budgeted quantity: the median of the harness's repetitions
+//! must stay under 10 seconds or the experiment fails.
 
 use std::path::Path;
 use std::time::Instant;

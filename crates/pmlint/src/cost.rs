@@ -1,4 +1,4 @@
-//! Static persistence-cost analysis (pmlint v4).
+//! Static persistence-cost analysis.
 //!
 //! Builds a per-function *abstract persistence trace* — the ordered
 //! store / flush / fence events a call to the fn performs, with callee
@@ -271,7 +271,14 @@ fn report_trace(trace: &[AbsEvent], findings: &mut Vec<Finding>) {
                             site.brief(),
                             first_chain.path(first.brief(), site),
                         );
-                        findings.push(Finding::at(RULE_REDUNDANT_FLUSH, site, msg));
+                        let (line, col) = (site.line, site.col);
+                        findings.push(Finding::new(
+                            RULE_REDUNDANT_FLUSH,
+                            &site.file,
+                            line,
+                            col,
+                            msg,
+                        ));
                     }
                 } else if !covered && dirty.is_empty() && fence_seen && !store_since_fence && local
                 {
@@ -284,7 +291,8 @@ fn report_trace(trace: &[AbsEvent], findings: &mut Vec<Finding>) {
                             None => site.brief(),
                         },
                     );
-                    findings.push(Finding::at(RULE_DEAD_FLUSH, site, msg));
+                    let (line, col) = (site.line, site.col);
+                    findings.push(Finding::new(RULE_DEAD_FLUSH, &site.file, line, col, msg));
                 }
                 flushed.insert(key.clone(), (site.clone(), chain.clone()));
                 work_since_fence = true;
@@ -299,7 +307,14 @@ fn report_trace(trace: &[AbsEvent], findings: &mut Vec<Finding>) {
                             prev.brief(),
                             prev_chain.path(prev.brief(), site),
                         );
-                        findings.push(Finding::at(RULE_FENCE_COALESCE, site, msg));
+                        let (line, col) = (site.line, site.col);
+                        findings.push(Finding::new(
+                            RULE_FENCE_COALESCE,
+                            &site.file,
+                            line,
+                            col,
+                            msg,
+                        ));
                     }
                 }
                 prev_fence = Some((site.clone(), chain.clone()));

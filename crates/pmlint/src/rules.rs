@@ -49,7 +49,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::callgraph::Site;
 use crate::config::Config;
 use crate::hir::{read_path_last_segment, skip_balanced, skip_generics, HirFn, SourceFile};
 use crate::lexer::{Lexed, Tok, TokKind};
@@ -81,11 +80,6 @@ impl Finding {
             col,
             msg,
         }
-    }
-
-    /// A finding of `rule` anchored at `site`.
-    pub(crate) fn at(rule: &'static str, site: &Site, msg: String) -> Finding {
-        Finding::new(rule, &site.file, site.line, site.col, msg)
     }
 }
 
