@@ -3,9 +3,8 @@
 //! Every crash-consistency guarantee the engine makes rests on a small set
 //! of *commit/publish protocols*: ordered sequences of durable stores,
 //! cache-line flushes, and store fences that end in a single publish store
-//! which makes the preceding work reachable. Until now those orderings
-//! lived only in code and comments; this module makes them first-class
-//! data:
+//! which makes the preceding work reachable. This module makes those
+//! orderings first-class data:
 //!
 //! * a [`ProtocolSpec`] declares a protocol as a happens-before DAG of
 //!   [`StepKind::Store`], [`StepKind::Flush`], [`StepKind::Fence`], and
@@ -16,10 +15,10 @@
 //!   point, and the publish store itself must be flushed and fenced;
 //! * [`check_trace`] conformance-checks a recorded [`PersistTrace`]
 //!   against a spec, given [`RangeBinding`]s that map the spec's labels to
-//!   concrete byte ranges of the region — replacing the ad-hoc assertions
-//!   the crash-torture suites used to hand-roll.
+//!   concrete byte ranges of the region.
 //!
-//! The declared protocols of the engine live in [`registry`]; `pmlint`
+//! The declared protocols of the engine are one table of rows, and
+//! [`registry`] builds each row's step DAG; `pmlint`
 //! validates all of them at lint time and the integration suite
 //! conformance-checks recorded traces of the real engine against them.
 

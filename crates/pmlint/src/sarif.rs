@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn concurrency_rules_round_trip() {
-        // The rule table is derived from the findings, so the v3
+        // The rule table is derived from the findings, so the
         // concurrency rules must show up with their own rule objects.
         let f = vec![Finding {
             rule: crate::RULE_ATOMIC_ORDERING,
