@@ -1,11 +1,11 @@
 //! P2 — Static persistence-cost bounds vs. live traces.
 //!
-//! Every ordering protocol in the registry is a DAG of store / flush /
-//! fence / publish steps, so its per-instance persistence cost has a
-//! static interval: [`ProtocolSpec::static_cost`] folds the steps into
+//! Every ordering protocol in the registry is one row of staged phases
+//! and a publish word, so its per-instance persistence cost has a static
+//! interval: [`nvm::ProtocolSpec::static_cost`] counts the row into
 //! `[min, max]` flush and fence counts. The first table prints those
-//! bounds for all registered specs — the numbers pmlint's cost pass and
-//! the benchmark's `fences_per_write.nvm` are both anchored to.
+//! bounds for all registered protocols — the numbers pmlint's cost pass
+//! and the benchmark's `fences_per_write.nvm` are both anchored to.
 //!
 //! The second table holds the engine to them: traced windows of the write
 //! path (a write transaction, a merge with its index rebuilds, a bulk
@@ -13,7 +13,7 @@
 //! by the conformance checker and compared with the static maximum of the
 //! specs the window instantiates. Fences have no per-row term — that is
 //! the contract: a transaction pays for its ordering points, a merge for
-//! its blocks. What a window nests inside its DAG is added explicitly:
+//! its blocks. What a window nests inside its rows is added explicitly:
 //! the allocator's protocols at [`nvm::ALLOC_MAX_FENCES`] /
 //! [`nvm::FREE_MAX_FENCES`] per block (counted from the heap), and for
 //! *flushes* one realization of the staged steps per row plus the
@@ -26,9 +26,9 @@ use hyrise_nv::{Database, DurabilityConfig};
 use nvm::{check_trace, protocol_registry, RangeBinding, TraceConfig};
 use storage::{ColumnDef, DataType, Schema, Value};
 
-fn spec(name: &str) -> nvm::ProtocolSpec {
+fn spec(name: &str) -> &'static nvm::ProtocolSpec {
     protocol_registry()
-        .into_iter()
+        .iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("protocol {name:?} not in registry"))
 }
@@ -134,10 +134,10 @@ fn traced_windows() -> Vec<Window> {
         RangeBinding::new("delta-rows", vec![rows_pub]),
     ];
     bindings.extend(mvcc.iter().cloned());
-    let append = check_trace(&spec("delta-append"), &bindings, &trace);
+    let append = check_trace(spec("delta-append"), &bindings, &trace);
     let mut bindings = vec![RangeBinding::new("catalog-cts", vec![backend.cts_extent()])];
     bindings.extend(mvcc.iter().cloned());
-    let commit = check_trace(&spec("txn-commit-publish"), &bindings, &trace);
+    let commit = check_trace(spec("txn-commit-publish"), &bindings, &trace);
     assert_eq!(append.publish_instances, commit.publish_instances);
     let (da, tc) = (
         spec("delta-append").static_cost(),
@@ -150,7 +150,7 @@ fn traced_windows() -> Vec<Window> {
         flushes: d.flush_calls,
         fences: d.fences,
         violations: append.violations.len() + commit.violations.len(),
-        // Per row: the staged steps of both DAGs once, and the registry's
+        // Per row: the staged stores of both protocols once, and the registry's
         // entry and slot write-backs; per commit: the slot clear.
         max_flushes: w * (da.max_flushes + tc.max_flushes + 2) as u64 + 1,
         max_fences: (da.max_fences + tc.max_fences) as u64,
@@ -179,7 +179,7 @@ fn traced_windows() -> Vec<Window> {
         bind(&extents, "main-end"),
         RangeBinding::new("table-pair", vec![pair_pub]),
     ];
-    let report = check_trace(&spec("merge-publish"), &bindings, &trace);
+    let report = check_trace(spec("merge-publish"), &bindings, &trace);
     let c = spec("merge-publish").static_cost();
     let nested = nvm::ALLOC_MAX_FENCES * allocs + nvm::FREE_MAX_FENCES * frees;
     out.push(Window {
@@ -214,7 +214,7 @@ fn traced_windows() -> Vec<Window> {
         ),
         RangeBinding::new("index-count", vec![backend.idx_count_extent(t.0).unwrap()]),
     ];
-    let report = check_trace(&spec("index-register"), &bindings, &trace);
+    let report = check_trace(spec("index-register"), &bindings, &trace);
     let c = spec("index-register").static_cost();
     let nested = nvm::ALLOC_MAX_FENCES * allocs + nvm::FREE_MAX_FENCES * frees;
     out.push(Window {

@@ -35,10 +35,10 @@
 //! whose last store never reached the medium ([`LintFinding`]).
 //!
 //! The persist-order protocols the engine relies on are declared as data in
-//! [`protocol_registry`]: each [`ProtocolSpec`] is an ordered
-//! store/flush/fence DAG ending in one publish point, statically validated
-//! for happens-before completeness and conformance-checked against recorded
-//! persist traces with [`check_trace`].
+//! [`protocol_registry`]: each [`ProtocolSpec`] is one row of the write
+//! path's stage → drain → publish shape — staged phases and a publish
+//! label — conformance-checked against recorded persist traces with
+//! [`check_trace`].
 
 mod alloc;
 mod error;
@@ -73,8 +73,7 @@ pub use parray::PArray;
 pub use pod::{slice_bytes, Pod};
 pub use protocol::{
     check_trace, publish_labels, registry as protocol_registry, ConformanceReport,
-    ConformanceViolation, MemOrder, ProtocolSpec, ProtocolStep, PublishLabel, RangeBinding,
-    SpecError, StaticCost, StepId, StepKind,
+    ConformanceViolation, ProtocolSpec, RangeBinding, StaticCost,
 };
 pub use pslab::{PSlab, PSLAB_HEADER};
 pub use pvar::PVar;

@@ -10,11 +10,11 @@
 //!   matching `// pmlint: observe(<label>)` loads must be
 //!   acquire-capable: `Relaxed` publication compiles and passes
 //!   single-thread tests but lets a concurrent reader observe the
-//!   publish word before the payload stores. Labels whose
-//!   [`ProtocolSpec`](../../nvm) declares a release ordering on the
-//!   publish step (`AnalysisCtx::released_labels`) additionally reject
-//!   *plain* stores/loads (`write_pod`/`read_pod`) at annotated sites —
-//!   the spec demands genuine atomic publication. The analysis follows
+//!   publish word before the payload stores. Released labels
+//!   (`AnalysisCtx::released_labels`: on the tree, every registry publish
+//!   label) additionally reject *plain* stores/loads
+//!   (`write_pod`/`read_pod`) at annotated sites — the protocol demands
+//!   genuine atomic publication. The analysis follows
 //!   calls interprocedurally but stops at the `nvm` substrate crate
 //!   boundary: the region publication primitives
 //!   (`store_u64_release`/`load_u64_acquire`) carry their ordering in
@@ -353,7 +353,7 @@ fn check_annotated_site(
             push(
                 findings,
                 format!(
-                    "{side} `{label}` uses a {alt} (`{}`), but its ProtocolSpec declares release publication; use `NvmRegion::{prim}` — {why}",
+                    "{side} `{label}` uses a {alt} (`{}`), but the label is a release publication; use `NvmRegion::{prim}` — {why}",
                     call.name,
                 ),
             );

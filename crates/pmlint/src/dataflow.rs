@@ -39,10 +39,9 @@ use crate::rules::Finding;
 pub struct AnalysisCtx {
     /// Publish labels declared by the protocol registry.
     pub known_labels: Vec<String>,
-    /// Labels whose ProtocolSpec declares a release ordering on the
-    /// publish step: their annotated sites must use genuine atomic
-    /// release stores (and observe sites acquire loads), not plain
-    /// `write_pod`.
+    /// Labels published with a release store (on the tree, all of them):
+    /// their annotated sites must use genuine atomic release stores (and
+    /// observe sites acquire loads), not plain `write_pod`.
     pub released_labels: Vec<String>,
     /// Require every known label to have an annotated site in tree.
     pub check_publish_binding: bool,

@@ -109,7 +109,7 @@ EXAMPLE FINDING
   nvm::protocol_registry()
 
 FIX PATTERN
-  Use the exact label from the spec's Publish step:
+  Use the exact publish label of the registry row:
       // pmlint: publish(catalog-cts)
       self.cts.store(r, &v)?;
   and keep one annotated site in tree for every label returned by
@@ -310,26 +310,6 @@ FIX PATTERN
       }"#,
     },
     RuleDoc {
-        name: "protocol-spec",
-        text: r#"protocol-spec — a declared ProtocolSpec fails happens-before validation
-
-WHY
-  The persist-order protocols in nvm::protocol_registry() are validated
-  statically: acyclic, exactly one publish step, every store dominated by
-  a covering flush and a fence before the publish. A spec that fails is a
-  design bug — the code implementing it cannot be crash-consistent.
-
-EXAMPLE FINDING
-  crates/nvm/src/protocol.rs:1:1: [protocol-spec] protocol "delta-append"
-  fails happens-before validation: store "delta-rows" not covered by a
-  flush before publish
-
-FIX PATTERN
-  Fix the spec's step graph (add the missing Flush/Fence step or the
-  missing `after` edge) so it reflects the intended — correct — order,
-  then make the code match it."#,
-    },
-    RuleDoc {
         name: "atomic-ordering",
         text: r#"atomic-ordering — publication without release/acquire ordering
 
@@ -337,8 +317,8 @@ WHY
   The engine publishes structures twice: to the medium (flush + fence,
   rule persist-order) and to *other threads* (a release store that an
   acquire load pairs with). A `Relaxed` store at a publish site — or a
-  plain, non-atomic store where the ProtocolSpec declares release
-  publication — lets a concurrent reader observe the publish word before
+  plain, non-atomic store of a registry publish label, all of which are
+  release publications — lets a concurrent reader observe the publish word before
   the row bytes it guards. The analysis is interprocedural: a helper's
   relaxed store reached from an annotated publish site is the same bug
   one frame away. Sites are anchored by the same annotations the persist

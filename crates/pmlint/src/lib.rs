@@ -7,12 +7,11 @@
 //! its non-test fn items into a small HIR and locates its test code; the
 //! checks then read that:
 //!
-//! 1. **Protocol specs** — the persist-order protocols declared in
-//!    [`nvm::protocol_registry`] are statically validated for
-//!    happens-before completeness ([`validate_protocols`]), and the
-//!    checksummed labels they declare are cross-checked against the
-//!    `media_extents` targeting maps in the source tree
-//!    ([`media_findings`], rule `publish-once-media`).
+//! 1. **Protocol labels** — the checksummed labels the persist-order
+//!    protocols in [`nvm::protocol_registry`] declare are cross-checked
+//!    against the `media_extents` targeting maps in the source tree
+//!    ([`media_findings`], rule `publish-once-media`). A registry row has
+//!    the write path's fixed shape, so it needs no validation of its own.
 //! 2. **Token rules** ([`lint_source`]) over every crate: no raw NVM
 //!    writes outside flush-annotated helpers, `Pod` layout discipline,
 //!    `// SAFETY:` comments on every `unsafe` and foreign block, no
@@ -59,8 +58,7 @@ pub use hir::{build_program, HirFn, HirProgram};
 pub use rules::{lint_source, FileFacts, Finding};
 
 /// Every rule id pmlint emits (debug builds refuse a finding of any other).
-pub const RULES: [&str; 26] = [
-    "protocol-spec",
+pub const RULES: [&str; 25] = [
     "publish-once-media",
     "raw-nvm-write",
     "recovery-unwrap",
@@ -88,7 +86,7 @@ pub const RULES: [&str; 26] = [
     RULE_READ_PATH_PURITY,
 ];
 
-/// Where protocol-level findings (specs, unbound labels) anchor.
+/// Where protocol-level findings (unbound labels) anchor.
 const PROTOCOL_FILE: &str = "crates/nvm/src/protocol.rs";
 
 /// Crates covered by the interprocedural analyses (the engine's
@@ -102,37 +100,18 @@ pub fn analyze_sources(files: &[(String, String)], ctx: &AnalysisCtx) -> Vec<Fin
 }
 
 /// The analysis context for the real tree: publish labels from the nvm
-/// protocol registry, with binding required.
+/// protocol registry, with binding required. Every registry protocol
+/// publishes with a release store, so every label is released.
 pub fn tree_analysis_ctx() -> AnalysisCtx {
-    let labels = nvm::publish_labels();
+    let labels: Vec<String> = nvm::publish_labels()
+        .into_iter()
+        .map(str::to_owned)
+        .collect();
     AnalysisCtx {
-        known_labels: labels.iter().map(|p| p.label.to_owned()).collect(),
-        released_labels: labels
-            .iter()
-            .filter(|p| {
-                p.order.is_some_and(|o| {
-                    matches!(
-                        o,
-                        nvm::MemOrder::Release | nvm::MemOrder::AcqRel | nvm::MemOrder::SeqCst
-                    )
-                })
-            })
-            .map(|p| p.label.to_owned())
-            .collect(),
+        known_labels: labels.clone(),
+        released_labels: labels,
         check_publish_binding: true,
     }
-}
-
-/// Statically validate every declared persist-order protocol spec.
-pub fn validate_protocols() -> Vec<Finding> {
-    let specs = nvm::protocol_registry().into_iter();
-    let failing = specs.filter_map(|spec| Some((spec.name, spec.validate().err()?)));
-    failing
-        .map(|(name, e)| {
-            let msg = format!("protocol {name:?} fails happens-before validation: {e}");
-            Finding::new("protocol-spec", PROTOCOL_FILE, 1, 1, msg)
-        })
-        .collect()
 }
 
 /// Tree-level `publish-once-media` rule: every checksummed store label
@@ -190,15 +169,15 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lint the whole workspace under `root`: every `.rs` file in `crates/`,
-/// `tests/`, and `examples/` through the token rules, the protocol-spec
-/// and media-registry checks, and the interprocedural passes over the
-/// engine crates — each file lexed and parsed once.
+/// `tests/`, and `examples/` through the token rules, the media-registry
+/// check, and the interprocedural passes over the engine crates — each
+/// file lexed and parsed once.
 pub fn lint_tree(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
     let mut paths = Vec::new();
     for sub in ["crates", "tests", "examples"] {
         collect_rs_files(&root.join(sub), &mut paths)?;
     }
-    let mut findings = validate_protocols();
+    let mut findings = Vec::new();
     let mut facts = Vec::new();
     let mut engine = Vec::new();
     for path in paths {

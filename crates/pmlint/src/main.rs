@@ -130,12 +130,11 @@ fn main() -> ExitCode {
         }
         println!("pmlint: SARIF report written to {}", out.display());
     }
-    let specs = nvm::protocol_registry().len();
     println!(
-        "pmlint: {} finding(s); {} protocol spec(s) validated; {} publish label(s) bound",
+        "pmlint: {} finding(s); {} publish label(s) of {} protocol(s) bound",
         findings.len(),
-        specs,
         nvm::publish_labels().len(),
+        nvm::protocol_registry().len(),
     );
     if deny && !findings.is_empty() {
         return ExitCode::FAILURE;

@@ -21,9 +21,9 @@ fn schema() -> Schema {
     ])
 }
 
-fn spec(name: &str) -> ProtocolSpec {
+fn spec(name: &str) -> &'static ProtocolSpec {
     protocol_registry()
-        .into_iter()
+        .iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("protocol {name:?} not in registry"))
 }
@@ -76,7 +76,7 @@ fn txn_commit_publish_conforms_to_spec() {
         bind(&extents, "delta-end"),
         RangeBinding::new("catalog-cts", vec![backend.cts_extent()]),
     ];
-    let report = check_trace(&spec("txn-commit-publish"), &bindings, &trace);
+    let report = check_trace(spec("txn-commit-publish"), &bindings, &trace);
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     assert_eq!(report.publish_instances, 4, "one cts publish per commit");
     assert!(report.bound_stores_checked > 0);
@@ -106,7 +106,7 @@ fn delta_append_conforms_to_spec() {
         bind(&extents, "delta-end"),
         RangeBinding::new("delta-rows", vec![rows_pub]),
     ];
-    let report = check_trace(&spec("delta-append"), &bindings, &trace);
+    let report = check_trace(spec("delta-append"), &bindings, &trace);
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     assert_eq!(
         report.publish_instances, 2,
@@ -134,7 +134,7 @@ fn ddl_create_table_conforms_to_spec() {
         RangeBinding::new("catalog-entry", entries),
         RangeBinding::new("catalog-ntables", vec![backend.ntables_extent()]),
     ];
-    let report = check_trace(&spec("ddl-create-table"), &bindings, &trace);
+    let report = check_trace(spec("ddl-create-table"), &bindings, &trace);
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     assert_eq!(
         report.publish_instances, 3,
@@ -165,7 +165,7 @@ fn merge_publish_conforms_to_spec() {
         bind(&extents, "main-end"),
         RangeBinding::new("table-pair", vec![pair_pub]),
     ];
-    let report = check_trace(&spec("merge-publish"), &bindings, &trace);
+    let report = check_trace(spec("merge-publish"), &bindings, &trace);
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     assert_eq!(report.publish_instances, 1, "one pair swap per merge");
     assert!(report.bound_stores_checked > 0);
@@ -210,7 +210,7 @@ fn recovery_phases_conform_to_specs() {
         "recovery-progress",
         vec![backend.recovery_progress_extent()],
     )];
-    let rep = check_trace(&spec("recovery-progress"), &bindings, &trace);
+    let rep = check_trace(spec("recovery-progress"), &bindings, &trace);
     assert!(rep.is_clean(), "violations: {:?}", rep.violations);
     assert_eq!(rep.publish_instances, 2, "attempt bump + completion zero");
 
@@ -236,7 +236,7 @@ fn recovery_phases_conform_to_specs() {
             }
         })
         .collect();
-    let rep = check_trace(&spec("recovery-undo-release"), &bindings, &trace);
+    let rep = check_trace(spec("recovery-undo-release"), &bindings, &trace);
     assert!(rep.is_clean(), "violations: {:?}", rep.violations);
     assert_eq!(
         rep.publish_instances, 2,
@@ -272,7 +272,7 @@ fn index_register_conforms_to_spec() {
         RangeBinding::new("index-entry", entries),
         RangeBinding::new("index-count", vec![backend.idx_count_extent(t.0).unwrap()]),
     ];
-    let report = check_trace(&spec("index-register"), &bindings, &trace);
+    let report = check_trace(spec("index-register"), &bindings, &trace);
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     assert_eq!(report.publish_instances, 2, "one count publish per index");
     assert!(report.bound_stores_checked >= 4);
