@@ -591,11 +591,11 @@ impl Engine for NvBackend {
     /// new index descriptors with it. Every fallible allocation happens
     /// before anything is published, so a capacity failure at any point
     /// unwinds to a clean abort — old table and old indexes fully intact.
-    /// (A crash after the publish leaks whatever of the old tree and the old
-    /// indexes was not yet freed.)
+    /// (A crash or a failed free after the publish leaks whatever of the old
+    /// tree and the old indexes was not yet freed; the merge still stands.)
     fn merge_table(&mut self, table: usize, snapshot: u64) -> Result<MergeStats> {
         // Phase 1: plan (read-only) and build replacement indexes against
-        // the plan. Post-merge row ids are positions in the survivor list.
+        // the plan's key columns. Post-merge row ids are positions in them.
         let plan = self.tables[table].merge_plan(snapshot)?;
         let mut built: Vec<NvIndex> = Vec::with_capacity(self.indexes[table].len());
         let destroy = |built: Vec<NvIndex>| {
@@ -605,9 +605,9 @@ impl Engine for NvBackend {
         };
         for old in &self.indexes[table] {
             let (kind, column) = old.key();
-            let new = self.tables[table].schema().column(column).and_then(|c| {
-                NvIndex::build_from_rows(&self.heap, kind, column, c.dtype, plan.rows())
-            });
+            let new = plan
+                .column(column)
+                .and_then(|col| NvIndex::build_from_column(&self.heap, kind, column, col));
             match new {
                 Ok(idx) => built.push(idx),
                 Err(e) => {
@@ -643,9 +643,11 @@ impl Engine for NvBackend {
             }
         };
 
-        // Phase 3: the old indexes are unreachable — frees only.
+        // Phase 3: the old indexes are unreachable — frees only, and
+        // best-effort: the merge has happened, and a failed free leaks what
+        // it did not reach, as a crash here would.
         for old in std::mem::replace(&mut self.indexes[table], built) {
-            old.destroy()?;
+            let _ = old.destroy();
         }
         Ok(stats)
     }

@@ -4,7 +4,7 @@
 
 use nvm::NvmHeap;
 use storage::nv::MediaExtent;
-use storage::{DataType, Result, RowId, TableStore, Value};
+use storage::{DictColumn, Result, RowId, TableStore, Value};
 
 use crate::{IndexCheck, NvHashIndex, NvOrderedIndex, VolatileHashIndex, VolatileOrderedIndex};
 
@@ -119,23 +119,21 @@ impl NvIndex {
         })
     }
 
-    /// Bulk-build over in-memory rows whose index id is their position —
-    /// a planned merge's survivor list (`dtype` is the column's declared
-    /// type).
-    pub fn build_from_rows(
+    /// Bulk-build over rows `0..` of `col`, whose index id is their
+    /// position — a planned merge's column.
+    pub fn build_from_column(
         heap: &NvmHeap,
         kind: IndexKind,
         column: usize,
-        dtype: DataType,
-        rows: &[Vec<Value>],
+        col: &DictColumn,
     ) -> Result<NvIndex> {
         Ok(match kind {
             IndexKind::Hash => {
-                let nbuckets = hash_buckets(rows.len() as u64);
-                NvIndex::Hash(NvHashIndex::build_from_rows(heap, column, nbuckets, rows)?)
+                let nbuckets = hash_buckets(col.ids().len() as u64);
+                NvIndex::Hash(NvHashIndex::build_from_column(heap, column, nbuckets, col)?)
             }
             IndexKind::Ordered => {
-                NvIndex::Ordered(NvOrderedIndex::build_from_rows(heap, column, dtype, rows)?)
+                NvIndex::Ordered(NvOrderedIndex::build_from_column(heap, column, col)?)
             }
         })
     }
@@ -351,6 +349,90 @@ mod tests {
             candidates(&ordered_only, 0, Probe::Eq(&hi)).unwrap(),
             Some(vec![3])
         );
+    }
+
+    /// Indexes built from a merge plan's columns equal, entry for entry,
+    /// what [`NvIndex::build`] makes over the merged table, and what one
+    /// insert per row makes: every kind on every column type, duplicate
+    /// keys included, on a first merge and on one that folds a delta into
+    /// a main.
+    #[test]
+    fn plan_built_indexes_equal_a_build_over_the_merged_table() {
+        use nvm::{LatencyModel, NvmRegion};
+        use storage::mvcc;
+        use storage::nv::NvTable;
+        use storage::{ColumnDef, DataType, Schema};
+
+        let region = NvmRegion::new(1 << 23, LatencyModel::zero());
+        let heap = NvmHeap::format(std::sync::Arc::new(region)).unwrap();
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("s", DataType::Text),
+            ColumnDef::new("x", DataType::Double),
+        ]);
+        let mut t = NvTable::create(&heap, schema).unwrap();
+        let mut cts = 0;
+        for round in 0..2i64 {
+            for i in 0..300i64 {
+                let row = [
+                    Value::Int(i % 37 - 18),
+                    Value::Text(format!("s{}", (i + round) % 23)),
+                    Value::Double((i % 11) as f64 - 5.0),
+                ];
+                cts += 1;
+                let r = t.insert_version(&row, mvcc::pending(1)).unwrap();
+                t.commit_insert(r, cts).unwrap();
+            }
+            for r in (0..t.row_count()).step_by(7) {
+                if t.end_ts(r).unwrap() == mvcc::TS_INF {
+                    cts += 1;
+                    t.try_invalidate(r, mvcc::pending(1)).unwrap();
+                    t.commit_invalidate(r, cts).unwrap();
+                }
+            }
+            let plan = t.merge_plan(cts).unwrap();
+            let mut built = Vec::new();
+            for column in 0..3 {
+                for kind in [IndexKind::Hash, IndexKind::Ordered] {
+                    let col = plan.column(column).unwrap();
+                    built.push(NvIndex::build_from_column(&heap, kind, column, col).unwrap());
+                }
+            }
+            t.merge_from_plan(plan, &[]).unwrap();
+            for from_plan in built {
+                let (kind, column) = from_plan.key();
+                let fresh = NvIndex::build(&heap, kind, &t, column).unwrap();
+                assert_eq!(
+                    from_plan.media_extents().unwrap().len(),
+                    fresh.media_extents().unwrap().len()
+                );
+                // Both builds share the bulk path; one insert per row is
+                // the independent reference for the order of equal keys.
+                let dtype = t.schema().column(column).unwrap().dtype;
+                let mut one_by_one = match kind {
+                    IndexKind::Hash => {
+                        NvIndex::Hash(NvHashIndex::create(&heap, column, 64).unwrap())
+                    }
+                    IndexKind::Ordered => {
+                        NvIndex::Ordered(NvOrderedIndex::create(&heap, column, dtype).unwrap())
+                    }
+                };
+                for row in 0..t.row_count() {
+                    one_by_one
+                        .insert(&t.value(row, column).unwrap(), row)
+                        .unwrap();
+                }
+                let keys: Vec<Value> = (0..t.row_count())
+                    .map(|row| t.value(row, column).unwrap())
+                    .collect();
+                let probes = keys.iter().map(Probe::Eq).chain([Probe::Range(None, None)]);
+                for probe in probes {
+                    let want = one_by_one.probe(probe).unwrap();
+                    assert_eq!(from_plan.probe(probe).unwrap(), want);
+                    assert_eq!(fresh.probe(probe).unwrap(), want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 
 use nvm::NvmHeap;
-use storage::{Result, RowId, StorageError, Value};
+use storage::{DataType, DictColumn, Result, RowId, StorageError, Value};
 
 use crate::key_hash;
 
@@ -386,24 +386,46 @@ impl NvHashIndex {
         Self::bulk(heap, column, nbuckets, &hashes)
     }
 
-    /// Bulk-build over in-memory rows whose index id is their position —
-    /// the shape of a planned merge's survivor list, letting the
-    /// replacement index be built *before* the merge publishes.
+    /// Bulk-build over rows `0..` of `col`, whose index id is their
+    /// position — a planned merge's column, letting the replacement index
+    /// be built *before* the merge publishes. Hashes each dictionary entry
+    /// once.
+    pub fn build_from_column(
+        heap: &NvmHeap,
+        column: usize,
+        nbuckets: u64,
+        col: &DictColumn,
+    ) -> Result<NvHashIndex> {
+        let entry_hashes = (0..col.words().len() as u32)
+            .map(|id| Ok(key_hash(&col.value(id)?)))
+            .collect::<Result<Vec<u64>>>()?;
+        let hashes: Vec<u64> = col
+            .ids()
+            .iter()
+            .map(|&id| entry_hashes[id as usize])
+            .collect();
+        Self::bulk(heap, column, nbuckets, &hashes)
+    }
+
+    /// [`NvHashIndex::build_from_column`] over in-memory rows whose index
+    /// id is their position, encoded as a column of the first row's type.
     pub fn build_from_rows(
         heap: &NvmHeap,
         column: usize,
         nbuckets: u64,
         rows: &[Vec<Value>],
     ) -> Result<NvHashIndex> {
-        let hashes = rows
+        let keys = rows
             .iter()
             .map(|r| {
-                r.get(column).map(key_hash).ok_or(StorageError::Corrupt {
+                r.get(column).ok_or(StorageError::Corrupt {
                     reason: "planned row narrower than the indexed column",
                 })
             })
-            .collect::<Result<Vec<u64>>>()?;
-        Self::bulk(heap, column, nbuckets, &hashes)
+            .collect::<Result<Vec<&Value>>>()?;
+        let dtype = keys.first().map_or(DataType::Int, |v| v.data_type());
+        let col = DictColumn::from_values(column, dtype, keys)?;
+        Self::build_from_column(heap, column, nbuckets, &col)
     }
 
     /// The one build path: an index over rows `0..hashes.len()` with the

@@ -39,7 +39,7 @@
 use std::collections::BTreeMap;
 
 use nvm::{NvmHeap, PVec, PVEC_HEADER};
-use storage::{DataType, Result, RowId, StorageError, Value};
+use storage::{DataType, DictColumn, Result, RowId, StorageError, Value};
 
 /// Maximum tower height (fixed node size keeps nodes poolable).
 pub const MAX_HEIGHT: u64 = 8;
@@ -150,7 +150,7 @@ impl NvOrderedIndex {
     /// Staged only — nothing can reach the index until its creator
     /// publishes the descriptor offset, after one drain.
     pub fn create(heap: &NvmHeap, column: usize, dtype: DataType) -> Result<NvOrderedIndex> {
-        Self::bulk(heap, column, dtype, &[])
+        Self::build_from_column(heap, column, &DictColumn::from_values(column, dtype, [])?)
     }
 
     /// Re-attach to an existing index by descriptor offset.
@@ -586,67 +586,70 @@ impl NvOrderedIndex {
         let keys = (0..table.row_count())
             .map(|row| table.value(row, column))
             .collect::<Result<Vec<Value>>>()?;
-        Self::bulk(heap, column, dtype, &keys.iter().collect::<Vec<_>>())
+        Self::build_from_column(
+            heap,
+            column,
+            &DictColumn::from_values(column, dtype, &keys)?,
+        )
     }
 
-    /// Bulk-build over in-memory rows whose index id is their position —
-    /// the shape of a planned merge's survivor list, letting the
-    /// replacement index be built *before* the merge publishes.
-    pub fn build_from_rows(
+    /// The one build path: an index over rows `0..` of `col`, whose index
+    /// id is their position — a planned merge's column, letting the
+    /// replacement index be built *before* the merge publishes. Rows are
+    /// ordered by value id, equal ids newest first (where one insert per
+    /// row would have left them), by one counting pass; the skip list is
+    /// assembled in DRAM — all nodes in a single pool block — and staged
+    /// with one bulk store and one range write-back per block. Nothing is
+    /// fenced beyond the allocator's own protocols: the index is
+    /// unreachable until its creator publishes the descriptor offset, after
+    /// one drain. On failure every block allocated so far is freed before
+    /// the error propagates.
+    pub fn build_from_column(
         heap: &NvmHeap,
         column: usize,
-        dtype: DataType,
-        rows: &[Vec<Value>],
-    ) -> Result<NvOrderedIndex> {
-        let keys = rows
-            .iter()
-            .map(|r| {
-                r.get(column).ok_or(StorageError::Corrupt {
-                    reason: "planned row narrower than the indexed column",
-                })
-            })
-            .collect::<Result<Vec<&Value>>>()?;
-        Self::bulk(heap, column, dtype, &keys)
-    }
-
-    /// The one build path: an index over rows `0..keys.len()` with the
-    /// given keys. The rows are sorted once (equal keys newest first, where
-    /// one insert per row would have left them), the skip list is assembled
-    /// in DRAM — all nodes in a single pool block — and staged with one bulk
-    /// store and one range write-back per block. Nothing is fenced beyond
-    /// the allocator's own protocols: the index is unreachable until its
-    /// creator publishes the descriptor offset, after one drain. On failure
-    /// every block allocated so far is freed before the error propagates.
-    fn bulk(
-        heap: &NvmHeap,
-        column: usize,
-        dtype: DataType,
-        keys: &[&Value],
+        col: &DictColumn,
     ) -> Result<NvOrderedIndex> {
         let region = heap.region();
-        let n = keys.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|a, b| keys[*a as usize].cmp(keys[*b as usize]).then(b.cmp(a)));
+        let dtype = col.dtype();
+        let ids = col.ids();
+        let n = ids.len();
+        let mut next = vec![0usize; col.words().len() + 1];
+        for &id in ids {
+            next[id as usize + 1] += 1;
+        }
+        for id in 1..next.len() {
+            next[id] += next[id - 1];
+        }
+        let mut order = vec![0u32; n];
+        for (row, &id) in ids.iter().enumerate().rev() {
+            order[next[id as usize]] = row as u32;
+            next[id as usize] += 1;
+        }
 
         let mut blob_bytes: Vec<u8> = Vec::new();
-        let mut words = Vec::with_capacity(n);
-        for row in &order {
-            let v = keys[*row as usize];
-            words.push(match (encode_fixed(v), v.as_text()) {
-                (Some(w), _) => w,
-                (None, Some(s)) => {
+        let words = if dtype == DataType::Text {
+            order
+                .iter()
+                .map(|&row| {
                     let at = blob_bytes.len() as u64;
-                    blob_bytes.extend_from_slice(&text_run(s));
-                    at
-                }
-                (None, None) => {
-                    return Err(StorageError::TypeMismatch {
+                    blob_bytes.extend_from_slice(col.text_run(ids[row as usize])?);
+                    Ok(at)
+                })
+                .collect::<Result<Vec<u64>>>()?
+        } else {
+            let keys = (0..col.words().len() as u32)
+                .map(|id| {
+                    encode_fixed(&col.value(id)?).ok_or(StorageError::TypeMismatch {
                         column,
                         expected: dtype,
                     })
-                }
-            });
-        }
+                })
+                .collect::<Result<Vec<u64>>>()?;
+            order
+                .iter()
+                .map(|&row| keys[ids[row as usize] as usize])
+                .collect()
+        };
 
         let mut blocks: Vec<u64> = Vec::new();
         let built =
@@ -919,7 +922,8 @@ mod tests {
             };
             let rows: Vec<Vec<Value>> = (0..1500).map(|i| vec![Value::Int(0), key(i)]).collect();
             let blocks_before = h.walk().unwrap().len();
-            let bulk = NvOrderedIndex::build_from_rows(&h, 1, dtype, &rows).unwrap();
+            let col = DictColumn::from_values(1, dtype, rows.iter().map(|r| &r[1])).unwrap();
+            let bulk = NvOrderedIndex::build_from_column(&h, 1, &col).unwrap();
             assert_eq!(
                 h.walk().unwrap().len() - blocks_before,
                 3,
@@ -943,8 +947,6 @@ mod tests {
             );
             bulk.insert(&key(7), 1500).unwrap();
             assert!(bulk.lookup(&key(7)).unwrap().contains(&1500));
-            let narrow = NvOrderedIndex::build_from_rows(&h, 2, dtype, &rows);
-            assert!(matches!(narrow, Err(StorageError::Corrupt { .. })));
         }
     }
 

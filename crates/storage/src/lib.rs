@@ -24,6 +24,7 @@
 //! begin and an end commit timestamp; see [`mvcc`].
 
 pub mod bitpack;
+mod dict;
 mod error;
 pub mod mvcc;
 pub mod nv;
@@ -32,6 +33,7 @@ pub mod table_ops;
 mod value;
 mod vtable;
 
+pub use dict::DictColumn;
 pub use error::{Result, StorageError};
 pub use schema::{ColumnDef, Schema};
 pub use table_ops::{MergeStats, MvccCheck, ScanResult, TableStore};

@@ -67,10 +67,11 @@ use std::collections::HashMap;
 use nvm::{NvmHeap, NvmRegion, PArray, PSlab, PVec, PSLAB_HEADER, PVEC_HEADER};
 
 use crate::bitpack;
+use crate::dict::{self, text_key, TotalF64};
 use crate::mvcc::{self, TS_INF};
 use crate::nv::text::read_string;
 use crate::table_ops::{MergeStats, TableStore};
-use crate::{ColumnId, DataType, Result, RowId, Schema, StorageError, Value};
+use crate::{ColumnId, DataType, DictColumn, Result, RowId, Schema, StorageError, Value};
 
 /// Byte size of the table root block.
 pub const TABLE_ROOT_SIZE: u64 = 24;
@@ -158,6 +159,56 @@ struct MainHandle {
     rows: u64,
     end: PArray<u64>,
     cols: Vec<MainCol>,
+}
+
+/// Decode a main descriptor's words (see the layout above).
+fn main_handle(desc: &[u64], ncols: usize) -> MainHandle {
+    let rows = desc[(MD_ROWS / 8) as usize];
+    let cols = (0..ncols)
+        .map(|c| {
+            let w = &desc[(MD_COLS / 8) as usize + c * (MD_COL_STRIDE / 8) as usize..];
+            MainCol {
+                dict_ptr: w[0],
+                dict_len: w[1],
+                av: PArray::at(w[2], w[3]),
+                width: w[4] as u32,
+                blob_ptr: w[5],
+                blob_len: w[6],
+            }
+        })
+        .collect();
+    MainHandle {
+        rows,
+        end: PArray::at(desc[(MD_END / 8) as usize], rows),
+        cols,
+    }
+}
+
+impl DeltaHandle {
+    /// The handle of a freshly created, empty delta descriptor.
+    fn empty(desc: u64, ncols: usize) -> DeltaHandle {
+        DeltaHandle {
+            desc,
+            rows: 0,
+            published: 0,
+            begin: PSlab::open(desc + DD_BEGIN),
+            end: PSlab::open(desc + DD_END),
+            cols: (0..ncols as u64)
+                .map(|c| {
+                    let base = desc + DD_COLS + c * DD_COL_STRIDE;
+                    DeltaCol {
+                        dict: PVec::open(base),
+                        dict_len: 0,
+                        av: PSlab::open(base + PVEC_HEADER),
+                        blob: PVec::open(base + PVEC_HEADER + PSLAB_HEADER),
+                        blob_len: 0,
+                        unpublished: false,
+                    }
+                })
+                .collect(),
+            probes: vec![HashMap::new(); ncols],
+        }
+    }
 }
 
 /// An NVM-resident table. The struct itself is the *volatile handle*: cheap
@@ -305,30 +356,9 @@ impl NvTable {
                     DataType::Int => Value::Int(*w as i64),
                     DataType::Double => Value::Double(f64::from_bits(*w)),
                     DataType::Text => {
-                        let beyond = StorageError::Corrupt {
-                            reason: "dict entry beyond blob",
-                        };
-                        let at = usize::try_from(*w).map_err(|_| beyond.clone())?;
-                        let run = at.checked_add(4).ok_or(beyond.clone())?;
-                        let n = blob_bytes
-                            .get(at..run)
-                            .and_then(|b| b.try_into().ok())
-                            .map(u32::from_le_bytes)
-                            .ok_or(beyond)? as usize;
-                        let bytes = run
-                            .checked_add(n)
-                            .and_then(|end| blob_bytes.get(run..end))
-                            .ok_or(StorageError::Corrupt {
-                                reason: "string run beyond blob",
-                            })?;
-                        col.blob_len = col.blob_len.max((run + n) as u64);
-                        Value::Text(
-                            std::str::from_utf8(bytes)
-                                .map_err(|_| StorageError::Corrupt {
-                                    reason: "delta blob string not utf-8",
-                                })?
-                                .to_owned(),
-                        )
+                        let s = text_key(&blob_bytes, *w)?;
+                        col.blob_len = col.blob_len.max(*w + 4 + s.len() as u64);
+                        Value::Text(s.to_owned())
                     }
                 };
                 probe.insert(v, id as u32);
@@ -353,32 +383,8 @@ impl NvTable {
     }
 
     fn open_main(region: &NvmRegion, desc: u64, ncols: usize) -> Result<MainHandle> {
-        let rows: u64 = region.read_pod(desc + MD_ROWS)?;
-        let end_ptr: u64 = region.read_pod(desc + MD_END)?;
-        let mut cols = Vec::with_capacity(ncols);
-        for c in 0..ncols as u64 {
-            let base = desc + MD_COLS + c * MD_COL_STRIDE;
-            let dict_ptr: u64 = region.read_pod(base)?;
-            let dict_len: u64 = region.read_pod(base + 8)?;
-            let av_ptr: u64 = region.read_pod(base + 16)?;
-            let av_words: u64 = region.read_pod(base + 24)?;
-            let width: u64 = region.read_pod(base + 32)?;
-            let blob_ptr: u64 = region.read_pod(base + 40)?;
-            let blob_len: u64 = region.read_pod(base + 48)?;
-            cols.push(MainCol {
-                dict_ptr,
-                dict_len,
-                av: PArray::at(av_ptr, av_words),
-                width: width as u32,
-                blob_ptr,
-                blob_len,
-            });
-        }
-        Ok(MainHandle {
-            rows,
-            end: PArray::at(end_ptr, rows),
-            cols,
-        })
+        let words = PArray::<u64>::at(desc, main_desc_size(ncols) / 8).to_vec(region)?;
+        Ok(main_handle(&words, ncols))
     }
 
     /// Offset of the table's root block (for catalogues and re-opening).
@@ -1104,10 +1110,10 @@ impl TableStore for NvTable {
     }
 }
 
-/// A planned merge: the surviving row values, collected read-only. The
-/// post-merge row id of each survivor is its position in
-/// [`MergePlan::rows`], so replacement structures (indexes) can be built
-/// against the plan *before* [`NvTable::merge_from_plan`] publishes
+/// A planned merge: the new main's columns, computed read-only. The
+/// post-merge row id of each survivor is its position in every
+/// [`MergePlan::column`]'s ids, so replacement structures (indexes) can be
+/// built against the plan *before* [`NvTable::merge_from_plan`] publishes
 /// anything — the exhaustion-safe ordering where every fallible allocation
 /// precedes the atomic pair swap and a capacity failure leaves the old
 /// table untouched.
@@ -1115,13 +1121,23 @@ impl TableStore for NvTable {
 pub struct MergePlan {
     snapshot: u64,
     rows_before: u64,
-    survivors: Vec<Vec<Value>>,
+    rows: u64,
+    columns: Vec<DictColumn>,
 }
 
 impl MergePlan {
-    /// The surviving rows in post-merge row-id order.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.survivors
+    /// Rows surviving into the new main.
+    pub fn row_count(&self) -> u64 {
+        self.rows
+    }
+
+    /// Column `c` of the new main: its sorted dictionary and each
+    /// survivor's value id, in post-merge row order.
+    pub fn column(&self, c: ColumnId) -> Result<&DictColumn> {
+        self.columns.get(c).ok_or(StorageError::ColumnOutOfRange {
+            column: c,
+            columns: self.columns.len(),
+        })
     }
 
     /// The snapshot the plan was taken at.
@@ -1131,40 +1147,116 @@ impl MergePlan {
 }
 
 impl NvTable {
-    /// Collect the rows that survive a merge at `snapshot`. Read-only: no
-    /// allocation, no mutation, fails only on a non-quiesced table or a
-    /// media error.
+    /// Plan a merge at `snapshot`: pick the surviving rows, then build each
+    /// column of the new main on value ids (see [`crate::DictColumn`]).
+    /// Read-only: no heap allocation, no mutation, fails only on a
+    /// non-quiesced table or a media error.
     pub fn merge_plan(&self, snapshot: u64) -> Result<MergePlan> {
-        let total = self.row_count();
-        let m_end = self.main_end_vec()?;
-        let d_begin = self.delta_begin_vec()?;
-        let d_end = self.delta_end_vec()?;
-        let main_rows = self.main_rows_();
-        let mut survivors: Vec<Vec<Value>> = Vec::new();
-        for row in 0..total {
-            let (b, e) = if row < main_rows {
-                (0, m_end[row as usize])
-            } else {
-                let i = (row - main_rows) as usize;
-                (d_begin[i], d_end[i])
-            };
-            if mvcc::is_pending(b) || mvcc::is_pending(e) {
-                return Err(StorageError::Corrupt {
+        let quiesced = |ts: u64| {
+            if mvcc::is_pending(ts) {
+                Err(StorageError::Corrupt {
                     reason: "merge requires a quiesced table (pending markers found)",
-                });
+                })
+            } else {
+                Ok(())
             }
-            if mvcc::visible(b, e, snapshot, 0) {
-                survivors.push(self.row_values(row)?);
+        };
+        // Surviving positions within each partition, in row order.
+        let mut keep_main = Vec::new();
+        for (i, &e) in self.main_end_vec()?.iter().enumerate() {
+            quiesced(e)?;
+            if mvcc::visible(0, e, snapshot, 0) {
+                keep_main.push(i as u64);
             }
         }
+        let mut keep_delta = Vec::new();
+        for (i, (&b, &e)) in self
+            .delta_begin_vec()?
+            .iter()
+            .zip(&self.delta_end_vec()?)
+            .enumerate()
+        {
+            quiesced(b)?;
+            quiesced(e)?;
+            if mvcc::visible(b, e, snapshot, 0) {
+                keep_delta.push(i);
+            }
+        }
+        let columns = (0..self.schema.len())
+            .map(|c| self.merge_column(c, &keep_main, &keep_delta))
+            .collect::<Result<Vec<_>>>()?;
         Ok(MergePlan {
             snapshot,
-            rows_before: total,
-            survivors,
+            rows_before: self.row_count(),
+            rows: (keep_main.len() + keep_delta.len()) as u64,
+            columns,
         })
     }
 
-    /// Execute a planned merge: build the new main tree, an empty delta
+    /// Column `c` of the new main: the main attribute vector is unpacked
+    /// once, the surviving rows' main and delta dictionary entries are
+    /// merged (see [`dict::fold_column`]), and the ids remapped.
+    fn merge_column(
+        &self,
+        c: ColumnId,
+        keep_main: &[u64],
+        keep_delta: &[usize],
+    ) -> Result<DictColumn> {
+        let region = self.region();
+        let dtype = self.schema.column(c)?.dtype;
+        let (main_dict, main_ids, main_blob) = match &self.main {
+            Some(m) => {
+                let mc = &m.cols[c];
+                let av = mc.av.to_vec(region)?;
+                let ids: Vec<u64> = keep_main
+                    .iter()
+                    .map(|&r| bitpack::unpack_at(&av, mc.width, r))
+                    .collect();
+                let blob = if mc.blob_len == 0 {
+                    Vec::new()
+                } else {
+                    region.with_slice(mc.blob_ptr, mc.blob_len, |b| b.to_vec())?
+                };
+                (
+                    PArray::<u64>::at(mc.dict_ptr, mc.dict_len).to_vec(region)?,
+                    ids,
+                    blob,
+                )
+            }
+            None => Default::default(),
+        };
+        let dcol = &self.delta.cols[c];
+        let delta_dict = dcol.dict.prefix(region, dcol.dict_len)?;
+        let delta_av = self.delta_av_ids(c)?;
+        let delta_ids: Vec<u32> = keep_delta.iter().map(|&i| delta_av[i]).collect();
+        let delta_blob = if dtype == DataType::Text {
+            dcol.blob.prefix(region, dcol.blob_len)?
+        } else {
+            Vec::new()
+        };
+        let (main, delta) = (
+            (&main_dict[..], &main_ids[..]),
+            (&delta_dict[..], &delta_ids[..]),
+        );
+        match dtype {
+            DataType::Int => {
+                dict::fold_column(dtype, main, delta, |w| Ok(w as i64), |w| Ok(w as i64))
+            }
+            DataType::Double => {
+                let key = |w: u64| Ok(TotalF64(f64::from_bits(w)));
+                dict::fold_column(dtype, main, delta, key, key)
+            }
+            DataType::Text => dict::fold_column(
+                dtype,
+                main,
+                delta,
+                |w| text_key(&main_blob, w),
+                |w| text_key(&delta_blob, w),
+            ),
+        }
+    }
+
+    /// Execute a planned merge: write the planned main tree, an empty delta
     /// and a pair block naming them — and carrying `aux`, the owner's words
     /// for the merged row space — in fresh allocations, then swap them in
     /// with one atomic pair publish. Nothing can reach the new blocks before
@@ -1173,19 +1265,30 @@ impl NvTable {
     /// protocols fence in between. Every allocation precedes the swap, so a
     /// capacity failure unwinds with the old table fully intact (freshly
     /// allocated blocks leak until reclamation; nothing is published).
+    ///
+    /// The swap *is* the merge: once it is durable nothing fails it.
+    /// Reclaiming the old tree after it is best-effort — a failed free
+    /// leaks the blocks it did not reach, as a crash at that point does —
+    /// and the handle is refreshed from what was just written, without
+    /// reading the medium.
     pub fn merge_from_plan(&mut self, plan: MergePlan, aux: &[u64]) -> Result<MergeStats> {
         let region = self.heap.region().clone();
         let heap = self.heap.clone();
         let MergePlan {
             rows_before: total,
-            survivors,
+            rows: nrows,
+            columns,
             ..
         } = plan;
-        let nrows = survivors.len() as u64;
         let ncols = self.schema.len();
         if aux.len() > PAIR_AUX_SLOTS {
             return Err(StorageError::Corrupt {
                 reason: "more aux words than the pair block has slots",
+            });
+        }
+        if columns.len() != ncols {
+            return Err(StorageError::Corrupt {
+                reason: "merge plan does not match the table's schema",
             });
         }
 
@@ -1196,7 +1299,9 @@ impl NvTable {
         let mut delta_built = 0u64;
         let mut pair_reserved = 0u64;
         let root = self.root;
-        let built = (|| -> Result<(u64, u64)> {
+        // The main descriptor is assembled in DRAM and staged last.
+        let mut desc = vec![0u64; (main_desc_size(ncols) / 8) as usize];
+        let built = (|| -> Result<(u64, u64, u64)> {
             let mut stage = |bytes: &[u8]| -> Result<u64> {
                 let ptr = heap.alloc((bytes.len() as u64).max(8))?;
                 allocated.push(ptr);
@@ -1204,58 +1309,24 @@ impl NvTable {
                 region.flush(ptr, bytes.len() as u64)?;
                 Ok(ptr)
             };
-            // The main descriptor is assembled in DRAM and staged last.
-            let mut desc = vec![0u64; (main_desc_size(ncols) / 8) as usize];
             desc[(MD_ROWS / 8) as usize] = nrows;
             desc[(MD_END / 8) as usize] = stage(nvm::slice_bytes(&vec![TS_INF; nrows as usize]))?;
 
-            for c in 0..ncols {
-                // Value ids come from the sort itself: order the row
-                // positions by value once, then walk that order emitting a
-                // dictionary entry wherever the value changes.
-                let col: Vec<&Value> = survivors.iter().map(|r| &r[c]).collect();
-                let mut order: Vec<u32> = (0..nrows as u32).collect();
-                order.sort_unstable_by(|a, b| col[*a as usize].cmp(col[*b as usize]));
-                let mut ids = vec![0u64; nrows as usize];
-                let mut dict: Vec<u64> = Vec::new();
-                // Text columns get one contiguous blob; entries are local
-                // offsets into it.
-                let mut blob: Vec<u8> = Vec::new();
-                let mut prev: Option<&Value> = None;
-                for pos in order {
-                    let v = col[pos as usize];
-                    if prev != Some(v) {
-                        dict.push(match v {
-                            Value::Text(s) => {
-                                let local = blob.len() as u64;
-                                blob.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                                blob.extend_from_slice(s.as_bytes());
-                                local
-                            }
-                            other => other.as_word().ok_or(StorageError::Corrupt {
-                                reason: "non-text value has no word encoding",
-                            })?,
-                        });
-                        prev = Some(v);
-                    }
-                    ids[pos as usize] = dict.len() as u64 - 1;
-                }
-                let width = bitpack::width_for(dict.len() as u64);
-                let av = bitpack::pack_all(&ids, width);
-
+            for (c, col) in columns.iter().enumerate() {
+                let (dict, blob, av) = (col.words(), col.blob(), col.packed_ids());
                 let base = (MD_COLS + c as u64 * MD_COL_STRIDE) as usize / 8;
-                desc[base] = stage(nvm::slice_bytes(&dict))?;
+                desc[base] = stage(nvm::slice_bytes(dict))?;
                 desc[base + 1] = dict.len() as u64;
                 desc[base + 2] = stage(nvm::slice_bytes(&av))?;
                 desc[base + 3] = av.len() as u64;
-                desc[base + 4] = width as u64;
-                desc[base + 5] = if blob.is_empty() { 0 } else { stage(&blob)? };
+                desc[base + 4] = col.width() as u64;
+                desc[base + 5] = if blob.is_empty() { 0 } else { stage(blob)? };
                 desc[base + 6] = blob.len() as u64;
                 // Seal the column: fingerprint the descriptor words plus the
                 // payloads, as `main_col_sum` reads them back.
                 let covered = nvm::slice_bytes(&desc[base..base + (MC_SUM_COVERS / 8) as usize]);
                 let mut sum = util::hash::fnv1a(covered);
-                for payload in [nvm::slice_bytes(&dict), &blob, nvm::slice_bytes(&av)] {
+                for payload in [nvm::slice_bytes(dict), blob, nvm::slice_bytes(&av)] {
                     if !payload.is_empty() {
                         sum = util::hash::fnv1a_continue(sum, payload);
                     }
@@ -1274,7 +1345,7 @@ impl NvTable {
             pair_reserved = pair;
             region.write_bytes(pair, &pair_image(new_delta, new_main, aux))?;
             region.flush(pair, PAIR_SIZE)?;
-            Ok((pair, old_pair))
+            Ok((pair, old_pair, new_delta))
         })();
         let unwind = |heap: &NvmHeap| {
             if pair_reserved != 0 {
@@ -1287,7 +1358,7 @@ impl NvTable {
                 let _ = heap.free(*p, None);
             }
         };
-        let (pair, old_pair) = match built {
+        let (pair, old_pair, new_delta) = match built {
             Ok(v) => v,
             Err(e) => {
                 unwind(&heap);
@@ -1305,20 +1376,19 @@ impl NvTable {
             return Err(e.into());
         }
 
-        // Reclaim the old tree (leaks only if we crash mid-free). The old
-        // pair block was already freed by the activate(replaces); its bytes
-        // are intact, so the walk still reads the pointers from it.
-        let old_delta: u64 = region.read_pod(old_pair + PAIR_DELTA)?;
-        let old_main: u64 = region.read_pod(old_pair + PAIR_MAIN)?;
-        self.free_delta_tree(old_delta, ncols)?;
-        if old_main != 0 {
-            self.free_main_tree(old_main, ncols)?;
+        // Reclaim the old tree, best-effort. The old pair block was already
+        // freed by the activate(replaces); its bytes are intact, so the walk
+        // still reads the pointers from it.
+        if let Ok(old_delta) = region.read_pod::<u64>(old_pair + PAIR_DELTA) {
+            let _ = Self::free_delta_tree_in(&heap, old_delta, ncols);
+        }
+        if let Ok(old_main @ 1..) = region.read_pod::<u64>(old_pair + PAIR_MAIN) {
+            let _ = self.free_main_tree(old_main, ncols);
         }
 
-        // Refresh the volatile handle.
-        let reopened = Self::open(&heap, self.root)?;
-        *self = reopened;
-
+        self.pair = pair;
+        self.delta = DeltaHandle::empty(new_delta, ncols);
+        self.main = Some(main_handle(&desc, ncols));
         Ok(MergeStats {
             rows_before: total,
             rows_merged: nrows,
@@ -1494,10 +1564,6 @@ impl NvTable {
         Ok(out)
     }
 
-    fn free_delta_tree(&self, old_delta: u64, ncols: usize) -> Result<()> {
-        Self::free_delta_tree_in(&self.heap, old_delta, ncols)
-    }
-
     /// Free a delta tree through a bare heap handle. Tolerates partially
     /// initialised descriptors whose untouched fields read as null — the
     /// exhaustion unwind in `create_delta_desc` relies on this.
@@ -1539,5 +1605,192 @@ impl NvTable {
             }
         }
         Ok(heap.free(old_main, None)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use nvm::{CrashPolicy, LatencyModel};
+    use util::rng::{Rng, SmallRng};
+
+    use super::*;
+    use crate::{ColumnDef, VTable};
+
+    /// An `NvTable` and a `VTable` under one commit sequence, so their
+    /// merges can be compared column by column.
+    struct Twins {
+        nv: NvTable,
+        v: VTable,
+        cts: u64,
+    }
+
+    impl Twins {
+        fn new() -> Twins {
+            let region = Arc::new(nvm::NvmRegion::new(1 << 18, LatencyModel::zero()));
+            let heap = NvmHeap::format(region).unwrap();
+            let schema = Schema::new(vec![
+                ColumnDef::new("k", DataType::Int),
+                ColumnDef::new("s", DataType::Text),
+                ColumnDef::new("x", DataType::Double),
+            ]);
+            Twins {
+                nv: NvTable::create(&heap, schema.clone()).unwrap(),
+                v: VTable::new(schema),
+                cts: 0,
+            }
+        }
+
+        fn tables(&mut self) -> [&mut dyn TableStore; 2] {
+            [&mut self.nv, &mut self.v]
+        }
+
+        fn insert(&mut self, row: &[Value]) {
+            self.cts += 1;
+            let cts = self.cts;
+            for t in self.tables() {
+                let r = t.insert_version(row, mvcc::pending(1)).unwrap();
+                t.commit_insert(r, cts).unwrap();
+            }
+        }
+
+        fn insert_aborted(&mut self, row: &[Value]) {
+            for t in self.tables() {
+                let r = t.insert_version(row, mvcc::pending(1)).unwrap();
+                t.abort_insert(r).unwrap();
+            }
+        }
+
+        fn delete(&mut self, row: RowId) {
+            self.cts += 1;
+            let cts = self.cts;
+            for t in self.tables() {
+                t.try_invalidate(row, mvcc::pending(1)).unwrap();
+                t.commit_invalidate(row, cts).unwrap();
+            }
+        }
+
+        fn visible(&self) -> Vec<RowId> {
+            self.v.scan_visible(self.cts, 0).unwrap()
+        }
+
+        /// Crash and reopen the NVM side: its delta dictionaries and blobs
+        /// are read back from the medium.
+        fn reopen(&mut self) {
+            let region = self.nv.heap().region().clone();
+            region.crash(CrashPolicy::DropUnflushed);
+            let (heap, _) = NvmHeap::open(region).unwrap();
+            self.nv = NvTable::open(&heap, self.nv.root_offset()).unwrap();
+        }
+
+        /// Merge both at the current snapshot; the new mains must agree
+        /// entry for entry: dictionary values (bit for bit), ids, width.
+        fn merge(&mut self) {
+            let cts = self.cts;
+            let [nv, v] = self.tables();
+            assert_eq!(nv.merge(cts).unwrap(), v.merge(cts).unwrap());
+            let m = self.nv.main.as_ref().unwrap();
+            let vm = self.v.main();
+            assert_eq!(m.rows, vm.rows());
+            for c in 0..3 {
+                let dict: Vec<Value> = (0..m.cols[c].dict_len)
+                    .map(|id| self.nv.main_dict_value(m, c, id).unwrap())
+                    .collect();
+                let bits = |d: &[Value]| -> Vec<Option<u64>> {
+                    d.iter().map(|v| v.as_double().map(f64::to_bits)).collect()
+                };
+                assert_eq!(dict, vm.dicts[c], "column {c} dictionary");
+                assert_eq!(bits(&dict), bits(&vm.dicts[c]), "column {c} double bits");
+                let ids = self.nv.main_av_ids(m, c).unwrap();
+                assert_eq!(ids, vm.avs[c].iter().collect::<Vec<_>>(), "column {c} ids");
+                assert_eq!(m.cols[c].width, vm.avs[c].width(), "column {c} width");
+            }
+            self.nv.verify_media(self.cts).unwrap();
+        }
+
+        fn main_texts(&self) -> Vec<Value> {
+            self.v.main().dicts[1].clone()
+        }
+    }
+
+    fn row(k: i64, s: &str, x: f64) -> Vec<Value> {
+        vec![Value::Int(k), s.into(), Value::Double(x)]
+    }
+
+    const NEG_NAN: f64 = f64::from_bits(f64::NAN.to_bits() | 1 << 63);
+
+    #[test]
+    fn merge_matches_a_full_resort_in_every_case() {
+        let mut t = Twins::new();
+        // The first merge: an empty main. NaN of both signs, both zeros.
+        for r in [
+            row(1, "a", f64::NAN),
+            row(-2, "b", -0.0),
+            row(i64::MIN, "c", 0.0),
+            row(4, "gone", NEG_NAN),
+            row(i64::MAX, "a", f64::NAN),
+        ] {
+            t.insert(&r);
+        }
+        t.merge();
+
+        // The last reference to a main value is deleted; a value in both
+        // main and delta; a delta-only value; an aborted insert. The merge
+        // runs after a reopen.
+        t.delete(3);
+        t.insert(&row(-2, "a", 0.0));
+        t.insert(&row(7, "delta-only", -0.0));
+        t.insert_aborted(&row(8, "aborted", 9.5));
+        t.reopen();
+        t.merge();
+        let texts = t.main_texts();
+        assert!(!texts.contains(&"gone".into()) && !texts.contains(&"aborted".into()));
+        assert!(texts.contains(&"delta-only".into()));
+
+        // Every row dropped, then a main of zero rows under a delta.
+        for r in t.visible() {
+            t.delete(r);
+        }
+        t.merge();
+        assert_eq!(t.nv.main_rows(), 0);
+        t.insert(&row(0, "", 1.0));
+        t.merge();
+    }
+
+    #[test]
+    fn merge_matches_a_full_resort_on_seeded_ops() {
+        let (seeds, rounds, ops) = if cfg!(miri) { (1, 2, 8) } else { (12, 6, 120) };
+        let texts = ["", "a", "ab", "b", "é", "zz", "a\u{0}"];
+        let doubles = [f64::NAN, NEG_NAN, -0.0, 0.0, 1.5, -1.5, f64::INFINITY];
+        for seed in 0..seeds {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut t = Twins::new();
+            for _ in 0..rounds {
+                for _ in 0..ops {
+                    let k = match rng.gen_range_u64(0, 10) {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        _ => rng.gen_range_i64(-4, 4),
+                    };
+                    let s = texts[rng.gen_range_usize(0, texts.len())];
+                    let x = doubles[rng.gen_range_usize(0, doubles.len())];
+                    match rng.gen_range_u64(0, 10) {
+                        0..=5 => t.insert(&row(k, s, x)),
+                        6..=8 => {
+                            let live = t.visible();
+                            if !live.is_empty() {
+                                t.delete(live[rng.gen_range_usize(0, live.len())]);
+                            }
+                        }
+                        _ => t.insert_aborted(&row(k, s, x)),
+                    }
+                }
+                if rng.gen_bool(0.5) {
+                    t.reopen();
+                }
+                t.merge();
+            }
+        }
     }
 }

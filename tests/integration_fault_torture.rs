@@ -224,3 +224,42 @@ fn nvm_with_wal_clean_restart_is_rung0() {
     expected.insert(9_999_999, 1);
     assert_eq!(engine_state(&mut db, t).unwrap(), expected);
 }
+
+/// A merge whose swap is durable has happened, whatever its clean-up meets.
+/// The header line of an old-main block is poisoned — the merge's plan
+/// never reads it, only the free after the swap does — so reclaiming the
+/// old tree fails part-way. The merge still returns `Ok`, leaking what it
+/// could not free, and the new pair's indexes stay in place: lookups
+/// through both index kinds and the sweep match the model, before and
+/// after a reopen.
+#[test]
+fn merge_survives_a_failed_free_after_its_swap() {
+    let (mut db, t) = setup(sim_config(false)).unwrap();
+    let (_, oracle) = preload(&mut db, t, 0xF1EE, true).unwrap();
+    let extents = db.media_extents(t).unwrap();
+    let dict = extents.iter().find(|e| e.what == "main-dict").unwrap();
+    let header = dict.offset - nvm::ALLOC_BLOCK_HEADER;
+    inject(&db, FaultClass::PoisonTransient { failures: 1 }, header, 5);
+
+    let stats = db.merge(t).expect("a merge past its swap returns Ok");
+    assert_eq!(stats.rows_merged, oracle.len() as u64);
+    assert_eq!(db.nv_backend().unwrap().region().poisoned_lines(), 0);
+    for reopened in [false, true] {
+        if reopened {
+            db.restart_after_crash().unwrap();
+        }
+        let tx = db.begin();
+        for (k, ver) in &oracle {
+            let row = vec![Value::Int(*k), Value::Int(*ver)];
+            for (column, key) in [(0, &row[0]), (1, &row[1])] {
+                let hits = db.index_lookup(&tx, t, column, key).unwrap();
+                assert!(
+                    hits.iter().any(|h| h.values == row),
+                    "{row:?} via column {column}"
+                );
+            }
+        }
+        assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
+        assert!(db.verify_integrity().unwrap().index.is_clean());
+    }
+}
