@@ -177,6 +177,11 @@ struct Books {
     /// the durability analogue of the simulator's
     /// flush-buffers-until-fence trace semantics.
     pending_sync: Option<(u64, u64)>,
+    /// The touched span: one past the highest cache line ever stored or
+    /// damaged. Every byte past it is zero in both sim images, so the
+    /// whole-image passes (power loss, eviction, trace start, the
+    /// fingerprint) walk only `[0, touched)`.
+    touched: u64,
 }
 
 impl Books {
@@ -185,6 +190,7 @@ impl Books {
         for line in first_line..=last_line {
             self.dirty[(line / 64) as usize] |= 1u64 << (line % 64);
         }
+        self.touched = self.touched.max(last_line + 1);
     }
 
     #[inline]
@@ -247,7 +253,8 @@ const ALLOC_FAULT: u32 = 1 << 2;
 pub struct NvmRegion {
     /// The CPU-visible image, outside every lock.
     image: Image,
-    /// Dirty lines, the pending `msync` span and the sim's medium.
+    /// Dirty lines, the touched span, the pending `msync` span and the
+    /// sim's medium.
     books: Mutex<Books>,
     stats: NvmStats,
     clock: SimClock,
@@ -334,6 +341,7 @@ impl NvmRegion {
                 medium,
                 dirty: vec![0u64; lines.div_ceil(64) as usize],
                 pending_sync: None,
+                touched: 0,
             }),
             stats: NvmStats::default(),
             clock: SimClock::new(),
@@ -765,10 +773,11 @@ impl NvmRegion {
     /// Power loss on the sim: the CPU-visible image becomes the medium and
     /// no line is dirty. On the file backing only the dirt is forgotten.
     fn lose_power(&self, books: &mut Books) {
+        let touched = (books.touched * CACHE_LINE) as usize;
         if let Some(medium) = &books.medium {
-            self.image.store_bytes(0, medium);
+            self.image.store_bytes(0, &medium[..touched]);
         }
-        books.dirty.fill(0);
+        books.dirty[..books.touched.div_ceil(64) as usize].fill(0);
     }
 
     /// Simulate a power failure: the volatile image is replaced by the
@@ -795,7 +804,7 @@ impl NvmRegion {
             books.pending_sync = None;
         } else if let CrashPolicy::RandomEviction { p, seed } = policy {
             let mut rng = SmallRng::seed_from_u64(seed);
-            for line in 0..self.capacity / CACHE_LINE {
+            for line in 0..books.touched {
                 if books.is_dirty(line) && rng.gen_bool(p.clamp(0.0, 1.0)) {
                     books.write_back(&self.image, line);
                 }
@@ -813,6 +822,7 @@ impl NvmRegion {
     fn corrupt(&self, books: &mut Books, idx: usize, damage: impl Fn(u8) -> u8) {
         let byte = damage(self.image.bytes(idx, 1)[0]);
         self.image.store_bytes(idx, &[byte]);
+        books.touched = books.touched.max(idx as u64 / CACHE_LINE + 1);
         if let Some(medium) = &mut books.medium {
             medium[idx] = damage(medium[idx]);
         }
@@ -1002,11 +1012,13 @@ impl NvmRegion {
 
     /// Start recording a persist trace. Any lines already dirty are
     /// stamped as epoch-0 stores so their loss stays attributable.
-    /// Replaces a previous trace, if one was active.
+    /// Replaces a previous trace, if one was active, draining its
+    /// flushed-but-unfenced lines to the medium as [`NvmRegion::trace_stop`]
+    /// does.
     pub fn trace_start(&self, config: TraceConfig) {
+        self.end_trace();
         let books = self.books.lock();
-        let lines = self.capacity / CACHE_LINE;
-        let pre_dirty: Vec<u64> = (0..lines).filter(|l| books.is_dirty(*l)).collect();
+        let pre_dirty: Vec<u64> = (0..books.touched).filter(|l| books.is_dirty(*l)).collect();
         drop(books);
         *self.recorder.lock() = Some(Recorder::new(config, pre_dirty.into_iter()));
         self.arm(TRACE);
@@ -1157,18 +1169,16 @@ impl NvmRegion {
         self.recorder.lock().as_ref().map_or(0, |r| r.lost_lines())
     }
 
-    /// Fingerprint of the persistent image. Two runs with the same
-    /// workload, crash point, and seeds must produce the same hash — the
-    /// determinism check of the crash-torture harness. On the file backing
-    /// it loads `[0, capacity)` under the bookkeeping lock, which every
-    /// store to the image holds.
+    /// Fingerprint of the simulated medium: its touched span folded with
+    /// the capacity. Two runs with the same workload, crash point, and
+    /// seeds must produce the same hash — the determinism check of the
+    /// crash-torture harness. Panics on the file backing, which has no
+    /// medium apart from its mapping (scheduled crashes reject it).
     pub fn persistent_hash(&self) -> u64 {
         let books = self.books.lock();
-        let medium = match &books.medium {
-            Some(medium) => &medium[..],
-            None => self.image.bytes(0, self.capacity as usize),
-        };
-        util::hash::fingerprint_words(medium)
+        let medium = books.medium.as_deref().expect("simulated backing");
+        let touched = &medium[..(books.touched * CACHE_LINE) as usize];
+        util::hash::fnv1a_words(&[util::hash::fingerprint_words(touched), self.capacity])
     }
 }
 
@@ -1186,6 +1196,7 @@ impl std::fmt::Debug for NvmRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::MidEpochSurvival;
 
     fn region() -> NvmRegion {
         NvmRegion::new(4096, LatencyModel::pcm())
@@ -1340,6 +1351,84 @@ mod tests {
         };
         assert_eq!(image(1), image(1));
         assert_ne!(image(1), image(2));
+    }
+
+    /// The stores of [`touched_span_does_not_depend_on_capacity`]: lines
+    /// spread over a 64 KiB region, every third one flushed, a fence every
+    /// 16 stores.
+    fn touch_lines(r: &NvmRegion) {
+        for i in 0..300u64 {
+            let off = (i * 37 % 1024) * CACHE_LINE + i % 7 * 8;
+            r.write_pod(off, &(i + 1)).unwrap();
+            if i % 3 == 0 {
+                r.flush(off, 8).unwrap();
+            }
+            if i % 16 == 15 {
+                r.fence();
+            }
+        }
+    }
+
+    #[test]
+    fn touched_span_does_not_depend_on_capacity() {
+        const SMALL: u64 = 64 << 10;
+        let large = if cfg!(miri) { 256 << 10 } else { 64 << 20 };
+        // (surviving bytes of the first 64 KiB, dirty lines before the
+        // crash, lost lines of a scheduled crash).
+        let run = |capacity: u64, crash: &dyn Fn(&NvmRegion) -> u64| {
+            let r = NvmRegion::new(capacity, LatencyModel::zero());
+            let lost = crash(&r);
+            let rest = r.with_slice(SMALL, capacity - SMALL, |s| s.iter().all(|b| *b == 0));
+            assert!(rest.unwrap(), "bytes past the touched span stay zero");
+            let mut bytes = vec![0u8; SMALL as usize];
+            r.read_bytes(0, &mut bytes).unwrap();
+            assert_eq!(r.dirty_lines(), 0);
+            (bytes, lost)
+        };
+        let direct = |policy: CrashPolicy| {
+            move |r: &NvmRegion| {
+                touch_lines(r);
+                let dirty = r.dirty_lines();
+                r.crash(policy);
+                dirty
+            }
+        };
+        let scheduled = |r: &NvmRegion| {
+            r.trace_start(TraceConfig { keep_events: false });
+            let survival = MidEpochSurvival::Random { p: 0.5, seed: 11 };
+            let point = CrashPoint::MidEpoch { epoch: 9, survival };
+            r.arm_crash(point).unwrap();
+            touch_lines(r);
+            r.finalize_scheduled_crash().unwrap().lost_lines
+        };
+        let crashes: [&dyn Fn(&NvmRegion) -> u64; 3] = [
+            &direct(CrashPolicy::DropUnflushed),
+            &direct(CrashPolicy::RandomEviction { p: 0.5, seed: 5 }),
+            &scheduled,
+        ];
+        for (i, crash) in crashes.into_iter().enumerate() {
+            let (bytes, lost) = run(SMALL, crash);
+            assert!(lost > 0 && bytes.iter().any(|b| *b != 0), "crash {i}");
+            assert!((bytes, lost) == run(large, crash), "crash {i}");
+        }
+    }
+
+    #[test]
+    fn damage_past_every_store_extends_the_touched_span() {
+        let r = region();
+        let before = r.persistent_hash();
+        r.inject_fault(&FaultSpec {
+            class: FaultClass::ScribbledBlock { len: 64 },
+            offset: r.capacity() - CACHE_LINE,
+            seed: 3,
+        })
+        .unwrap();
+        assert_ne!(r.persistent_hash(), before);
+        r.crash(CrashPolicy::DropUnflushed);
+        let last = r.with_slice(r.capacity() - CACHE_LINE, CACHE_LINE, |s| {
+            s.iter().any(|b| *b != 0)
+        });
+        assert!(last.unwrap(), "damage survives the crash");
     }
 
     #[test]

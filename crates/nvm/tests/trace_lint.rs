@@ -438,3 +438,19 @@ fn enumerate_fences_covers_whole_run() {
         }
     }
 }
+
+/// Restarting a trace over a recording one drains the old recorder's
+/// flushed-but-unfenced lines to the medium, as `trace_stop` does: they
+/// are no longer dirty, so nothing else would ever write them back.
+#[test]
+fn restarting_a_trace_keeps_flushed_lines() {
+    let r = region();
+    r.trace_start(TraceConfig::default());
+    r.write_pod(128, &0xABCDu64).unwrap();
+    r.flush(128, 8).unwrap();
+    r.trace_start(TraceConfig::default());
+    r.fence();
+    r.trace_stop().unwrap();
+    r.crash(CrashPolicy::DropUnflushed);
+    assert_eq!(r.read_pod::<u64>(128).unwrap(), 0xABCD);
+}
