@@ -36,7 +36,7 @@ pub use ordered::VolatileOrderedIndex;
 
 use std::hash::{Hash, Hasher};
 
-use storage::Value;
+use storage::{DataType, DictColumn, Result, StorageError, Value};
 
 /// Result of checking a persistent index against its base table (the
 /// index↔table agreement invariant of the crash-torture harness). A clean
@@ -69,25 +69,53 @@ impl IndexCheck {
     }
 }
 
-/// The 64-bit key hash shared by the volatile and persistent hash indexes
-/// (stable across runs of the same build; FNV-1a over the value's tagged
-/// bytes).
-pub fn key_hash(v: &Value) -> u64 {
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100_0000_01B3);
-            }
+/// FNV-1a as a [`Hasher`], so a [`Value`] hashes through its `Hash` impl.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(util::hash::FNV_PRIME);
         }
     }
-    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+}
+
+/// The 64-bit key hash [`NvHashIndex`] stores and probes by: FNV-1a over
+/// the value's tagged bytes (its `Hash` impl), stable across runs of the
+/// same build. The volatile indexes key a `HashMap` by the [`Value`]
+/// itself and do not use it.
+pub fn key_hash(v: &Value) -> u64 {
+    let mut h = Fnv(util::hash::FNV_OFFSET);
     v.hash(&mut h);
     h.finish()
+}
+
+/// [`key_hash`] of dictionary entry `id` of `col`, hashed straight from the
+/// entry's word or text bytes instead of a decoded [`Value`]. Must stay
+/// bit-identical to `key_hash(&col.value(id)?)`: the bulk build hashes
+/// with it and every probe with [`key_hash`].
+pub(crate) fn entry_key_hash(col: &DictColumn, id: u32) -> Result<u64> {
+    let mut h = Fnv(util::hash::FNV_OFFSET);
+    // The tags and byte order of `Value`'s `Hash` impl: a tag byte, then
+    // the native-endian word, or the text bytes closed by `str`'s 0xff.
+    match col.dtype() {
+        DataType::Int | DataType::Double => {
+            let word = col.words().get(id as usize).ok_or(StorageError::Corrupt {
+                reason: "value id outside the dictionary",
+            })?;
+            h.write_u8(if col.dtype() == DataType::Int { 0 } else { 1 });
+            h.write_u64(*word);
+        }
+        DataType::Text => {
+            h.write_u8(2);
+            h.write(&col.text_run(id)?[4..]);
+            h.write_u8(0xff);
+        }
+    }
+    Ok(h.finish())
 }
 
 #[cfg(test)]
@@ -109,6 +137,50 @@ mod tests {
         });
         assert_eq!(a.entries, 5);
         assert!(!a.is_clean());
+    }
+
+    #[test]
+    fn entry_key_hash_matches_key_hash() {
+        let columns = [
+            (
+                DataType::Int,
+                [i64::MIN, -1, 0, i64::MAX].map(Value::Int).to_vec(),
+            ),
+            (
+                DataType::Double,
+                [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5]
+                    .map(Value::Double)
+                    .to_vec(),
+            ),
+            (
+                DataType::Text,
+                [
+                    "",
+                    "a",
+                    "grüße, 世界 🚀",
+                    "0123456789abcdef0123456789abcdef",
+                ]
+                .map(|s| Value::Text(s.into()))
+                .to_vec(),
+            ),
+        ];
+        for (dtype, values) in columns {
+            let col = DictColumn::from_values(0, dtype, &values).unwrap();
+            assert_eq!(
+                col.words().len(),
+                values.len(),
+                "{dtype:?}: every value distinct"
+            );
+            for id in 0..col.words().len() as u32 {
+                let value = col.value(id).unwrap();
+                assert_eq!(
+                    entry_key_hash(&col, id).unwrap(),
+                    key_hash(&value),
+                    "{value:?}"
+                );
+            }
+            assert!(entry_key_hash(&col, values.len() as u32).is_err());
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use nvm::NvmHeap;
 use storage::{DataType, DictColumn, Result, RowId, StorageError, Value};
 
-use crate::key_hash;
+use crate::{entry_key_hash, key_hash};
 
 /// Byte size of the persistent descriptor block.
 pub const NVHASH_DESC_SIZE: u64 = 40;
@@ -50,14 +50,15 @@ const D_POOL_USED: u64 = 32;
 const E_NEXT: u64 = 0;
 const E_HASH: u64 = 8;
 const E_ROW: u64 = 16;
-/// FNV-1a checksum over the three preceding words. Every word of an entry —
+/// [`util::hash::seal_words`] over the three preceding words, so damage to
+/// any one of them is always detected. Every word of an entry —
 /// including `next`, since chains only ever grow at the bucket head — is
 /// write-once before the bucket publish, so the seal never goes stale.
 const E_SUM: u64 = 24;
 const ENTRY_SIZE: u64 = 32;
 
 fn entry_sum(next: u64, hash: u64, row: u64) -> u64 {
-    util::hash::fnv1a_words(&[next, hash, row])
+    util::hash::seal_words(&[next, hash, row])
 }
 
 /// The four words of a sealed entry.
@@ -397,7 +398,7 @@ impl NvHashIndex {
         col: &DictColumn,
     ) -> Result<NvHashIndex> {
         let entry_hashes = (0..col.words().len() as u32)
-            .map(|id| Ok(key_hash(&col.value(id)?)))
+            .map(|id| entry_key_hash(col, id))
             .collect::<Result<Vec<u64>>>()?;
         let hashes: Vec<u64> = col
             .ids()

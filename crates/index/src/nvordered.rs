@@ -51,7 +51,8 @@ const NODE_KEY: u64 = 0;
 const NODE_ROW: u64 = 8;
 const NODE_HEIGHT: u64 = 16;
 const NODE_NEXT: u64 = 24;
-/// FNV-1a checksum over the node's *immutable* words (key, row, height).
+/// [`util::hash::seal_words`] over the node's *immutable* words (key, row,
+/// height), so damage to any one of them is always detected.
 /// The `next` tower is excluded: later inserts rewrite those slots in place,
 /// and resealing on every neighbour splice would break the single-store
 /// publish protocol.
@@ -59,7 +60,7 @@ const NODE_SUM: u64 = NODE_NEXT + MAX_HEIGHT * 8;
 const NODE_SIZE: u64 = NODE_SUM + 8;
 
 fn node_sum(key: u64, row: u64, height: u64) -> u64 {
-    util::hash::fnv1a_words(&[key, row, height])
+    util::hash::seal_words(&[key, row, height])
 }
 
 const D_HEAD: u64 = 0; // MAX_HEIGHT words

@@ -48,8 +48,11 @@ pub const FREE_MAX_FENCES: u64 = 3;
 
 /// Magic value identifying a formatted region ("HYRISNVM" in ASCII-ish).
 pub(crate) const REGION_MAGIC: u64 = 0x4859_5249_534E_564D;
-/// On-media layout version.
-pub(crate) const REGION_VERSION: u64 = 1;
+/// On-media layout version. Bumped whenever a structure inside the heap
+/// changes its encoding, so an image written by another layout is refused
+/// at open instead of read as media damage. Version 2: main columns and
+/// index entries are sealed by `util::hash::seal`, not FNV-1a.
+pub(crate) const REGION_VERSION: u64 = 2;
 
 /// Region header field offsets (all u64 fields, header occupies the first
 /// cache line of the region).
@@ -686,6 +689,25 @@ mod tests {
             Allocator::open(&region),
             Err(NvmError::BadHeader { .. })
         ));
+    }
+
+    #[test]
+    fn other_layout_version_refused() {
+        let (region, _) = setup();
+        for version in [REGION_VERSION - 1, REGION_VERSION + 1] {
+            region.write_pod(hdr::VERSION, &version).unwrap();
+            Allocator::seal_header(&region).unwrap();
+            match Allocator::open(&region) {
+                Err(NvmError::BadHeader { reason }) => {
+                    assert_eq!(reason, "layout version mismatch")
+                }
+                Err(other) => panic!("expected BadHeader, got {other:?}"),
+                Ok(_) => panic!("version {version} opened"),
+            }
+        }
+        region.write_pod(hdr::VERSION, &REGION_VERSION).unwrap();
+        Allocator::seal_header(&region).unwrap();
+        Allocator::open(&region).unwrap();
     }
 
     #[test]

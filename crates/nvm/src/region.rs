@@ -1178,7 +1178,7 @@ impl NvmRegion {
         let books = self.books.lock();
         let medium = books.medium.as_deref().expect("simulated backing");
         let touched = &medium[..(books.touched * CACHE_LINE) as usize];
-        util::hash::fnv1a_words(&[util::hash::fingerprint_words(touched), self.capacity])
+        util::hash::seal_words(&[util::hash::seal(touched), self.capacity])
     }
 }
 

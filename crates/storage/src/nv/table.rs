@@ -14,7 +14,7 @@
 //!                                   width | blob_ptr | blob_len | checksum
 //! ```
 //!
-//! The per-column checksum is an FNV-1a fingerprint over the column's
+//! The per-column checksum is a [`util::hash::seal`] over the column's
 //! immutable media — the descriptor words themselves, the sorted dictionary,
 //! the string blob, and the packed attribute vector — sealed once at merge
 //! time and verified by [`NvTable::verify_media`]. The *mutable* words (MVCC
@@ -757,17 +757,15 @@ fn main_col_sum(region: &NvmRegion, base: u64) -> Result<u64> {
     let av_words: u64 = region.read_pod(base + 24)?;
     let blob_ptr: u64 = region.read_pod(base + 40)?;
     let blob_len: u64 = region.read_pod(base + 48)?;
-    let mut sum = region.with_slice(base, MC_SUM_COVERS, util::hash::fnv1a)?;
-    if dict_len > 0 {
-        sum = region.with_slice(dict_ptr, dict_len * 8, |b| {
-            util::hash::fnv1a_continue(sum, b)
-        })?;
-    }
-    if blob_len > 0 {
-        sum = region.with_slice(blob_ptr, blob_len, |b| util::hash::fnv1a_continue(sum, b))?;
-    }
-    if av_words > 0 {
-        sum = region.with_slice(av_ptr, av_words * 8, |b| util::hash::fnv1a_continue(sum, b))?;
+    let mut sum = region.with_slice(base, MC_SUM_COVERS, util::hash::seal)?;
+    for (ptr, len) in [
+        (dict_ptr, dict_len * 8),
+        (blob_ptr, blob_len),
+        (av_ptr, av_words * 8),
+    ] {
+        if len > 0 {
+            sum = region.with_slice(ptr, len, |b| util::hash::seal_continue(sum, b))?;
+        }
     }
     Ok(sum)
 }
@@ -1325,10 +1323,10 @@ impl NvTable {
                 // Seal the column: fingerprint the descriptor words plus the
                 // payloads, as `main_col_sum` reads them back.
                 let covered = nvm::slice_bytes(&desc[base..base + (MC_SUM_COVERS / 8) as usize]);
-                let mut sum = util::hash::fnv1a(covered);
+                let mut sum = util::hash::seal(covered);
                 for payload in [nvm::slice_bytes(dict), blob, nvm::slice_bytes(&av)] {
                     if !payload.is_empty() {
-                        sum = util::hash::fnv1a_continue(sum, payload);
+                        sum = util::hash::seal_continue(sum, payload);
                     }
                 }
                 desc[base + (MC_SUM / 8) as usize] = sum;

@@ -15,7 +15,8 @@
 //! * [`buf`] — little-endian byte writer/reader for the WAL record and
 //!   checkpoint codecs.
 //! * [`json`] — just enough JSON emission for the benchmark result rows.
-//! * [`hash`] — FNV-1a, used for image fingerprints and header checksums.
+//! * [`hash`] — the word-parallel media seal (main columns, index entries,
+//!   image fingerprints) and FNV-1a (allocator header checksums).
 //! * [`repro`] — bounded, deduplicating JSONL replay-artifact writer shared
 //!   by the torture suites (keeps `results/` from growing without limit).
 
